@@ -1,3 +1,5 @@
+import hashlib
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +24,7 @@ from rmflab.oracle import (
     sign_changes,
     wilson_interval,
 )
-from rmflab.sampler import Mode, sample_signs
+from rmflab.sampler import Mode, sample_signs, stream_f
 from rmflab.series import Trajectory, partial_sum_trajectory, positivity_check
 from rmflab.sieve import primes_up_to
 
@@ -270,3 +272,85 @@ def test_bonami_moment_inequality_exact_random_vectors():
             assert lhs <= rhs
             if m == 2:
                 assert lhs == rhs  # equality case, exact rationals
+
+
+# Golden records: payloads pinned bitwise for fixed seeds in both modes, so
+# any rewrite of the sign kernel or the scans must keep every trial's
+# summation order.  Dumps and f-vectors are pinned by their sha256.
+SF, CM = Mode.SQUAREFREE_MULT, Mode.COMPLETELY_MULT
+
+GOLDEN_POSITIVITY = [
+    # (sigma, x, n_max, trials, seed, mode), estimate, n_indeterminate, dump
+    ((0.6, 1, 50_000, 400, 7, SF), 0.36, 0,
+     "a9354b617047cad426458cdc9babfbe4a53030ad6235e70584ebf7f726257a78"),
+    ((0.75, 3, 1000, 3000, 11, SF), 0.6546666666666666, 0,
+     "b0959150bd2a8f2e49e42a347898446e0682535378d6a5578b26c147aa0b7046"),
+    ((0.52, 10, 3000, 2500, 5, SF), 0.2972, 0,
+     "3569cb4fb59a1f4f331ae7963f0661bdba2a2284669075250281014eec8308ba"),
+    ((0.6, 1, 50_000, 400, 7, CM), 0.6, 0,
+     "05a375275f2c5d9b7b728162c6ec1539f96b51e7cd5f31cc319728207621e59b"),
+    ((0.75, 3, 1000, 3000, 11, CM), 0.886, 0,
+     "d260455b8335dff188ff3eb96415dcf6508eff6ffb8bb612eaf123ad49a893e9"),
+    ((0.52, 10, 3000, 2500, 5, CM), 0.6664, 0,
+     "f569039b36e8b56d7e43dc57c22f0a31a629745ad57c2c72268bab53ce8743c3"),
+]
+
+SPARSE_COEFFS = {2: 0.5, 6: 1.25, 30: -0.75, 97: 2.0}
+
+GOLDEN_MOMENT = [
+    # (coeffs, m, trials, seed, mode), (estimate, ci_low, ci_high, heavy_tail)
+    ((power_coeffs(300, 0.75), 4, 5000, 5, SF),
+     (25.742310706541417, 21.579574572400638, 29.905046840682196, True)),
+    ((SPARSE_COEFFS, 3, 3000, 9, SF),
+     (21.633583333333334, 20.25734629067072, 23.009820375995947, False)),
+    ((power_coeffs(300, 0.75), 4, 5000, 5, CM),
+     (300.35003076191447, 262.5975477804797, 338.1025137433492, True)),
+    ((SPARSE_COEFFS, 3, 3000, 9, CM),
+     (21.633583333333334, 20.25734629067072, 23.009820375995947, False)),
+]
+
+GOLDEN_SIGN_CHANGES = [
+    # (sigma, n_max, trials, seed, mode), (estimate, ci_low, ci_high)
+    ((0.6, 40_000, 300, 3, SF), (63.06, 49.13176018232182, 76.98823981767819)),
+    ((0.8, 1000, 2500, 4, SF), (1.9668, 1.7058718776123574, 2.2277281223876426)),
+    ((0.6, 40_000, 300, 3, CM), (18.02, 9.275011143484637, 26.764988856515362)),
+    ((0.8, 1000, 2500, 4, CM), (0.3816, 0.2890581968667127, 0.4741418031332873)),
+]
+
+GOLDEN_STREAM_F = {
+    SF: "88ae182a58416c161d708070b1bd7d42348484b277527773b47ec9eea98e2918",
+    CM: "909f4155b62db542d8d024866f2f5a0b0a3c685af6aae1dc28817ddde431f80c",
+}
+
+
+@pytest.mark.parametrize("args, estimate, indeterminate, dump_sha", GOLDEN_POSITIVITY)
+def test_golden_mc_positivity(args, estimate, indeterminate, dump_sha):
+    sigma, x, n_max, trials, seed, mode = args
+    dump = io.StringIO()
+    est = mc_positivity(
+        sigma, x, n_max, trials, master_seed=seed, mode=mode, trial_dump=dump
+    )
+    assert est.estimate == estimate
+    assert est.n_indeterminate == indeterminate
+    assert hashlib.sha256(dump.getvalue().encode()).hexdigest() == dump_sha
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_MOMENT)
+def test_golden_mc_moment(args, expected):
+    coeffs, m, trials, seed, mode = args
+    est = mc_moment(coeffs, m, trials, master_seed=seed, mode=mode)
+    assert (est.estimate, est.ci_low, est.ci_high, est.heavy_tail) == expected
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_SIGN_CHANGES)
+def test_golden_mc_sign_changes(args, expected):
+    sigma, n_max, trials, seed, mode = args
+    est = mc_sign_changes(sigma, n_max, trials, master_seed=seed, mode=mode)
+    assert (est.estimate, est.ci_low, est.ci_high) == expected
+
+
+@pytest.mark.parametrize("mode", [SF, CM])
+def test_golden_stream_f(mode):
+    a = sample_signs(2024, 3, 200_000, mode)
+    digest = hashlib.sha256(stream_f(a, 1, 200_000).tobytes()).hexdigest()
+    assert digest == GOLDEN_STREAM_F[mode]
