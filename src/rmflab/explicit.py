@@ -123,7 +123,6 @@ def fit_lemma31_constants(
     m_grid,
     c5_grid=None,
     c3_cap: float = 10.0,
-    c3_budget: float = 1e10,
 ) -> tuple[float, float]:
     """Empirical witness (c3, c5) with all grid margins <= 1.
 
@@ -151,8 +150,8 @@ def fit_lemma31_constants(
             return needed, c5
     raise FitError(
         f"no (c3 <= {c3_cap}, c5) witness on the grid; smallest c3 seen "
-        f"{best_c3:.3g} (budget {c3_budget:.0e}); this indicates an "
-        "implementation bug, not a failure of the envelope shape"
+        f"{best_c3:.3g}; this indicates an implementation bug, not a failure "
+        "of the envelope shape"
     )
 
 
@@ -162,9 +161,14 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
         raise DomainError(f"x must be >= 1, got {x}")
     if m < 1 or sigma <= 0.5:
         raise DomainError("need m >= 1 and sigma > 1/2")
-    base = primes_up_to(math.isqrt(int(x)))
+    return _squarefree_weighted_sum(1, int(x), m, sigma)
+
+
+def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
+    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block."""
+    base = primes_up_to(math.isqrt(hi_n))
     parts: list[float] = []
-    for lo, hi in iter_blocks(1, int(x)):
+    for lo, hi in iter_blocks(lo_n, hi_n):
         t = sieve_block_tables(lo, hi, base)
         omega = t.omega.astype(np.int64) + (t.cofactor > 1)
         n = np.arange(lo, hi + 1, dtype=np.float64)
@@ -214,19 +218,8 @@ def tail_series(
         raise DomainError(f"m must be >= 1, got {m}")
     if m == 1:
         return TailSeries(0.0, 0.0, 0.0, int(cutoff))
-    lo_n = int(x) + 1
     hi_n = int(cutoff)
-    base = primes_up_to(math.isqrt(hi_n))
-    parts: list[float] = []
-    for lo, hi in iter_blocks(lo_n, hi_n):
-        t = sieve_block_tables(lo, hi, base)
-        omega = t.omega.astype(np.int64) + (t.cofactor > 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        terms = np.where(
-            t.squarefree, (m - 1.0) ** omega * np.exp(-2.0 * sigma * np.log(n)), 0.0
-        )
-        parts.append(math.fsum(terms.tolist()))
-    head = math.fsum(parts)
+    head = _squarefree_weighted_sum(int(x) + 1, hi_n, m, sigma)
     c3, c5 = envelope
     remainder = _integral_envelope_tail(float(hi_n), m, sigma, c3, c5)
     return TailSeries(head, 0.0, remainder, hi_n)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .accum import CHUNK, series_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
-from .sampler import Mode, batch_neg_bits
+from .sampler import Mode, batch_f, batch_neg_bits
 from .series import Trajectory
-from .sieve import arith_signature, prime_incidence, primes_up_to
+from .sieve import arith_signature, primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
 _INTERVAL_SHIFT = 128
@@ -270,8 +270,33 @@ def exact_moment(
 # Monte Carlo estimators
 
 
-def _batch_ranges(trials: int, batch: int):
+def _batch_ranges(trials: int, cells_per_trial: int, floor: int = 64):
+    """Trial ranges of a batch size that keeps a batch near the cell budget."""
+    batch = max(
+        floor, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(cells_per_trial, 1))
+    )
     return [(b, min(b + batch, trials)) for b in range(0, trials, batch)]
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
+
+
+def _f_batches(n_max: int, master_seed: int, mode: Mode):
+    """Sieve [1, n_max] once; return its tables and a (start, stop) -> f map.
+
+    The map gives f on [1, n_max] for trials start..stop-1 as a (trials, n)
+    int8 array.
+    """
+    base = primes_up_to(n_max)
+    tables = sieve_block_tables(1, n_max, base)
+
+    def f_of(start: int, stop: int) -> np.ndarray:
+        bits = batch_neg_bits(master_seed, np.arange(start, stop), len(base))
+        return batch_f(bits, tables, base, mode)
+
+    return tables, f_of
 
 
 def _run_indexed(tasks, fn, threads: int):
@@ -306,8 +331,7 @@ def mc_positivity(
         raise DomainError("trials must be >= 1")
     if not 1 <= x < n_max:
         raise DomainError(f"need 1 <= x < n_max, got x={x}, n_max={n_max}")
-    if sigma <= 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    _check_sigma(sigma)
     if sigma <= 0.5:
         warnings.warn(
             f"sigma={sigma} <= 1/2: the infinite-horizon event has "
@@ -315,15 +339,12 @@ def mc_positivity(
             RuntimeWarning,
             stacklevel=2,
         )
-    base = primes_up_to(n_max)
-    parity = mode is Mode.COMPLETELY_MULT
-    incidence, tables = prime_incidence(1, n_max, base, parity=parity)
-    incidence = incidence.astype(np.uint8)
+    tables, f_of = _f_batches(n_max, master_seed, mode)
     weights = np.exp(-sigma * np.log(np.arange(1, n_max + 1, dtype=np.float64)))
-    alive = (
-        np.ones(n_max, dtype=bool) if parity else tables.squarefree.copy()
-    )
-    abs_terms = np.where(alive, weights, 0.0)
+    if mode is Mode.COMPLETELY_MULT:
+        abs_terms = weights
+    else:
+        abs_terms = np.where(tables.squarefree, weights, 0.0)
     abs_total = float(abs_terms.sum())
     chunk_masses = [
         float(abs_terms[c : c + CHUNK].sum()) for c in range(0, n_max, CHUNK)
@@ -334,31 +355,25 @@ def mc_positivity(
         len(chunk_masses),
         sigma * math.log(max(n_max, 2)) + 3.0,
     )
-    batch = max(64, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(n_max, 1)))
     # outcome per trial: 1 passed, 0 failed, 2 indeterminate
     outcomes = np.empty(trials, dtype=np.uint8)
 
     def run(rng):
         start, stop = rng
-        bits = batch_neg_bits(master_seed, np.arange(start, stop), len(base))
-        counts = incidence @ bits.T  # (n_max, B), entries <= omega(n) < 256
-        f = (1 - 2 * (counts & 1).astype(np.int8)).astype(np.float64)
-        f[~alive, :] = 0.0
-        terms = f * weights[:, None]
+        f = f_of(start, stop)
         base_vals = np.zeros(stop - start, dtype=np.float64)
         lowest = np.full(stop - start, np.inf)
         for c in range(0, n_max, CHUNK):
-            seg = terms[c : c + CHUNK, :]
-            cums = base_vals[None, :] + np.cumsum(seg, axis=0)
-            y0 = c + 1  # y of the first row in this segment
-            skip = max(0, x + 1 - y0)
-            if skip < seg.shape[0]:
-                lowest = np.minimum(lowest, cums[skip:, :].min(axis=0))
-            base_vals = cums[-1, :]
+            terms = f[:, c : c + CHUNK] * weights[c : c + CHUNK]
+            cums = base_vals[:, None] + np.cumsum(terms, axis=1)
+            skip = max(0, x - c)  # column c holds y = c + 1
+            if skip < cums.shape[1]:
+                lowest = np.minimum(lowest, cums[:, skip:].min(axis=1))
+            base_vals = cums[:, -1]
         out = np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
         outcomes[start:stop] = out.astype(np.uint8)
 
-    _run_indexed(_batch_ranges(trials, batch), run, threads)
+    _run_indexed(_batch_ranges(trials, n_max), run, threads)
     passed = int(np.count_nonzero(outcomes == 1))
     indeterminate = int(np.count_nonzero(outcomes == 2))
     lo, _ = wilson_interval(passed, trials, level)
@@ -402,23 +417,15 @@ def _trial_linear_sums(
 ) -> np.ndarray:
     """sum_n a(n) f(n) per trial, vectorized in deterministic batches."""
     n_max, vec = _coeff_vector(coeffs)
-    base = primes_up_to(n_max)
-    parity = mode is Mode.COMPLETELY_MULT
-    incidence, tables = prime_incidence(1, n_max, base, parity=parity)
-    incidence = incidence.astype(np.uint8)
-    if not parity:
-        vec = np.where(tables.squarefree, vec, 0.0)
+    _, f_of = _f_batches(n_max, master_seed, mode)
     values = np.empty(trials, dtype=np.float64)
-    batch = max(64, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(n_max, 1)))
 
     def run(rng):
-        start, stop = rng
-        bits = batch_neg_bits(master_seed, np.arange(start, stop), len(base))
-        counts = incidence @ bits.T
-        f = (1 - 2 * (counts & 1).astype(np.int8)).astype(np.float64)
-        values[start:stop] = vec @ f
+        # vec @ (n, B) C-order keeps the BLAS summation order of each trial
+        f = f_of(*rng).T.astype(np.float64, order="C")
+        values[rng[0] : rng[1]] = vec @ f
 
-    _run_indexed(_batch_ranges(trials, batch), run, threads)
+    _run_indexed(_batch_ranges(trials, n_max), run, threads)
     return values
 
 
@@ -476,11 +483,11 @@ def mc_prime_tail(
         raise DomainError("trials must be >= 1")
     if p_max < 2:
         raise DomainError(f"P must be >= 2, got {p_max}")
+    _check_sigma(sigma)
     plist = primes_up_to(p_max)
     w = np.exp(-sigma * np.log(plist.primes.astype(np.float64)))
     total = math.fsum(w.tolist())
     hits = np.empty(trials, dtype=bool)
-    batch = max(256, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(len(plist), 1)))
 
     def run(rng):
         start, stop = rng
@@ -488,7 +495,7 @@ def mc_prime_tail(
         neg_weight = bits.astype(np.float64) @ w
         hits[start:stop] = (total - 2.0 * neg_weight) >= threshold
 
-    _run_indexed(_batch_ranges(trials, batch), run, threads)
+    _run_indexed(_batch_ranges(trials, len(plist), floor=256), run, threads)
     successes = int(np.count_nonzero(hits))
     lo, hi = wilson_interval(successes, trials, level)
     return EstimateWithCI(
@@ -523,34 +530,24 @@ def mc_sign_changes(
     """Mean number of sign changes of S_sigma over [1, n_max] per trial."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    base = primes_up_to(n_max)
-    parity = mode is Mode.COMPLETELY_MULT
-    incidence, tables = prime_incidence(1, n_max, base, parity=parity)
-    incidence = incidence.astype(np.uint8)
+    _check_sigma(sigma)
+    _, f_of = _f_batches(n_max, master_seed, mode)
     weights = np.exp(-sigma * np.log(np.arange(1, n_max + 1, dtype=np.float64)))
-    if not parity:
-        weights = np.where(tables.squarefree, weights, 0.0)
     counts_out = np.empty(trials, dtype=np.float64)
-    batch = max(64, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(n_max, 1)))
 
     def run(rng):
-        start, stop = rng
-        bits = batch_neg_bits(master_seed, np.arange(start, stop), len(base))
-        counts = incidence @ bits.T
-        f = (1 - 2 * (counts & 1).astype(np.int8)).astype(np.float64)
-        vals = np.cumsum(f * weights[:, None], axis=0)  # (n, B)
-        s = np.sign(vals)
-        idx = np.arange(n_max)[:, None]
-        last = np.maximum.accumulate(np.where(s != 0, idx, -1), axis=0)
-        prev = np.where(
-            last[:-1] >= 0,
-            np.take_along_axis(s, np.maximum(last[:-1], 0), axis=0),
-            0.0,
-        )
-        flips = (s[1:] != 0) & (prev * s[1:] < 0)
-        counts_out[start:stop] = flips.sum(axis=0)
+        sums = f_of(*rng) * weights  # the batch's one (B, n) float64 buffer
+        np.cumsum(sums, axis=1, out=sums)
+        s = np.sign(sums, out=sums).astype(np.int8)
+        del sums
+        # index of the last nonzero sign so far; 0 while there is none, where
+        # s is 0 too, so prev below is the previous nonzero sign or 0
+        last = np.where(s != 0, np.arange(n_max), 0)
+        np.maximum.accumulate(last, axis=1, out=last)
+        prev = np.take_along_axis(s, last[:, :-1], axis=1)
+        counts_out[rng[0] : rng[1]] = np.count_nonzero(prev * s[:, 1:] < 0, axis=1)
 
-    _run_indexed(_batch_ranges(trials, batch), run, threads)
+    _run_indexed(_batch_ranges(trials, n_max), run, threads)
     mean = math.fsum(counts_out.tolist()) / trials
     if trials > 1:
         var = math.fsum(((counts_out - mean) ** 2).tolist()) / (trials - 1)

@@ -30,8 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SignRangeError
-from .sieve import ArithSignature, PrimeList, prime_incidence, primes_up_to
+from .errors import DomainError, SieveBaseError, SignRangeError
+from .sieve import (
+    ArithSignature,
+    BlockTables,
+    PrimeList,
+    _check_base,
+    primes_up_to,
+    sieve_block_tables,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -185,6 +192,45 @@ def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
     return value
 
 
+def batch_f(
+    bits: np.ndarray, tables: BlockTables, base: PrimeList, mode: Mode
+) -> np.ndarray:
+    """f(n) for every n in [tables.lo, tables.hi] under each row of sign bits.
+
+    bits is (trials, len(base)) as from batch_neg_bits, and base must hold
+    every prime <= tables.hi.  Returns int8 of shape (trials, n), trial-major.
+    The parity of the negative primes dividing n follows the sieve: one
+    gather picks up the single cofactor prime above sqrt(hi), then each base
+    prime p <= sqrt(hi) XORs its bit column into the slice of its multiples,
+    at every power level p, p^2, ... in completely multiplicative mode (which
+    leaves v_p(n) mod 2).  Non-squarefree n are zeroed in squarefree mode.
+    """
+    if base.limit < tables.hi:
+        raise SieveBaseError(
+            f"f up to {tables.hi} needs all primes <= {tables.hi}, "
+            f"base covers {base.limit}"
+        )
+    big = tables.cofactor > 1
+    ranks = np.full(big.size, len(base))  # the all-zero column appended below
+    ranks[big] = np.searchsorted(base.primes, tables.cofactor[big])
+    parity = np.pad(bits, ((0, 0), (0, 1)))[:, ranks]
+    for r, p in enumerate(_check_base(tables.hi, base).tolist()):
+        column = bits[:, r, None]
+        q = p
+        while q <= tables.hi:
+            # (-lo) % q is the offset of the block's first multiple of q
+            parity[:, (-tables.lo) % q :: q] ^= column
+            if mode is Mode.SQUAREFREE_MULT:
+                break
+            q *= p
+    f = parity.view(np.int8)
+    f *= -2  # in place: parity 0, 1 -> f = 1, -1
+    f += 1
+    if mode is Mode.SQUAREFREE_MULT:
+        f *= tables.squarefree
+    return f
+
+
 def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
     """f(n) for every n in [lo, hi] as an int8 vector.
 
@@ -197,10 +243,5 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
         raise SignRangeError(
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
-    parity = a.mode is Mode.COMPLETELY_MULT
-    incidence, tables = prime_incidence(lo, hi, a.primes, parity=parity)
-    neg_count = incidence @ a.neg_bits().astype(np.int64)
-    values = (1 - 2 * (neg_count & 1)).astype(np.int8)
-    if a.mode is Mode.SQUAREFREE_MULT:
-        values[~tables.squarefree] = 0
-    return values
+    tables = sieve_block_tables(lo, hi, a.primes)
+    return batch_f(a.neg_bits()[None, :], tables, a.primes, a.mode)[0]

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError, SieveBaseError
 
@@ -171,57 +170,6 @@ def sieve_block(lo: int, hi: int, base: PrimeList) -> list[ArithSignature]:
             )
         )
     return out
-
-
-def prime_incidence(
-    lo: int, hi: int, base: PrimeList, *, parity: bool
-) -> tuple[sparse.csr_matrix, BlockTables]:
-    """Sparse incidence of distinct primes (or exponent parities) over a block.
-
-    Row i corresponds to n = lo + i; column r to the r-th prime of `base`.
-    With parity=False an entry is 1 when p | n (distinct-prime presence);
-    with parity=True it is v_p(n) mod 2.  The base must contain every prime
-    factor occurring in the block, i.e. base.limit >= hi.
-    """
-    if base.limit < hi:
-        raise SieveBaseError(
-            f"incidence needs all primes <= {hi}, base covers {base.limit}"
-        )
-    tables = sieve_block_tables(lo, hi, base)
-    size = hi - lo + 1
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    root = math.isqrt(hi)
-    n_small = int(np.searchsorted(base.primes, root, side="right"))
-    for r in range(n_small):
-        p = int(base.primes[r])
-        q = p
-        while q <= hi:
-            start = ((lo + q - 1) // q) * q
-            idx = np.arange(start - lo, size, q, dtype=np.int64)
-            rows.append(idx)
-            cols.append(np.full(idx.size, r, dtype=np.int64))
-            if not parity:
-                break
-            q *= p
-    big = np.flatnonzero(tables.cofactor > 1)
-    if big.size:
-        ranks = np.searchsorted(base.primes, tables.cofactor[big])
-        rows.append(big.astype(np.int64))
-        cols.append(ranks.astype(np.int64))
-    if rows:
-        data = np.ones(sum(a.size for a in rows), dtype=np.int64)
-        mat = sparse.coo_matrix(
-            (data, (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, len(base)),
-        ).tocsr()
-        if parity:
-            # duplicate (row, col) pairs summed to v_p(n); keep its parity
-            mat.data %= 2
-            mat.eliminate_zeros()
-    else:
-        mat = sparse.csr_matrix((size, len(base)), dtype=np.int64)
-    return mat, tables
 
 
 def iter_blocks(lo: int, hi: int, block: int = DEFAULT_BLOCK):

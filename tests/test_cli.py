@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,45 @@ def test_domain_error_exit_3_with_record():
     rec = ResultRecord.from_json_line(err.strip())
     assert rec.values["error"] == "DomainError"
     assert "zeta" in rec.values["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc", "sign-changes", "--sigma", "-1", "--nmax", "100", "--trials", "10"),
+        ("mc", "sign-changes", "--sigma", "nan", "--nmax", "100", "--trials", "10"),
+        ("mc", "sign-changes", "--sigma", "0", "--nmax", "100", "--trials", "10"),
+        ("mc", "positivity", "--sigma", "nan", "--x", "1", "--nmax", "100",
+         "--trials", "10"),
+        ("mc", "positivity", "--sigma", "inf", "--x", "1", "--nmax", "100",
+         "--trials", "10"),
+        ("mc", "prime-tail", "--sigma", "nan", "--lambda", "1", "--pmax", "100",
+         "--trials", "10"),
+        ("mc", "prime-tail", "--sigma", "-0.5", "--lambda", "1", "--pmax", "100",
+         "--trials", "10"),
+    ],
+)
+def test_mc_rejects_bad_sigma_exit_3(argv):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert code == 3
+    assert out == ""
+    rec = ResultRecord.from_json_line(err.strip())
+    assert rec.values["error"] == "DomainError"
+    assert "sigma" in rec.values["message"]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, rmflab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_enumeration_refusal_exit_3():

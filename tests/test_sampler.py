@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rmflab.errors import SignRangeError
+from rmflab.errors import SieveBaseError, SignRangeError
 from rmflab.sampler import (
     Mode,
+    batch_f,
     batch_neg_bits,
     f_value,
     mix64,
@@ -14,7 +15,7 @@ from rmflab.sampler import (
     stream_f,
     trial_neg_bits,
 )
-from rmflab.sieve import arith_signature
+from rmflab.sieve import arith_signature, primes_up_to, sieve_block_tables
 
 
 def test_determinism_same_inputs_same_signs():
@@ -94,6 +95,32 @@ def test_stream_f_completely_mult_matches_f_value():
     assert not np.any(values == 0)
     for n in list(range(1, 128)) + [1024, 2048, 2999]:
         assert values[n - 1] == f_value(a, n, arith_signature(n))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_batch_f_rows_match_f_value_on_inner_block(mode):
+    # a block away from 1: strided offsets, prime powers and large cofactors
+    lo, hi, limit, seed = 4000, 6000, 6100, 77
+    base = primes_up_to(limit)
+    trials = np.arange(10, 15)
+    f = batch_f(
+        batch_neg_bits(seed, trials, len(base)),
+        sieve_block_tables(lo, hi, base),
+        base,
+        mode,
+    )
+    assert f.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
+    for row, trial in zip(f, trials.tolist()):
+        a = sample_signs(seed, trial, limit, mode)
+        expected = [f_value(a, n, arith_signature(n)) for n in range(lo, hi + 1)]
+        assert row.tolist() == expected
+
+
+def test_batch_f_needs_primes_up_to_hi():
+    base = primes_up_to(100)
+    bits = batch_neg_bits(1, np.arange(2), len(base))
+    with pytest.raises(SieveBaseError):
+        batch_f(bits, sieve_block_tables(90, 120, base), base, Mode.SQUAREFREE_MULT)
 
 
 def test_stream_beyond_limit_rejected():
