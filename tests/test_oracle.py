@@ -354,3 +354,114 @@ def test_golden_stream_f(mode):
     a = sample_signs(2024, 3, 200_000, mode)
     digest = hashlib.sha256(stream_f(a, 1, 200_000).tobytes()).hexdigest()
     assert digest == GOLDEN_STREAM_F[mode]
+
+
+# Exact oracle golden records: every exact result is pinned by its str(), so
+# any rewrite of the enumeration must keep each value, not just close to it.
+GOLDEN_EXACT_PROBABILITY = {
+    # (mode, sigma): P(S_sigma(y) > 0 for all y in (x, n]) for n = 1..30,
+    # the same for x = 0 and x = 1 because S_sigma(1) = 1
+    (SF, 0.0): (
+        "1 1/2 1/2 1/2 3/8 3/8 5/16 5/16 5/16 5/16 9/32 9/32 9/32 17/64 17/64 17/64 "
+        "31/128 31/128 31/128 31/128 57/256 57/256 53/256 53/256 53/256 53/256 53/256 "
+        "53/256 101/512 101/512"
+    ),
+    (SF, 1.0): (
+        "1 1 1 1 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 "
+        "7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8 7/8"
+    ),
+    (SF, 2.0): (
+        "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1"
+    ),
+    (SF, 0.75): (
+        "1 1 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 23/32 23/32 23/32 23/32 91/128 "
+        "91/128 179/256 179/256 89/128 89/128 177/256 177/256 177/256 11/16 11/16 "
+        "11/16 351/512 701/1024"
+    ),
+    (CM, 0.0): (
+        "1 1/2 1/2 1/2 1/2 3/8 3/8 3/8 3/8 3/8 3/8 3/8 3/8 23/64 23/64 23/64 23/64 "
+        "23/64 23/64 91/256 91/256 11/32 11/32 87/256 87/256 87/256 87/256 173/512 "
+        "173/512 335/1024"
+    ),
+    (CM, 1.0): (
+        "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1"
+    ),
+    (CM, 2.0): (
+        "1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1"
+    ),
+    (CM, 0.75): (
+        "1 1 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 3/4 "
+        "191/256 191/256 191/256 191/256 191/256 191/256 191/256 191/256 763/1024 "
+        "763/1024"
+    ),
+}
+
+EXACT_FRAC_30 = {n: Fraction(1, n) for n in range(1, 31)}
+EXACT_FRAC_MIXED = {
+    2: Fraction(1, 5), 3: Fraction(-2, 7), 6: Fraction(3, 4), 10: 1, 15: Fraction(-4, 9)
+}
+EXACT_FLOAT_12 = power_coeffs(12, 0.75)
+EXACT_FLOAT_SPARSE = {2: 0.5, 6: 1.25, 30: -0.75}
+
+GOLDEN_EXACT_MOMENT = [
+    # (n_max, coeffs, m), (signed, absolute)
+    ((30, EXACT_FRAC_30, 0), ("1", "1")),
+    ((30, EXACT_FRAC_30, 1), ("1", "1104226699369/1104160977920")),
+    ((30, EXACT_FRAC_30, 3), (
+        "1891314283435500199/664395722068378300",
+        "14618208285136678568450537724409/5135198811434195761855549952000",
+    )),
+    ((30, EXACT_FRAC_30, 4), (
+        "1543202622434085902944797447983734419323/"
+        "250286090010065931527966429013474630000",
+        "1543202622434085902944797447983734419323/"
+        "250286090010065931527966429013474630000",
+    )),
+    ((16, EXACT_FRAC_MIXED, 0), ("1", "1")),
+    ((16, EXACT_FRAC_MIXED, 1), ("0", "79/72")),
+    ((16, EXACT_FRAC_MIXED, 3), ("-79/35", "434732023/114307200")),
+    ((16, EXACT_FRAC_MIXED, 4), (
+        "21434409853441/2520473760000", "21434409853441/2520473760000"
+    )),
+    ((12, EXACT_FLOAT_12, 0), ("1", "1")),
+    ((12, EXACT_FLOAT_12, 1), ("1", "73592200758196699/72057594037927936")),
+    ((12, EXACT_FLOAT_12, 3), (
+        "11830946847340610588975345129907149637119031135179/"
+        "2923003274661805836407369665432566039311865085952",
+        "378735969683018364219161227924388851009366774350001/"
+        "93536104789177786765035829293842113257979682750464",
+    )),
+    ((12, EXACT_FLOAT_12, 4), (
+        "16982267430580114158404035867620072253064987137955521452286121458285/"
+        "1684996666696914987166688442938726917102321526408785780068975640576",
+        "16982267430580114158404035867620072253064987137955521452286121458285/"
+        "1684996666696914987166688442938726917102321526408785780068975640576",
+    )),
+    ((30, EXACT_FLOAT_SPARSE, 0), ("1", "1")),
+    ((30, EXACT_FLOAT_SPARSE, 1), ("0", "5/4")),
+    ((30, EXACT_FLOAT_SPARSE, 3), ("0", "5")),
+    ((30, EXACT_FLOAT_SPARSE, 4), ("361/32", "361/32")),
+]
+
+
+@pytest.mark.parametrize("x", [0, 1])
+@pytest.mark.parametrize("key", list(GOLDEN_EXACT_PROBABILITY))
+def test_golden_exact_probability(key, x):
+    mode, sigma = key
+    expected = GOLDEN_EXACT_PROBABILITY[key].split()
+    got = [str(exact_probability(n, sigma, x, mode).value) for n in range(x + 1, 31)]
+    assert got == expected[x:]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_EXACT_MOMENT)
+def test_golden_exact_moment(args, expected):
+    n_max, coeffs, m = args
+    signed = exact_moment(n_max, coeffs, m)
+    absolute = exact_moment(n_max, coeffs, m, absolute=True)
+    assert isinstance(signed, Fraction) and isinstance(absolute, Fraction)
+    assert (str(signed), str(absolute)) == expected
+
+
+def test_golden_exact_moment_certified():
+    got = exact_moment(30, power_coeffs(30, 0.75), 4.5)
+    assert got == CertifiedValue(26.38276012069355, 2.190855497309002e-23)
