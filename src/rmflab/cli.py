@@ -170,26 +170,29 @@ def _h_series_logdecomp(args, ctx):
     }
 
 
+def _exact_payload(value) -> dict:
+    """Record values for a Fraction, a CertifiedValue or a plain number."""
+    if isinstance(value, Fraction):
+        return {
+            "numerator": value.numerator,
+            "denominator": value.denominator,
+            "value": float(value),
+        }
+    if isinstance(value, orc.CertifiedValue):
+        return {"value": value.value, "error_bound": value.error_bound}
+    return {"value": value}
+
+
 def _h_oracle_positivity(args, ctx):
     result = orc.exact_probability(args.nmax, args.sigma, args.x, _mode_of(args))
-    return {
-        "numerator": result.value.numerator,
-        "denominator": result.value.denominator,
-        "value": float(result.value),
-        "universe_bits": result.universe_bits,
-    }
+    return {**_exact_payload(result.value), "universe_bits": result.universe_bits}
 
 
 def _h_oracle_moment(args, ctx):
     coeffs = _exact_power_coeffs(args.nmax, args.exponent)
-    result = orc.exact_moment(args.nmax, coeffs, args.m, absolute=args.absolute)
-    if isinstance(result, Fraction):
-        return {
-            "numerator": result.numerator,
-            "denominator": result.denominator,
-            "value": float(result),
-        }
-    return {"value": result.value, "error_bound": result.error_bound}
+    return _exact_payload(
+        orc.exact_moment(args.nmax, coeffs, args.m, absolute=args.absolute)
+    )
 
 
 def _exact_power_coeffs(n_max: int, exponent: float):
@@ -372,14 +375,7 @@ def _h_bounds_hoeffding(args, ctx):
 
 def _h_bounds_bh_rhs(args, ctx):
     coeffs = _exact_power_coeffs(args.nmax, args.exponent)
-    value = bnd.bh_rhs(coeffs, args.m)
-    if isinstance(value, Fraction):
-        return {
-            "numerator": value.numerator,
-            "denominator": value.denominator,
-            "value": float(value),
-        }
-    return {"value": value}
+    return _exact_payload(bnd.bh_rhs(coeffs, args.m))
 
 
 def _h_bounds_maximal(args, ctx):

@@ -1,10 +1,13 @@
 """Exact enumeration over small prime universes and seed-parallel Monte Carlo.
 
 The exact oracles enumerate all 2^pi(N) equiprobable sign assignments on
-the primes <= N.  With an integer exponent the partial sums are exact
-rationals; otherwise every weight n^-sigma is bracketed by certified
-128-bit scaled integers and each sign decision is certified, never guessed.
-Ground truths like 7/8 come out as actual fractions.
+the primes <= N on one scaled-integer path.  Every weight n^-sigma is
+bracketed by integers under one scale: exactly, with the scale
+lcm(1..N)^sigma, for a nonnegative integer exponent, and by certified
+128-bit brackets otherwise, so each sign decision is certified, never
+guessed.  Moment coefficients go over one common denominator, so every
+assignment's sum is an exact integer.  Ground truths like 7/8 come out as
+actual fractions.
 
 Monte Carlo estimators share the sign construction of the sampler module,
 evaluate trials in vectorized batches, and reduce deterministically: the
@@ -29,7 +32,7 @@ import numpy as np
 from .accum import CHUNK, series_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
-from .series import Trajectory
+from .series import Trajectory, check_sigma
 from .sieve import arith_signature, primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
@@ -93,7 +96,11 @@ def wilson_interval(
 
 
 def _universe(n_max: int, mode: Mode):
-    """Per-n prime-rank bitmasks and mu^2 flags over the universe n <= n_max."""
+    """Per-n prime-rank bitmasks over n <= n_max, None where f(n) = 0.
+
+    f(n) under an assignment is -1 exactly when the assignment has an odd
+    number of bits in common with the mask of n.
+    """
     plist = primes_up_to(n_max)
     bits = len(plist)
     if bits > ENUMERATION_BIT_LIMIT:
@@ -102,11 +109,12 @@ def _universe(n_max: int, mode: Mode):
             "assignment enumeration budget"
         )
     prime_rank = {int(p): r for r, p in enumerate(plist.primes.tolist())}
-    masks = np.zeros(n_max + 1, dtype=np.int64)
-    mu2 = np.ones(n_max + 1, dtype=bool)
+    masks = [None, 0]
     for n in range(2, n_max + 1):
         sig = arith_signature(n)
-        mu2[n] = sig.is_squarefree
+        if mode is Mode.SQUAREFREE_MULT and not sig.is_squarefree:
+            masks.append(None)
+            continue
         mask = 0
         for p in sig.distinct_primes:
             if mode is Mode.COMPLETELY_MULT:
@@ -117,20 +125,22 @@ def _universe(n_max: int, mode: Mode):
                 if v & 1 == 0:
                     continue
             mask |= 1 << prime_rank[p]
-        masks[n] = mask
-    return bits, masks, mu2
+        masks.append(mask)
+    return bits, masks
 
 
-def _exact_weights(n_max: int, sigma: float):
-    """Exact Fractions when sigma is a nonnegative integer, else None."""
-    if float(sigma) != sigma or not float(sigma).is_integer() or sigma < 0:
-        return None
-    e = int(sigma)
-    return [Fraction(0)] + [Fraction(1, n**e) for n in range(1, n_max + 1)]
+def _scaled_weights(n_max: int, sigma: float):
+    """Integers lo[n] <= W n^-sigma <= hi[n] for n <= n_max under one scale W.
 
-
-def _bracket_weights(n_max: int, sigma: float):
-    """Certified integer brackets for n^-sigma scaled by 2^_INTERVAL_SHIFT."""
+    For a nonnegative integer sigma, W = lcm(1..n_max)^sigma and lo == hi
+    exactly; otherwise W = 2^_INTERVAL_SHIFT and each pair is a certified
+    bracket.
+    """
+    if float(sigma) == sigma and float(sigma).is_integer() and sigma >= 0:
+        e = int(sigma)
+        scale = math.lcm(*range(1, n_max + 1)) ** e
+        exact = [0] + [scale // n**e for n in range(1, n_max + 1)]
+        return exact, exact
     lo = [0] * (n_max + 1)
     hi = [0] * (n_max + 1)
     with mp.workprec(_INTERVAL_SHIFT + 64):
@@ -141,17 +151,6 @@ def _bracket_weights(n_max: int, sigma: float):
     return lo, hi
 
 
-def _signs_for(assignment: int, masks: np.ndarray, mu2: np.ndarray, mode: Mode):
-    """f(n) for n = 1..n_max under one enumeration assignment."""
-    n_max = masks.size - 1
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        if mode is Mode.SQUAREFREE_MULT and not mu2[n]:
-            continue
-        out[n] = -1 if (assignment & int(masks[n])).bit_count() & 1 else 1
-    return out
-
-
 def exact_probability(
     n_max: int,
     sigma: float,
@@ -160,66 +159,47 @@ def exact_probability(
 ) -> ExactResult:
     """Exact P(S_sigma(y) > 0 for all integer y in (x, n_max]).
 
-    Enumerates all 2^pi(n_max) sign assignments.  Only sigma with exact
-    rational weights (nonnegative integers) use pure rational arithmetic;
-    everything else runs on certified integer brackets, and an assignment
-    whose sign cannot be certified raises rather than being classified.
+    Enumerates all 2^pi(n_max) sign assignments on the scaled integer
+    weights of `_scaled_weights`.  Nonnegative integer sigma is decided
+    exactly; otherwise an assignment whose sign cannot be certified raises
+    rather than being classified.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     if not 0 <= x < n_max:
         raise DomainError(f"x must lie in [0, n_max), got x={x}, n_max={n_max}")
-    bits, masks, mu2 = _universe(n_max, mode)
-    exact = _exact_weights(n_max, sigma)
-    if exact is None:
-        wlo, whi = _bracket_weights(n_max, sigma)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
+    bits, masks = _universe(n_max, mode)
+    wlo, whi = _scaled_weights(n_max, sigma)
+    terms = list(zip(range(n_max + 1), masks, wlo, whi))[1:]
     positives = 0
     for assignment in range(1 << bits):
-        f = _signs_for(assignment, masks, mu2, mode)
-        if exact is not None:
-            s = Fraction(0)
-            ok = True
-            for y in range(1, n_max + 1):
-                if f[y]:
-                    s += f[y] * exact[y]
-                if y > x and s <= 0:
+        s_lo = 0
+        s_hi = 0
+        ok = True
+        ambiguous = False
+        for y, mask, lo, hi in terms:
+            if mask is not None:
+                if (assignment & mask).bit_count() & 1:
+                    s_lo -= hi
+                    s_hi -= lo
+                else:
+                    s_lo += lo
+                    s_hi += hi
+            if y > x:
+                if s_hi <= 0:
                     ok = False
                     break
-            positives += ok
-        else:
-            s_lo = 0
-            s_hi = 0
-            ok = True
-            ambiguous = False
-            for y in range(1, n_max + 1):
-                if f[y] > 0:
-                    s_lo += wlo[y]
-                    s_hi += whi[y]
-                elif f[y] < 0:
-                    s_lo -= whi[y]
-                    s_hi -= wlo[y]
-                if y > x:
-                    if s_hi <= 0:
-                        ok = False
-                        break
-                    if s_lo <= 0:
-                        ambiguous = True
-            if ok and ambiguous:
-                raise CertificationError(
-                    f"sign of a partial sum not certifiable at shift "
-                    f"{_INTERVAL_SHIFT} (assignment {assignment})"
-                )
-            positives += ok
+                if s_lo <= 0:
+                    ambiguous = True
+        if ok and ambiguous:
+            raise CertificationError(
+                f"sign of a partial sum not certifiable at shift "
+                f"{_INTERVAL_SHIFT} (assignment {assignment})"
+            )
+        positives += ok
     return ExactResult(Fraction(positives, 1 << bits), bits)
-
-
-def _coeff_fractions(coeffs: Mapping[int, object], n_max: int):
-    table = [Fraction(0)] * (n_max + 1)
-    for n, value in coeffs.items():
-        if not 1 <= n <= n_max:
-            raise DomainError(f"coefficient index {n} outside [1, {n_max}]")
-        table[n] = Fraction(value)
-    return table
 
 
 def exact_moment(
@@ -231,38 +211,54 @@ def exact_moment(
 ):
     """E (sum a(n) f(n))^m by full enumeration; exact for integer m.
 
-    For even m the signed and absolute moments coincide.  Odd integer m
-    stays exact (Fractions pass through abs unchanged); non-integer m >= 2
-    routes through high-precision evaluation of |S|^m with a certified
-    error, returned as a CertifiedValue.
+    The coefficients are put over one denominator D, so each assignment's
+    sum is an exact integer S and an integer order m gives the Fraction
+    sum(S^m) / (D^m 2^pi(n_max)).  For even m the signed and absolute
+    moments coincide.  Non-integer m >= 2 routes through high-precision
+    evaluation of |S/D|^m with a certified error, returned as a
+    CertifiedValue.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    bits, masks, mu2 = _universe(n_max, mode)
-    table = _coeff_fractions(coeffs, n_max)
-    support = [n for n in range(1, n_max + 1) if table[n] != 0]
-    sums = []
-    for assignment in range(1 << bits):
-        f = _signs_for(assignment, masks, mu2, mode)
-        sums.append(sum((f[n] * table[n] for n in support), Fraction(0)))
-    if float(m).is_integer():
-        e = int(m)
-        if e < 0:
-            raise DomainError(f"moment order must be >= 0, got {m}")
-        if absolute or e % 2 == 0:
-            total = sum(abs(s) ** e for s in sums)
-        else:
-            total = sum(s**e for s in sums)
-        return total / Fraction(1 << bits)
-    if m < 2:
+    if not math.isfinite(m):
+        raise DomainError(f"moment order must be finite, got {m}")
+    integer_order = float(m).is_integer()
+    if integer_order and m < 0:
+        raise DomainError(f"moment order must be >= 0, got {m}")
+    if not integer_order and m < 2:
         raise DomainError(f"non-integer moment order must be >= 2, got {m}")
+    table = {}
+    for n, value in coeffs.items():
+        if not 1 <= n <= n_max:
+            raise DomainError(f"coefficient index {n} outside [1, {n_max}]")
+        try:
+            table[n] = Fraction(value)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"coefficient a({n}) = {value} is not finite") from exc
+    denom = math.lcm(*(c.denominator for c in table.values()))
+    bits, masks = _universe(n_max, mode)
+    # (mask of n, D a(n)) wherever f(n) a(n) can be nonzero
+    support = [
+        (masks[n], c.numerator * (denom // c.denominator))
+        for n, c in table.items()
+        if c and masks[n] is not None
+    ]
+    e = int(m) if integer_order else None
     with mp.workprec(96):
-        acc = mp.mpf(0)
-        for s in sums:
-            acc += mp.power(abs(mp.mpf(s.numerator) / s.denominator), m)
-        value = acc / (1 << bits)
+        total = 0 if integer_order else mp.mpf(0)
+        for assignment in range(1 << bits):
+            s = sum(-c if (assignment & k).bit_count() & 1 else c for k, c in support)
+            if integer_order:
+                total += (abs(s) if absolute else s) ** e
+            else:
+                # reduce S/D as a Fraction would, so the numerator rounds alike
+                g = math.gcd(s, denom)
+                total += mp.power(mp.mpf(abs(s) // g) / (denom // g), m)
+        if integer_order:
+            return Fraction(total, denom**e << bits)
+        value = total / (1 << bits)
         # ~96-bit arithmetic over 2^bits terms; crude but rigorous slack
-        err = float(value) * (len(sums) + 4) * 2.0**-90
+        err = float(value) * ((1 << bits) + 4) * 2.0**-90
     return CertifiedValue(float(value), err)
 
 
@@ -276,11 +272,6 @@ def _batch_ranges(trials: int, cells_per_trial: int, floor: int = 64):
         floor, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(cells_per_trial, 1))
     )
     return [(b, min(b + batch, trials)) for b in range(0, trials, batch)]
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def _f_batches(n_max: int, master_seed: int, mode: Mode):
@@ -331,7 +322,7 @@ def mc_positivity(
         raise DomainError("trials must be >= 1")
     if not 1 <= x < n_max:
         raise DomainError(f"need 1 <= x < n_max, got x={x}, n_max={n_max}")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     if sigma <= 0.5:
         warnings.warn(
             f"sigma={sigma} <= 1/2: the infinite-horizon event has "
@@ -483,7 +474,7 @@ def mc_prime_tail(
         raise DomainError("trials must be >= 1")
     if p_max < 2:
         raise DomainError(f"P must be >= 2, got {p_max}")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     plist = primes_up_to(p_max)
     w = np.exp(-sigma * np.log(plist.primes.astype(np.float64)))
     total = math.fsum(w.tolist())
@@ -530,7 +521,7 @@ def mc_sign_changes(
     """Mean number of sign changes of S_sigma over [1, n_max] per trial."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    _check_sigma(sigma)
+    check_sigma(sigma)
     _, f_of = _f_batches(n_max, master_seed, mode)
     weights = np.exp(-sigma * np.log(np.arange(1, n_max + 1, dtype=np.float64)))
     counts_out = np.empty(trials, dtype=np.float64)

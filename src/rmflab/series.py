@@ -88,6 +88,12 @@ class MenshovCheck(NamedTuple):
     margin: float
 
 
+def check_sigma(sigma: float) -> None:
+    """Reject a NaN, infinite or nonpositive exponent with DomainError."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
+
+
 def _weights(lo: int, hi: int, sigma: float) -> np.ndarray:
     # n^-sigma = exp(-sigma log n); the log table is the block's arange
     logs = np.log(np.arange(lo, hi + 1, dtype=np.float64))
@@ -107,8 +113,7 @@ def partial_sum_trajectory(
     combined in ascending order by a single compensated reducer, so the
     result is independent of any internal parallelism.
     """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    check_sigma(sigma)
     if n_max < 1:
         raise DomainError(f"horizon must be >= 1, got {n_max}")
     if checkpoint_stride < 1:

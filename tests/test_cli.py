@@ -152,6 +152,29 @@ def test_mc_rejects_bad_sigma_exit_3(argv):
     assert "sigma" in rec.values["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("oracle", "positivity", "--nmax", "10", "--sigma", "nan"), "sigma"),
+        (("oracle", "positivity", "--nmax", "10", "--sigma", "inf"), "sigma"),
+        # pi(88) = 23: the order is rejected before 2^23 assignments are run
+        (("oracle", "moment", "--nmax", "88", "--m", "nan"), "order"),
+        (("oracle", "moment", "--nmax", "88", "--m", "inf"), "order"),
+        (("oracle", "moment", "--nmax", "88", "--m", "-1"), "order"),
+        (("oracle", "moment", "--nmax", "88", "--m", "4", "--exponent", "nan"),
+         "coefficient"),
+        (("series", "trajectory", "--sigma", "nan", "--nmax", "5"), "sigma"),
+    ],
+)
+def test_non_finite_input_exit_3(argv, name):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert code == 3
+    assert out == ""
+    rec = ResultRecord.from_json_line(err.strip())
+    assert rec.values["error"] == "DomainError"
+    assert name in rec.values["message"]
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

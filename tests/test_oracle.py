@@ -176,6 +176,18 @@ def test_mc_positivity_agrees_with_oracle_at_n10():
     assert est.n_indeterminate == 0
 
 
+def test_mc_positivity_agrees_with_oracle_at_n56():
+    # pi(56) = 16 primes, so the oracle enumerates 2^16 assignments; a 99%
+    # interval may miss the truth for one seed in ten
+    exact = exact_probability(56, 0.75, 1).value
+    assert exact == Fraction(5519, 8192)
+    covered = 0
+    for seed in range(10):
+        est = mc_positivity(0.75, 1, 56, 100_000, master_seed=seed)
+        covered += est.ci_low <= exact <= est.ci_high
+    assert covered >= 9
+
+
 def test_mc_positivity_trials_match_trajectory_path():
     sigma, n_max, seed = 0.6, 40, 314
     est = mc_positivity(sigma, 1, n_max, 64, master_seed=seed)
