@@ -4,13 +4,16 @@ Series here run to 10^8 terms of mixed sign near cancellation, and the
 positivity predicate must never be decided by rounding noise.  The
 accumulators therefore track an L1 magnitude alongside the compensated
 total, from which a rigorous (if slightly conservative) error bound is
-derived.  The per-term rounding model assumes libm exp/log accurate to
-1 ulp, which every mainstream libm satisfies.
+derived.  Every weight n^-sigma comes from power_weights, and
+series_error_bound carries the per-term rounding allowance for exactly
+that evaluation.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 #: Unit roundoff of IEEE-754 binary64.
 EPS = 2.0**-53
@@ -61,20 +64,27 @@ class CompensatedSum:
         return self.total + self.comp
 
 
+def power_weights(n, sigma: float) -> np.ndarray:
+    """n^-sigma for every entry of n, evaluated as exp(-sigma log n)."""
+    return np.exp(-sigma * np.log(np.asarray(n, dtype=np.float64)))
+
+
 def series_error_bound(
     abs_total: float,
     max_chunk_abs: float,
     n_chunks: int,
-    weight_scale: float,
+    sigma: float,
+    n_max: int,
 ) -> float:
     """Certified bound on |computed - exact| for chunked cumulative sums.
 
-    Covers: per-term weight rounding (weight_scale ~ sigma*log(N) + 3 for
-    n^-sigma computed as exp(-sigma*log n)), cross-chunk base accumulation
-    (one rounding per chunk in the vectorized path, tighter but still
-    covered in the compensated path), the base + cumsum adds at each
-    checkpoint, and the recursive intra-chunk cumulative error.
+    Covers: per-term rounding of the power_weights(n, sigma) weights for
+    n <= n_max, cross-chunk base accumulation (one rounding per chunk in
+    the vectorized path, tighter but still covered in the compensated
+    path), the base + cumsum adds at each checkpoint, and the recursive
+    intra-chunk cumulative error.
     """
+    weight_scale = sigma * math.log(max(n_max, 2)) + 3.0
     return EPS * (
         (weight_scale + 8.0 + n_chunks) * abs_total + (CHUNK + 8.0) * max_chunk_abs
     )

@@ -24,6 +24,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
+from .accum import power_weights
 from .errors import DomainError, FitError
 from .sieve import arith_signature, iter_blocks, primes_up_to, sieve_block_tables
 
@@ -74,15 +75,21 @@ class TailSeries:
         return self.head + self.remainder_low
 
 
+def _sieve_walk(lo_n: int, hi_n: int):
+    """Per sieve block of [lo_n, hi_n], ascending: (n, mu^2(n) mask, omega(n))."""
+    base = primes_up_to(math.isqrt(hi_n))
+    for lo, hi in iter_blocks(lo_n, hi_n):
+        t = sieve_block_tables(lo, hi, base)
+        omega = t.omega.astype(np.int64) + (t.cofactor > 1)
+        yield np.arange(lo, hi + 1), t.squarefree, omega
+
+
 @lru_cache(maxsize=32)
 def _omega_histogram(x: int) -> tuple[int, ...]:
     """Counts of squarefree n <= x by omega(n); histogram[k] = #{n: omega=k}."""
-    base = primes_up_to(math.isqrt(x))
     hist = np.zeros(20, dtype=np.int64)
-    for lo, hi in iter_blocks(1, x):
-        t = sieve_block_tables(lo, hi, base)
-        omega = t.omega.astype(np.int64) + (t.cofactor > 1)
-        counts = np.bincount(omega[t.squarefree], minlength=20)
+    for _, squarefree, omega in _sieve_walk(1, x):
+        counts = np.bincount(omega[squarefree], minlength=20)
         hist[: counts.size] += counts
     return tuple(int(c) for c in hist)
 
@@ -166,14 +173,10 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
     """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block."""
-    base = primes_up_to(math.isqrt(hi_n))
     parts: list[float] = []
-    for lo, hi in iter_blocks(lo_n, hi_n):
-        t = sieve_block_tables(lo, hi, base)
-        omega = t.omega.astype(np.int64) + (t.cofactor > 1)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
+    for n, squarefree, omega in _sieve_walk(lo_n, hi_n):
         terms = np.where(
-            t.squarefree, (m - 1.0) ** omega * np.exp(-2.0 * sigma * np.log(n)), 0.0
+            squarefree, (m - 1.0) ** omega * power_weights(n, 2.0 * sigma), 0.0
         )
         parts.append(math.fsum(terms.tolist()))
     return math.fsum(parts)

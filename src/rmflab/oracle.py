@@ -29,7 +29,7 @@ from typing import Mapping
 import mpmath as mp
 import numpy as np
 
-from .accum import CHUNK, series_error_bound
+from .accum import CHUNK, power_weights, series_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
 from .series import Trajectory, check_sigma
@@ -266,12 +266,70 @@ def exact_moment(
 # Monte Carlo estimators
 
 
-def _batch_ranges(trials: int, cells_per_trial: int, floor: int = 64):
-    """Trial ranges of a batch size that keeps a batch near the cell budget."""
+def _proportion(
+    successes: int, trials: int, master_seed: int, level: float, indeterminate: int = 0
+) -> EstimateWithCI:
+    """successes / trials with a Wilson interval.
+
+    Indeterminate trials count as failures in the estimate and the lower
+    limit; the upper limit is widened as if they had all passed.
+    """
+    lo, _ = wilson_interval(successes, trials, level)
+    _, hi = wilson_interval(successes + indeterminate, trials, level)
+    return EstimateWithCI(
+        successes / trials, trials, lo, hi, master_seed, level, indeterminate
+    )
+
+
+def _mean(
+    values: np.ndarray, master_seed: int, level: float, flag_kurtosis: bool = False
+) -> EstimateWithCI:
+    """Sample mean of per-trial values with a normal-approximation interval.
+
+    With flag_kurtosis, an extreme sample excess kurtosis (> 50), which
+    makes the normal interval optimistic, sets heavy_tail.
+    """
+    trials = values.size
+    mean = math.fsum(values.tolist()) / trials
+    half = 0.0
+    heavy = False
+    if trials > 1:
+        centered = values - mean
+        var = math.fsum((centered**2).tolist()) / (trials - 1)
+        half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var / trials)
+        if flag_kurtosis and var > 0:
+            m4 = math.fsum((centered**4).tolist()) / trials
+            kurtosis_excess = m4 / (var * var) - 3.0
+            heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
+    return EstimateWithCI(
+        mean, trials, mean - half, mean + half, master_seed, level, heavy_tail=heavy
+    )
+
+
+def _per_trial(trials: int, cells_per_trial: int, fn, threads: int, dtype, floor=64):
+    """fn(start, stop) over trial batches, gathered into one per-trial array.
+
+    A batch holds about _BATCH_CELL_BUDGET cells (at least `floor` and at
+    most _DEFAULT_BATCH trials) and fn returns one value per trial in it.
+    Batches depend only on (trials, cells_per_trial), never on threads.
+    """
     batch = max(
         floor, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(cells_per_trial, 1))
     )
-    return [(b, min(b + batch, trials)) for b in range(0, trials, batch)]
+    out = np.empty(trials, dtype=dtype)
+
+    def run(start: int) -> None:
+        stop = min(start + batch, trials)
+        out[start:stop] = fn(start, stop)
+
+    starts = range(0, trials, batch)
+    if threads <= 1:
+        for start in starts:
+            run(start)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    return out
 
 
 def _f_batches(n_max: int, master_seed: int, mode: Mode):
@@ -288,15 +346,6 @@ def _f_batches(n_max: int, master_seed: int, mode: Mode):
         return batch_f(bits, tables, base, mode)
 
     return tables, f_of
-
-
-def _run_indexed(tasks, fn, threads: int):
-    if threads <= 1:
-        for task in tasks:
-            fn(task)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, tasks))
 
 
 def mc_positivity(
@@ -331,26 +380,20 @@ def mc_positivity(
             stacklevel=2,
         )
     tables, f_of = _f_batches(n_max, master_seed, mode)
-    weights = np.exp(-sigma * np.log(np.arange(1, n_max + 1, dtype=np.float64)))
+    weights = power_weights(np.arange(1, n_max + 1), sigma)
     if mode is Mode.COMPLETELY_MULT:
         abs_terms = weights
     else:
         abs_terms = np.where(tables.squarefree, weights, 0.0)
-    abs_total = float(abs_terms.sum())
     chunk_masses = [
         float(abs_terms[c : c + CHUNK].sum()) for c in range(0, n_max, CHUNK)
     ]
     band = series_error_bound(
-        abs_total,
-        max(chunk_masses),
-        len(chunk_masses),
-        sigma * math.log(max(n_max, 2)) + 3.0,
+        float(abs_terms.sum()), max(chunk_masses), len(chunk_masses), sigma, n_max
     )
-    # outcome per trial: 1 passed, 0 failed, 2 indeterminate
-    outcomes = np.empty(trials, dtype=np.uint8)
 
-    def run(rng):
-        start, stop = rng
+    def outcomes_of(start: int, stop: int) -> np.ndarray:
+        """1 passed, 0 failed, 2 indeterminate, per trial."""
         f = f_of(start, stop)
         base_vals = np.zeros(stop - start, dtype=np.float64)
         lowest = np.full(stop - start, np.inf)
@@ -361,63 +404,25 @@ def mc_positivity(
             if skip < cums.shape[1]:
                 lowest = np.minimum(lowest, cums[:, skip:].min(axis=1))
             base_vals = cums[:, -1]
-        out = np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
-        outcomes[start:stop] = out.astype(np.uint8)
+        return np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
 
-    _run_indexed(_batch_ranges(trials, n_max), run, threads)
-    passed = int(np.count_nonzero(outcomes == 1))
-    indeterminate = int(np.count_nonzero(outcomes == 2))
-    lo, _ = wilson_interval(passed, trials, level)
-    _, hi = wilson_interval(passed + indeterminate, trials, level)
+    outcomes = _per_trial(trials, n_max, outcomes_of, threads, np.uint8)
     if trial_dump is not None:
         trial_dump.write("trial,passed,indeterminate\n")
         for i, o in enumerate(outcomes.tolist()):
             trial_dump.write(f"{i},{int(o == 1)},{int(o == 2)}\n")
-    return EstimateWithCI(
-        estimate=passed / trials,
-        trials=trials,
-        ci_low=lo,
-        ci_high=hi,
-        master_seed=master_seed,
-        level=level,
-        n_indeterminate=indeterminate,
+    return _proportion(
+        int(np.count_nonzero(outcomes == 1)),
+        trials,
+        master_seed,
+        level,
+        int(np.count_nonzero(outcomes == 2)),
     )
 
 
 def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
     """Coefficient map a(n) = n^-exponent for n <= n_max."""
     return {n: float(n) ** -exponent for n in range(1, n_max + 1)}
-
-
-def _coeff_vector(coeffs: Mapping[int, object]) -> tuple[int, np.ndarray]:
-    n_max = max(coeffs)
-    vec = np.zeros(n_max, dtype=np.float64)
-    for n, v in coeffs.items():
-        if not 1 <= n <= n_max:
-            raise DomainError(f"coefficient index {n} out of range")
-        vec[n - 1] = float(v)
-    return n_max, vec
-
-
-def _trial_linear_sums(
-    coeffs: Mapping[int, object],
-    trials: int,
-    master_seed: int,
-    mode: Mode,
-    threads: int,
-) -> np.ndarray:
-    """sum_n a(n) f(n) per trial, vectorized in deterministic batches."""
-    n_max, vec = _coeff_vector(coeffs)
-    _, f_of = _f_batches(n_max, master_seed, mode)
-    values = np.empty(trials, dtype=np.float64)
-
-    def run(rng):
-        # vec @ (n, B) C-order keeps the BLAS summation order of each trial
-        f = f_of(*rng).T.astype(np.float64, order="C")
-        values[rng[0] : rng[1]] = vec @ f
-
-    _run_indexed(_batch_ranges(trials, n_max), run, threads)
-    return values
 
 
 def mc_moment(
@@ -438,26 +443,20 @@ def mc_moment(
         raise DomainError("mc_moment needs trials >= 2")
     if m < 2:
         raise DomainError(f"moment order must be >= 2, got {m}")
-    sums = _trial_linear_sums(coeffs, trials, master_seed, mode, threads)
-    powered = np.abs(sums) ** m
-    mean = math.fsum(powered.tolist()) / trials
-    centered = powered - mean
-    var = math.fsum((centered**2).tolist()) / (trials - 1)
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var / trials)
-    heavy = False
-    if var > 0:
-        m4 = math.fsum((centered**4).tolist()) / trials
-        kurtosis_excess = m4 / (var * var) - 3.0
-        heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
-    return EstimateWithCI(
-        estimate=mean,
-        trials=trials,
-        ci_low=mean - half,
-        ci_high=mean + half,
-        master_seed=master_seed,
-        level=level,
-        heavy_tail=heavy,
-    )
+    n_max = max(coeffs)
+    vec = np.zeros(n_max, dtype=np.float64)
+    for n, v in coeffs.items():
+        if not 1 <= n <= n_max:
+            raise DomainError(f"coefficient index {n} out of range")
+        vec[n - 1] = float(v)
+    _, f_of = _f_batches(n_max, master_seed, mode)
+
+    def linear_sums(start: int, stop: int) -> np.ndarray:
+        # vec @ (n, B) C-order keeps the BLAS summation order of each trial
+        return vec @ f_of(start, stop).T.astype(np.float64, order="C")
+
+    sums = _per_trial(trials, n_max, linear_sums, threads, np.float64)
+    return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 
 
 def mc_prime_tail(
@@ -476,27 +475,15 @@ def mc_prime_tail(
         raise DomainError(f"P must be >= 2, got {p_max}")
     check_sigma(sigma)
     plist = primes_up_to(p_max)
-    w = np.exp(-sigma * np.log(plist.primes.astype(np.float64)))
+    w = power_weights(plist.primes, sigma)
     total = math.fsum(w.tolist())
-    hits = np.empty(trials, dtype=bool)
 
-    def run(rng):
-        start, stop = rng
+    def hits(start: int, stop: int) -> np.ndarray:
         bits = batch_neg_bits(master_seed, np.arange(start, stop), len(plist))
-        neg_weight = bits.astype(np.float64) @ w
-        hits[start:stop] = (total - 2.0 * neg_weight) >= threshold
+        return (total - 2.0 * (bits.astype(np.float64) @ w)) >= threshold
 
-    _run_indexed(_batch_ranges(trials, len(plist), floor=256), run, threads)
-    successes = int(np.count_nonzero(hits))
-    lo, hi = wilson_interval(successes, trials, level)
-    return EstimateWithCI(
-        estimate=successes / trials,
-        trials=trials,
-        ci_low=lo,
-        ci_high=hi,
-        master_seed=master_seed,
-        level=level,
-    )
+    hit = _per_trial(trials, len(plist), hits, threads, bool, floor=256)
+    return _proportion(int(np.count_nonzero(hit)), trials, master_seed, level)
 
 
 def sign_changes(t: Trajectory) -> int:
@@ -523,11 +510,10 @@ def mc_sign_changes(
         raise DomainError("trials must be >= 1")
     check_sigma(sigma)
     _, f_of = _f_batches(n_max, master_seed, mode)
-    weights = np.exp(-sigma * np.log(np.arange(1, n_max + 1, dtype=np.float64)))
-    counts_out = np.empty(trials, dtype=np.float64)
+    weights = power_weights(np.arange(1, n_max + 1), sigma)
 
-    def run(rng):
-        sums = f_of(*rng) * weights  # the batch's one (B, n) float64 buffer
+    def counts(start: int, stop: int) -> np.ndarray:
+        sums = f_of(start, stop) * weights  # the batch's one (B, n) float64 buffer
         np.cumsum(sums, axis=1, out=sums)
         s = np.sign(sums, out=sums).astype(np.int8)
         del sums
@@ -536,20 +522,8 @@ def mc_sign_changes(
         last = np.where(s != 0, np.arange(n_max), 0)
         np.maximum.accumulate(last, axis=1, out=last)
         prev = np.take_along_axis(s, last[:, :-1], axis=1)
-        counts_out[rng[0] : rng[1]] = np.count_nonzero(prev * s[:, 1:] < 0, axis=1)
+        return np.count_nonzero(prev * s[:, 1:] < 0, axis=1)
 
-    _run_indexed(_batch_ranges(trials, n_max), run, threads)
-    mean = math.fsum(counts_out.tolist()) / trials
-    if trials > 1:
-        var = math.fsum(((counts_out - mean) ** 2).tolist()) / (trials - 1)
-        half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var / trials)
-    else:
-        half = 0.0
-    return EstimateWithCI(
-        estimate=mean,
-        trials=trials,
-        ci_low=mean - half,
-        ci_high=mean + half,
-        master_seed=master_seed,
-        level=level,
+    return _mean(
+        _per_trial(trials, n_max, counts, threads, np.float64), master_seed, level
     )

@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import CHUNK, CompensatedSum, series_error_bound
+from .accum import CHUNK, CompensatedSum, power_weights, series_error_bound
 from .errors import DomainError, PoleError, SignRangeError
 from .sampler import Mode, SignAssignment, stream_f
-from .sieve import DEFAULT_BLOCK, iter_blocks
+from .sieve import iter_blocks
 
 
 class Positivity(enum.Enum):
@@ -94,18 +94,11 @@ def check_sigma(sigma: float) -> None:
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
 
 
-def _weights(lo: int, hi: int, sigma: float) -> np.ndarray:
-    # n^-sigma = exp(-sigma log n); the log table is the block's arange
-    logs = np.log(np.arange(lo, hi + 1, dtype=np.float64))
-    return np.exp(-sigma * logs)
-
-
 def partial_sum_trajectory(
     a: SignAssignment,
     sigma: float,
     n_max: int,
     checkpoint_stride: int = 1,
-    block: int = DEFAULT_BLOCK,
 ) -> Trajectory:
     """Trajectory of S_sigma(y) for y = 1..n_max at the given stride.
 
@@ -127,9 +120,9 @@ def partial_sum_trajectory(
     n_chunks = 0
     ys_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    for lo, hi in iter_blocks(1, n_max, block):
+    for lo, hi in iter_blocks(1, n_max):
         f = stream_f(a, lo, hi).astype(np.float64)
-        terms = f * _weights(lo, hi, sigma)
+        terms = f * power_weights(np.arange(lo, hi + 1), sigma)
         for c0 in range(0, terms.size, CHUNK):
             chunk = terms[c0 : c0 + CHUNK]
             base = acc.value
@@ -141,9 +134,7 @@ def partial_sum_trajectory(
             mass = acc.add_exact_chunk(chunk)
             max_chunk_abs = max(max_chunk_abs, mass)
             n_chunks += 1
-    bound = series_error_bound(
-        acc.abs_total, max_chunk_abs, n_chunks, sigma * math.log(max(n_max, 2)) + 3.0
-    )
+    bound = series_error_bound(acc.abs_total, max_chunk_abs, n_chunks, sigma, n_max)
     return Trajectory(
         sigma=sigma,
         assignment_key=a.key,
@@ -177,21 +168,18 @@ def positivity_check(t: Trajectory, x: int) -> Positivity:
     return Positivity.INDETERMINATE
 
 
-def _prime_slice(a: SignAssignment, p_max: int):
+def _prime_terms(a: SignAssignment, sigma: float, p_max: int) -> np.ndarray:
+    """f(p) p^-sigma for every prime p <= p_max."""
     if p_max > a.limit:
         raise SignRangeError(f"P={p_max} exceeds sign assignment limit {a.limit}")
     cut = int(np.searchsorted(a.primes.primes, p_max, side="right"))
-    primes = a.primes.primes[:cut].astype(np.float64)
     signs = a.signs()[:cut].astype(np.float64)
-    return primes, signs
+    return signs * power_weights(a.primes.primes[:cut], sigma)
 
 
 def prime_sum(a: SignAssignment, sigma: float, p_max: int) -> float:
     """sum_{p<=P} f(p) p^-sigma, exactly-rounded accumulation."""
-    primes, signs = _prime_slice(a, p_max)
-    if primes.size == 0:
-        return 0.0
-    return math.fsum((signs * np.exp(-sigma * np.log(primes))).tolist())
+    return math.fsum(_prime_terms(a, sigma, p_max).tolist())
 
 
 def euler_product_partial(a: SignAssignment, sigma: float, p_max: int) -> float:
@@ -202,10 +190,7 @@ def euler_product_partial(a: SignAssignment, sigma: float, p_max: int) -> float:
     """
     if sigma <= 0.5:
         raise DomainError(f"sigma must be > 1/2, got {sigma}")
-    primes, signs = _prime_slice(a, p_max)
-    if primes.size == 0:
-        return 1.0
-    w = signs * np.exp(-sigma * np.log(primes))
+    w = _prime_terms(a, sigma, p_max)
     if a.mode is Mode.SQUAREFREE_MULT:
         factors = 1.0 + w
     else:
@@ -213,7 +198,7 @@ def euler_product_partial(a: SignAssignment, sigma: float, p_max: int) -> float:
         if np.any(denom == 0.0):
             raise PoleError("Euler factor (1 - f(p) p^-sigma) vanished")
         factors = 1.0 / denom
-    return math.prod(factors.tolist())
+    return math.prod(factors.tolist(), start=1.0)
 
 
 def log_decomposition(
