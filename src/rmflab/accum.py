@@ -4,9 +4,16 @@ Series here run to 10^8 terms of mixed sign near cancellation, and the
 positivity predicate must never be decided by rounding noise.  The
 accumulators therefore track an L1 magnitude alongside the compensated
 total, from which a rigorous (if slightly conservative) error bound is
-derived.  Every weight n^-sigma comes from power_weights, and
-series_error_bound carries the per-term rounding allowance for exactly
-that evaluation.
+derived.
+
+Every weight n^-sigma comes from power_weights as exp(-sigma log n),
+evaluated by numpy's vectorized (SIMD) log and exp rather than libm.  The
+rounding model takes log within EPS and exp within 2 EPS relative error;
+numpy 2.4 measured 0.99 EPS and 1.11 EPS against mpmath for n <= 10^8.
+sigma log n is then rounded twice, in log and in the multiply, and exp
+turns that absolute error in its argument into a relative one, so a
+weight is off by at most about (2 sigma log n + 2) EPS relative.
+weight_allowance rounds this up to 2 sigma log N + 3 for n <= N.
 """
 
 from __future__ import annotations
@@ -69,6 +76,11 @@ def power_weights(n, sigma: float) -> np.ndarray:
     return np.exp(-sigma * np.log(np.asarray(n, dtype=np.float64)))
 
 
+def weight_allowance(sigma: float, n_max: int) -> float:
+    """Relative error of power_weights(n, sigma) for n <= n_max, in EPS units."""
+    return 2.0 * sigma * math.log(max(n_max, 2)) + 3.0
+
+
 def series_error_bound(
     abs_total: float,
     max_chunk_abs: float,
@@ -84,7 +96,5 @@ def series_error_bound(
     path), the base + cumsum adds at each checkpoint, and the recursive
     intra-chunk cumulative error.
     """
-    weight_scale = sigma * math.log(max(n_max, 2)) + 3.0
-    return EPS * (
-        (weight_scale + 8.0 + n_chunks) * abs_total + (CHUNK + 8.0) * max_chunk_abs
-    )
+    weight = weight_allowance(sigma, n_max)
+    return EPS * ((weight + 8.0 + n_chunks) * abs_total + (CHUNK + 8.0) * max_chunk_abs)

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rmflab.accum import EPS, power_weights, weight_allowance
 from rmflab.errors import DomainError
 from rmflab.sampler import Mode, sample_signs, stream_f
 from rmflab.series import (
@@ -95,6 +96,27 @@ def test_error_bound_stays_small_at_scale():
     a = sample_signs(3, 0, 1_000_000)
     t = partial_sum_trajectory(a, 0.51, 1_000_000, checkpoint_stride=100_000)
     assert t.summation_error_bound <= 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.5001, 0.51, 0.6, 0.75, 1.0, 3.0])
+def test_power_weights_within_allowance_against_mpmath(sigma):
+    # all n < 2000, a geometric grid to 10^8 and 1000 random n <= 10^8
+    rng = np.random.default_rng(0)
+    n = np.unique(
+        np.concatenate(
+            [
+                np.arange(1, 2000),
+                np.geomspace(2000, 1e8, 2000).astype(np.int64),
+                rng.integers(2, 10**8, 1000),
+            ]
+        )
+    )
+    weights = power_weights(n, sigma)
+    with mp.workprec(120):
+        for k, w in zip(n.tolist(), weights.tolist()):
+            exact = mp.power(k, -mp.mpf(sigma))
+            rel = float(abs(mp.mpf(w) - exact) / exact)
+            assert rel <= weight_allowance(sigma, k) * EPS, (k, rel / EPS)
 
 
 def test_checkpoint_stride_subsets_stride_one():
