@@ -72,6 +72,13 @@ class EstimateWithCI:
     heavy_tail: bool = False
 
 
+def _z(level: float) -> float:
+    """Two-sided normal quantile of a confidence level in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"confidence level must lie in (0, 1), got {level}")
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 def wilson_interval(
     successes: int, trials: int, level: float = 0.99
 ) -> tuple[float, float]:
@@ -80,7 +87,7 @@ def wilson_interval(
         raise DomainError("Wilson interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = _z(level)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -286,7 +293,8 @@ def _mean(
 ) -> EstimateWithCI:
     """Sample mean of per-trial values with a normal-approximation interval.
 
-    With flag_kurtosis, an extreme sample excess kurtosis (> 50), which
+    The values are nonnegative, so the lower limit is clamped at 0.  With
+    flag_kurtosis, an extreme sample excess kurtosis (> 50), which
     makes the normal interval optimistic, sets heavy_tail.
     """
     trials = values.size
@@ -296,14 +304,22 @@ def _mean(
     if trials > 1:
         centered = values - mean
         var = math.fsum((centered**2).tolist()) / (trials - 1)
-        half = NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var / trials)
+        half = _z(level) * math.sqrt(var / trials)
         if flag_kurtosis and var > 0:
             m4 = math.fsum((centered**4).tolist()) / trials
             kurtosis_excess = m4 / (var * var) - 3.0
             heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
+    low = max(0.0, mean - half)
     return EstimateWithCI(
-        mean, trials, mean - half, mean + half, master_seed, level, heavy_tail=heavy
+        mean, trials, low, mean + half, master_seed, level, heavy_tail=heavy
     )
+
+
+def _check_run(trials: int, level: float, least: int = 1) -> None:
+    """Reject a run too short or a confidence level outside (0, 1) up front."""
+    if trials < least:
+        raise DomainError(f"trials must be >= {least}, got {trials}")
+    _z(level)
 
 
 def _per_trial(trials: int, cells_per_trial: int, fn, threads: int, dtype, floor=64):
@@ -367,8 +383,7 @@ def mc_positivity(
     writable text file as trial_dump for per-trial `trial,passed,
     indeterminate` CSV rows.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_run(trials, level)
     if not 1 <= x < n_max:
         raise DomainError(f"need 1 <= x < n_max, got x={x}, n_max={n_max}")
     check_sigma(sigma)
@@ -439,8 +454,7 @@ def mc_moment(
     High moments of heavy-tailed powers make the normal CI optimistic; an
     extreme sample kurtosis (> 50) is flagged on the estimate.
     """
-    if trials < 2:
-        raise DomainError("mc_moment needs trials >= 2")
+    _check_run(trials, level, least=2)
     if m < 2:
         raise DomainError(f"moment order must be >= 2, got {m}")
     n_max = max(coeffs)
@@ -469,8 +483,7 @@ def mc_prime_tail(
     threads: int = 1,
 ) -> EstimateWithCI:
     """Empirical P(sum_{p<=P} f(p) p^-sigma >= threshold)."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_run(trials, level)
     if p_max < 2:
         raise DomainError(f"P must be >= 2, got {p_max}")
     check_sigma(sigma)
@@ -506,8 +519,7 @@ def mc_sign_changes(
     threads: int = 1,
 ) -> EstimateWithCI:
     """Mean number of sign changes of S_sigma over [1, n_max] per trial."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_run(trials, level)
     check_sigma(sigma)
     _, f_of = _f_batches(n_max, master_seed, mode)
     weights = power_weights(np.arange(1, n_max + 1), sigma)

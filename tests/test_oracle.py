@@ -271,6 +271,26 @@ def test_mc_sign_changes_runs_and_is_deterministic():
     assert a.estimate >= 0.0
 
 
+def test_mean_estimators_clamp_ci_low_at_zero():
+    # both normal intervals reach below 0 unclamped: -149.3 and -9.45
+    assert mc_moment(power_coeffs(100, 1.0), 6, 5, master_seed=1).ci_low == 0.0
+    assert mc_sign_changes(0.6, 2000, 3, master_seed=4).ci_low == 0.0
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.5, math.nan, math.inf])
+def test_mc_estimators_reject_level_outside_unit_interval(level):
+    runs = (
+        lambda: mc_positivity(0.75, 1, 50, 10, 1, level=level),
+        lambda: mc_moment(COEFF_13, 2, 10, 1, level=level),
+        lambda: mc_prime_tail(0.75, 0.0, 50, 10, 1, level=level),
+        lambda: mc_sign_changes(0.75, 50, 10, 1, level=level),
+        lambda: wilson_interval(3, 10, level),
+    )
+    for run in runs:
+        with pytest.raises(DomainError, match="level"):
+            run()
+
+
 def test_bonami_moment_inequality_exact_random_vectors():
     rng = np.random.default_rng(12345)
     for _ in range(20):
