@@ -107,20 +107,20 @@ def regime_from_sigma(sigma: float, theta: float, delta: float) -> RegimeParams:
         raise DomainError(f"sigma must lie in (1/2, 1], got {sigma}")
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if delta <= 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
     log_x = math.exp(-math.log(sigma - 0.5) / theta)
     return RegimeParams(sigma, theta, delta, log_x, log_x <= 700.0)
 
 
 def regime_from_log_x(log_x: float, theta: float, delta: float) -> RegimeParams:
     """Regime addressed directly by log x (larger-x explorations)."""
-    if log_x <= 1.0:
-        raise DomainError(f"log x must be > 1, got {log_x}")
+    if not (math.isfinite(log_x) and log_x > 1.0):
+        raise DomainError(f"log x must be finite and > 1, got {log_x}")
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if delta <= 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"delta must be finite and > 0, got {delta}")
     sigma = 0.5 + log_x**-theta
     return RegimeParams(sigma, theta, delta, log_x, log_x <= 700.0)
 
@@ -214,8 +214,8 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
     Exact Fraction when the coefficients are rational and m is an even
     integer; float otherwise.
     """
-    if m < 2:
-        raise DomainError(f"moment order must be >= 2, got {m}")
+    if not (math.isfinite(m) and m >= 2):
+        raise DomainError(f"moment order must be finite and >= 2, got {m}")
     entries = []
     for n, a in coeffs.items():
         if n < 1:
@@ -252,8 +252,9 @@ def maximal_bound(
     the maximal inequality with the moment inequality; requires the
     square-summability margin sigma > 1/2 (the convergence precondition).
     """
-    if threshold <= 0 or m <= 2 or sigma <= 0.5 or x < 2:
-        raise DomainError("need lambda > 0, m > 2, sigma > 1/2, x >= 2")
+    finite = all(map(math.isfinite, (threshold, m, sigma, x)))
+    if not (finite and threshold > 0 and m > 2 and sigma > 0.5 and x >= 2):
+        raise DomainError("need finite lambda > 0, m > 2, sigma > 1/2, x >= 2")
     if kappa is None:
         if ledger is not None and "kappa" in ledger:
             kappa = ledger.value("kappa")
@@ -261,6 +262,8 @@ def maximal_bound(
             _, kappa = optimize_kappa(m)
             if ledger is not None:
                 ledger.set("kappa", kappa, Provenance.FITTED, grid=f"m={m}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise DomainError(f"kappa must be finite and > 0, got {kappa}")
     if cutoff is None:
         cutoff = max(1_000_000.0, 64.0 * x)
     tail_upper = tail_series(x, m, sigma, cutoff, envelope).upper
@@ -293,10 +296,10 @@ def hoeffding_bound(
     correction set to zero.  Both conventions are reported side by side by
     the CLI; neither invents the correction term as a number.
     """
-    if threshold < 0:
-        raise DomainError(f"lambda must be >= 0, got {threshold}")
-    if sigma <= 0.5:
-        raise DomainError(f"sigma must be > 1/2, got {sigma}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise DomainError(f"lambda must be finite and >= 0, got {threshold}")
+    if not (math.isfinite(sigma) and sigma > 0.5):
+        raise DomainError(f"sigma must be finite and > 1/2, got {sigma}")
     if variance_mode is VarianceMode.EXACT:
         q = prime_zeta(2.0 * sigma)
     else:
@@ -315,8 +318,8 @@ def hoeffding_bound(
 
 
 def _billingsley_log(alpha: float, beta: float, theta_param: float) -> float:
-    if alpha <= 0.5 or beta < 0:
-        raise DomainError("need alpha > 1/2 and beta >= 0")
+    if not (alpha > 0.5 and beta >= 0 and math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError("need finite alpha > 1/2 and beta >= 0")
     if not 0.0 < theta_param < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta_param}")
     # geometric ratio 1 / (theta^4beta 2^(2alpha-1)) must be < 1
@@ -351,8 +354,8 @@ def optimize_kappa(m: float) -> tuple[float, float]:
     grid scan followed by golden-section refinement; the returned theta
     always satisfies the convergence precondition.
     """
-    if m <= 2:
-        raise DomainError(f"m must be > 2, got {m}")
+    if not (math.isfinite(m) and m > 2):
+        raise DomainError(f"m must be finite and > 2, got {m}")
     alpha = m / 4.0
     beta = m / 4.0
     # admissibility: theta > 2^((1 - 2 alpha) / (4 beta))
@@ -403,8 +406,8 @@ def optimize_epsilon(
     Returns (eps0, beta) with eps0 = c11 / (2 c12) and beta = -w(eps0) =
     c11^2 / (4 c12) > 0.
     """
-    if min(c9, c10, c11) <= 0:
-        raise DomainError("c9, c10, c11 must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in (c9, c10, c11)):
+        raise DomainError("c9, c10, c11 must be finite and positive")
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
     c12 = c9 * (1.0 - theta) + c9 + c10 * theta
@@ -430,7 +433,7 @@ def lemma41_bound(
     """
     ll = _require_loglog(r)
     if log_threshold is None:
-        if threshold is None or threshold <= 0:
+        if threshold is None or not threshold > 0:
             raise DomainError("need lambda > 0 (or log_threshold)")
         log_threshold = math.log(threshold)
     if epsilon is None or beta is None:
@@ -446,6 +449,8 @@ def lemma41_bound(
             ledger.set("beta", beta0, Provenance.FITTED)
         epsilon = eps0 if epsilon is None else epsilon
         beta = beta0 if beta is None else beta
+    if not all(map(math.isfinite, (log_threshold, epsilon, beta))):
+        raise DomainError("log lambda, epsilon and beta must be finite")
     scale_main = r.log_x ** (2.0 - 2.0 * r.theta) / ll
     scale_lam = r.log_x ** (1.0 - r.theta) / ll
     term_beta = -beta * scale_main
@@ -477,10 +482,10 @@ def angelo_xu_bound(log_x: float, beta_prime: float) -> BoundReport:
     exponent is always reported; log_value itself is -exp(inner) and is
     flagged when it overflows the linear range.
     """
-    if log_x <= 1.0:
-        raise DomainError(f"log x must be > 1, got {log_x}")
-    if beta_prime <= 0:
-        raise DomainError(f"beta' must be > 0, got {beta_prime}")
+    if not (math.isfinite(log_x) and log_x > 1.0):
+        raise DomainError(f"log x must be finite and > 1, got {log_x}")
+    if not (math.isfinite(beta_prime) and beta_prime > 0):
+        raise DomainError(f"beta' must be finite and > 0, got {beta_prime}")
     inner = beta_prime * log_x / math.log(log_x)
     log_value = -math.exp(inner) if inner <= _EXP_MAX else -math.inf
     return _report(

@@ -100,10 +100,10 @@ def t_sum(x: float, m: float) -> SumRecord:
     Integer m keeps the arithmetic in exact integers; real m evaluates the
     omega histogram with an exactly-rounded float accumulation.
     """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    if not (math.isfinite(x) and x >= 1):
+        raise DomainError(f"x must be finite and >= 1, got {x}")
+    if not (math.isfinite(m) and m >= 1):
+        raise DomainError(f"m must be finite and >= 1, got {m}")
     hist = _omega_histogram(int(x))
     terms = sum(hist)
     if float(m).is_integer():
@@ -142,7 +142,7 @@ def fit_lemma31_constants(
     ms = [float(m) for m in m_grid]
     if not xs or not ms:
         raise DomainError("fit grids must be nonempty")
-    if min(xs) < 2 or min(ms) <= 2:
+    if not (all(x >= 2 for x in xs) and all(m > 2 for m in ms)):
         raise DomainError("fit needs x >= 2 and m > 2")
     if c5_grid is None:
         c5_grid = np.geomspace(0.05, 5.0, 80)
@@ -164,10 +164,10 @@ def fit_lemma31_constants(
 
 def weighted_head(x: float, m: float, sigma: float) -> float:
     """sum_{n<=x} mu^2(n) (m-1)^omega(n) n^-2sigma, compensated."""
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if m < 1 or sigma <= 0.5:
-        raise DomainError("need m >= 1 and sigma > 1/2")
+    if not (math.isfinite(x) and x >= 1):
+        raise DomainError(f"x must be finite and >= 1, got {x}")
+    if not (m >= 1 and sigma > 0.5 and math.isfinite(m) and math.isfinite(sigma)):
+        raise DomainError("need finite m >= 1 and sigma > 1/2")
     return _squarefree_weighted_sum(1, int(x), m, sigma)
 
 
@@ -213,12 +213,14 @@ def tail_series(
     interval is reported, never hidden.  m = 1 is exactly zero: every term
     past n = 1 carries the factor 0^omega(n) = 0.
     """
-    if sigma <= 0.5:
-        raise DomainError(f"tail needs sigma > 1/2, got {sigma}")
-    if cutoff <= x:
-        raise DomainError(f"cutoff {cutoff} must exceed x {x}")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    if not (math.isfinite(sigma) and sigma > 0.5):
+        raise DomainError(f"tail needs finite sigma > 1/2, got {sigma}")
+    if not (math.isfinite(x) and math.isfinite(cutoff) and cutoff > x):
+        raise DomainError(f"cutoff {cutoff} must be finite and exceed finite x {x}")
+    if not (math.isfinite(m) and m >= 1):
+        raise DomainError(f"m must be finite and >= 1, got {m}")
+    if not all(map(math.isfinite, envelope)):
+        raise DomainError(f"envelope constants must be finite, got {envelope}")
     if m == 1:
         return TailSeries(0.0, 0.0, 0.0, int(cutoff))
     hi_n = int(cutoff)
@@ -258,18 +260,16 @@ def lemma32_bound(
 
 def mertens_sum(x: float) -> float:
     """sum_{p<=x} 1/p, exactly-rounded accumulation over sieved primes."""
-    if x < 2:
-        raise DomainError(f"x must be >= 2, got {x}")
+    if not (math.isfinite(x) and x >= 2):
+        raise DomainError(f"x must be finite and >= 2, got {x}")
     primes = primes_up_to(int(x)).primes.astype(np.float64)
     return math.fsum((1.0 / primes).tolist())
 
 
 def mertens_sum_exact(x: float) -> Fraction:
     """sum_{p<=x} 1/p as an exact rational; denominators grow fast."""
-    if x < 2:
-        raise DomainError(f"x must be >= 2, got {x}")
-    if x > 10_000:
-        raise DomainError("exact rational form is limited to x <= 10^4")
+    if not 2 <= x <= 10_000:
+        raise DomainError(f"exact rational form needs 2 <= x <= 10^4, got {x}")
     return sum(
         (Fraction(1, int(p)) for p in primes_up_to(int(x)).primes.tolist()),
         Fraction(0),
@@ -280,10 +280,10 @@ def chebyshev_sum(
     x: float, m: float, c2: float = DEFAULT_CHEBYSHEV_C2
 ) -> BoundMargin:
     """(m-1) sum_{p<=x} log p against c2 (m-1) x."""
-    if x < 2:
-        raise DomainError(f"x must be >= 2, got {x}")
-    if m <= 1:
-        raise DomainError(f"m must be > 1, got {m}")
+    if not (math.isfinite(x) and x >= 2):
+        raise DomainError(f"x must be finite and >= 2, got {x}")
+    if not (m > 1 and math.isfinite(m) and math.isfinite(c2)):
+        raise DomainError(f"need finite m > 1 and c2, got m={m}, c2={c2}")
     theta = math.fsum(
         np.log(primes_up_to(int(x)).primes.astype(np.float64)).tolist()
     )
@@ -349,8 +349,8 @@ def _zeta_mp(s) -> mp.mpf:
 
 def zeta(s: float) -> float:
     """Riemann zeta for real s > 1 by Euler-Maclaurin, 8 correction terms."""
-    if s <= 1:
-        raise DomainError(f"zeta evaluated only for s > 1, got {s}")
+    if not (math.isfinite(s) and s > 1):
+        raise DomainError(f"zeta evaluated only for finite s > 1, got {s}")
     with mp.workdps(40):
         return float(_zeta_mp(s))
 
@@ -379,8 +379,8 @@ def prime_zeta(s: float) -> float:
     The k-tail obeys log zeta(ks) <= 3 * 2^-ks for ks >= 3, so truncation
     after K terms leaves less than 3 * 2^-(K+1)s, driven below 1e-14.
     """
-    if s <= 1:
-        raise DomainError(f"prime zeta evaluated only for s > 1, got {s}")
+    if not (math.isfinite(s) and s > 1):
+        raise DomainError(f"prime zeta evaluated only for finite s > 1, got {s}")
     k_max = max(4, math.ceil(50.0 / s))
     with mp.workdps(40):
         acc = mp.mpf(0)

@@ -437,6 +437,8 @@ def mc_positivity(
 
 def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
     """Coefficient map a(n) = n^-exponent for n <= n_max."""
+    if not math.isfinite(exponent):
+        raise DomainError(f"coefficient exponent must be finite, got {exponent}")
     return {n: float(n) ** -exponent for n in range(1, n_max + 1)}
 
 
@@ -455,14 +457,16 @@ def mc_moment(
     extreme sample kurtosis (> 50) is flagged on the estimate.
     """
     _check_run(trials, level, least=2)
-    if m < 2:
-        raise DomainError(f"moment order must be >= 2, got {m}")
+    if not (math.isfinite(m) and m >= 2):
+        raise DomainError(f"moment order must be finite and >= 2, got {m}")
     n_max = max(coeffs)
     vec = np.zeros(n_max, dtype=np.float64)
     for n, v in coeffs.items():
         if not 1 <= n <= n_max:
             raise DomainError(f"coefficient index {n} out of range")
         vec[n - 1] = float(v)
+    if not np.isfinite(vec).all():
+        raise DomainError("coefficients must be finite")
     _, f_of = _f_batches(n_max, master_seed, mode)
 
     def linear_sums(start: int, stop: int) -> np.ndarray:
@@ -487,6 +491,8 @@ def mc_prime_tail(
     if p_max < 2:
         raise DomainError(f"P must be >= 2, got {p_max}")
     check_sigma(sigma)
+    if math.isnan(threshold):
+        raise DomainError("threshold lambda must not be NaN")
     plist = primes_up_to(p_max)
     w = power_weights(plist.primes, sigma)
     total = math.fsum(w.tolist())

@@ -170,6 +170,7 @@ def positivity_check(t: Trajectory, x: int) -> Positivity:
 
 def _prime_terms(a: SignAssignment, sigma: float, p_max: int) -> np.ndarray:
     """f(p) p^-sigma for every prime p <= p_max."""
+    check_sigma(sigma)
     if p_max > a.limit:
         raise SignRangeError(f"P={p_max} exceeds sign assignment limit {a.limit}")
     cut = int(np.searchsorted(a.primes.primes, p_max, side="right"))
@@ -188,7 +189,7 @@ def euler_product_partial(a: SignAssignment, sigma: float, p_max: int) -> float:
     Squarefree-supported mode multiplies (1 + f(p) p^-sigma); the
     completely multiplicative mode multiplies (1 - f(p) p^-sigma)^-1.
     """
-    if sigma <= 0.5:
+    if not sigma > 0.5:
         raise DomainError(f"sigma must be > 1/2, got {sigma}")
     w = _prime_terms(a, sigma, p_max)
     if a.mode is Mode.SQUAREFREE_MULT:

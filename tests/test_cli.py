@@ -164,6 +164,27 @@ def test_mc_rejects_bad_sigma_exit_3(argv):
         (("oracle", "moment", "--nmax", "88", "--m", "4", "--exponent", "nan"),
          "coefficient"),
         (("series", "trajectory", "--sigma", "nan", "--nmax", "5"), "sigma"),
+        (("mc", "moment", "--nmax", "10", "--m", "nan", "--trials", "10"), "order"),
+        (("mc", "moment", "--nmax", "10", "--m", "4", "--exponent", "nan",
+          "--trials", "10"), "coefficient"),
+        (("bounds", "bh-rhs", "--nmax", "10", "--m", "4", "--exponent", "nan"),
+         "coefficient"),
+        (("series", "euler", "--sigma", "nan", "--pmax", "10"), "sigma"),
+        (("bounds", "hoeffding", "--lambda", "nan", "--sigma", "0.6"), "lambda"),
+        (("bounds", "maximal", "--lambda", "nan", "--m", "4", "--x", "1000",
+          "--sigma", "0.6"), "lambda"),
+        (("bounds", "billingsley", "--alpha", "nan", "--beta", "1",
+          "--theta-param", "0.9"), "alpha"),
+        (("nt", "tsum", "--x", "inf", "--m", "3"), "x must"),
+        (("nt", "mertens", "--x", "inf"), "x must"),
+        (("nt", "chebyshev", "--x", "nan"), "x must"),
+        (("nt", "primezeta", "--s", "nan"), "s > 1"),
+        (("nt", "tail", "--x", "1000", "--m", "5", "--sigma", "nan",
+          "--cutoff", "100000"), "sigma"),
+        # used to loop forever doubling the Euler-Maclaurin cutoff
+        (("nt", "zeta", "--s", "nan"), "s > 1"),
+        (("mc", "positivity", "--sigma", "0.75", "--nmax", "100", "--trials", "10",
+          "--level", "nan"), "level"),
     ],
 )
 def test_non_finite_input_exit_3(argv, name):
@@ -173,6 +194,18 @@ def test_non_finite_input_exit_3(argv, name):
     rec = ResultRecord.from_json_line(err.strip())
     assert rec.values["error"] == "DomainError"
     assert name in rec.values["message"]
+
+
+@pytest.mark.parametrize("level", ["2", "0", "1", "-0.5"])
+def test_confidence_level_outside_unit_interval_exit_3(level):
+    code, out, err = run_cli(
+        "mc", "positivity", "--sigma", "0.75", "--nmax", "100", "--trials", "10",
+        "--level", level, "--seed", "1",
+    )
+    assert (code, out) == (3, "")
+    rec = ResultRecord.from_json_line(err.strip())
+    assert rec.values["error"] == "DomainError"
+    assert "level" in rec.values["message"]
 
 
 def test_cli_import_does_not_load_scipy():
