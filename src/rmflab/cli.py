@@ -93,6 +93,15 @@ def _add(parser: argparse.ArgumentParser, *names, **kwargs):
     return action
 
 
+def _json_param(value):
+    """A param as strict JSON can carry it: non-finite floats become str."""
+    if isinstance(value, (list, tuple)):
+        return [_json_param(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def _mode_of(args) -> Mode:
     return _MODES[getattr(args, "mode", "squarefree")]
 
@@ -765,11 +774,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         print("rmf-lab: --threads must be >= 1", file=stderr)
         return 2
     skip = {"_handler", "group", "op", "seed", "config", "output", "format"}
-    params = {
-        k: (v if not isinstance(v, (list, tuple)) else list(v))
-        for k, v in vars(args).items()
-        if k not in skip
-    }
+    params = {k: _json_param(v) for k, v in vars(args).items() if k not in skip}
     params["threads"] = threads
     config = RunConfig(
         command=f"{args.group} {args.op}",

@@ -196,6 +196,27 @@ def test_non_finite_input_exit_3(argv, name):
     assert name in rec.values["message"]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, key, echoed",
+    [
+        (("mc", "positivity", "--sigma", "nan", "--nmax", "100", "--trials", "10"),
+         "sigma", "nan"),
+        (("nt", "zeta", "--s", "inf"), "s", "inf"),
+        (("bounds", "compare", "--log-x-grid", "100,-inf", "--theta", "0.5",
+          "--delta", "0.5"), "log_x_grid", [100.0, "-inf"]),
+    ],
+)
+def test_error_record_echoes_non_finite_params_as_strings(argv, key, echoed):
+    code, _, err = run_cli(*argv, "--seed", "1")
+    assert code == 3
+    rec = json.loads(err.strip(), parse_constant=_reject_constant)
+    assert rec["params"][key] == echoed
+
+
 @pytest.mark.parametrize("level", ["2", "0", "1", "-0.5"])
 def test_confidence_level_outside_unit_interval_exit_3(level):
     code, out, err = run_cli(
