@@ -135,14 +135,13 @@ class BoundReport:
     """
 
     name: str
-    inputs: dict
     value: float
     log_value: float
     flags: tuple[str, ...] = ()
     extras: dict = field(default_factory=dict)
 
 
-def _report(name: str, inputs: dict, log_value: float, **extras) -> BoundReport:
+def _report(name: str, log_value: float, **extras) -> BoundReport:
     flags: tuple[str, ...] = ()
     if math.isinf(log_value):
         if log_value > 0:
@@ -155,7 +154,7 @@ def _report(name: str, inputs: dict, log_value: float, **extras) -> BoundReport:
         value, flags = 0.0, ("UNDERFLOW",)
     else:
         value = math.exp(log_value)
-    return BoundReport(name, inputs, value, log_value, flags, extras)
+    return BoundReport(name, value, log_value, flags, extras)
 
 
 def _require_loglog(r: RegimeParams) -> float:
@@ -183,12 +182,7 @@ def theorem1_lower_bound(r: RegimeParams) -> BoundReport:
         # value rounded up to 1: log1p(-e^-E) ~ -e^-E keeps the deficit
         log_value = math.log1p(-math.exp(-exponent))
     return BoundReport(
-        "theorem1_lower_bound",
-        {"sigma": r.sigma, "theta": r.theta, "delta": r.delta, "log_x": r.log_x},
-        value,
-        log_value,
-        (),
-        {"exponent": exponent},
+        "theorem1_lower_bound", value, log_value, extras={"exponent": exponent}
     )
 
 
@@ -200,12 +194,7 @@ def corollary_upper_bound(r: RegimeParams) -> BoundReport:
         * r.log_x ** (2.0 - 2.0 * r.theta)
         / ll ** (1.0 + 2.0 * r.delta)
     )
-    return _report(
-        "corollary_upper_bound",
-        {"sigma": r.sigma, "theta": r.theta, "delta": r.delta, "log_x": r.log_x},
-        -exponent,
-        exponent=exponent,
-    )
+    return _report("corollary_upper_bound", -exponent, exponent=exponent)
 
 
 def bh_rhs(coeffs: Mapping[int, object], m: float):
@@ -272,13 +261,7 @@ def maximal_bound(
         - m * math.log(threshold)
         + 0.5 * m * math.log(tail_upper)
     )
-    return _report(
-        "maximal_bound",
-        {"lambda": threshold, "m": m, "x": x, "sigma": sigma},
-        log_value,
-        kappa=kappa,
-        tail_upper=tail_upper,
-    )
+    return _report("maximal_bound", log_value, kappa=kappa, tail_upper=tail_upper)
 
 
 class VarianceMode(enum.Enum):
@@ -309,12 +292,7 @@ def hoeffding_bound(
                 f"asymptotic variance proxy nonpositive at sigma={sigma}"
             )
     log_value = -threshold * threshold / (2.0 * q)
-    return _report(
-        "hoeffding_bound",
-        {"lambda": threshold, "sigma": sigma, "variance_mode": variance_mode.value},
-        log_value,
-        variance_proxy=q,
-    )
+    return _report("hoeffding_bound", log_value, variance_proxy=q)
 
 
 def _billingsley_log(alpha: float, beta: float, theta_param: float) -> float:
@@ -458,15 +436,6 @@ def lemma41_bound(
     m_real = epsilon * scale_lam
     return _report(
         "lemma41_bound",
-        {
-            "sigma": r.sigma,
-            "theta": r.theta,
-            "delta": r.delta,
-            "log_x": r.log_x,
-            "log_lambda": log_threshold,
-            "epsilon": epsilon,
-            "beta": beta,
-        },
         term_beta + term_lambda,
         term_beta=term_beta,
         term_lambda=term_lambda,
@@ -488,12 +457,7 @@ def angelo_xu_bound(log_x: float, beta_prime: float) -> BoundReport:
         raise DomainError(f"beta' must be finite and > 0, got {beta_prime}")
     inner = beta_prime * log_x / math.log(log_x)
     log_value = -math.exp(inner) if inner <= _EXP_MAX else -math.inf
-    return _report(
-        "angelo_xu_bound",
-        {"log_x": log_x, "beta_prime": beta_prime},
-        log_value,
-        inner_exponent=inner,
-    )
+    return _report("angelo_xu_bound", log_value, inner_exponent=inner)
 
 
 def comparison_table(

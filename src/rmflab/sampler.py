@@ -144,17 +144,9 @@ def sample_signs(
     trial_index: int,
     n: int,
     mode: Mode = Mode.SQUAREFREE_MULT,
-    primes: PrimeList | None = None,
 ) -> SignAssignment:
-    """Deterministic sign assignment for all primes <= n.
-
-    A PrimeList for the same limit may be passed in to share the (trial
-    independent) prime table across many assignments.
-    """
-    if primes is None:
-        primes = primes_up_to(n)
-    elif primes.limit != n:
-        raise DomainError(f"prime list limit {primes.limit} != requested {n}")
+    """Deterministic sign assignment for all primes <= n."""
+    primes = primes_up_to(n)
     bits = trial_neg_bits(master_seed, trial_index, len(primes))
     return SignAssignment(
         master_seed & _MASK64,
