@@ -81,7 +81,7 @@ def _sieve_walk(lo_n: int, hi_n: int):
     for lo, hi in iter_blocks(lo_n, hi_n):
         t = sieve_block_tables(lo, hi, base)
         omega = t.omega.astype(np.int64) + (t.cofactor > 1)
-        yield np.arange(lo, hi + 1), t.squarefree, omega
+        yield np.arange(lo, hi + 1, dtype=np.float64), t.squarefree, omega
 
 
 @lru_cache(maxsize=32)

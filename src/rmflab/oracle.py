@@ -9,11 +9,13 @@ guessed.  Moment coefficients go over one common denominator, so every
 assignment's sum is an exact integer.  Ground truths like 7/8 come out as
 actual fractions.
 
-Monte Carlo estimators share the sign construction of the sampler module,
-evaluate trials in vectorized batches, and reduce deterministically: the
-estimate for a given (seed, trials) is identical for any thread count or
-batch size.  Proportions get Wilson score intervals, which behave at
-estimates near 0 and 1 where the interesting events live.
+Monte Carlo estimators share the sign construction of the sampler module
+and one batch driver, _per_trial, which evaluates trials in vectorized
+batches sized by a cell budget and gathers one value per trial, so the
+estimate for a given (seed, trials) is identical for any thread count.
+Two reducers build every interval: _proportion gives Wilson score
+intervals, which behave at estimates near 0 and 1 where the interesting
+events live, and _mean a normal interval clamped at 0.
 """
 
 from __future__ import annotations
@@ -395,7 +397,7 @@ def mc_positivity(
             stacklevel=2,
         )
     tables, f_of = _f_batches(n_max, master_seed, mode)
-    weights = power_weights(np.arange(1, n_max + 1), sigma)
+    weights = power_weights(np.arange(1, n_max + 1, dtype=np.float64), sigma)
     if mode is Mode.COMPLETELY_MULT:
         abs_terms = weights
     else:
@@ -528,7 +530,7 @@ def mc_sign_changes(
     _check_run(trials, level)
     check_sigma(sigma)
     _, f_of = _f_batches(n_max, master_seed, mode)
-    weights = power_weights(np.arange(1, n_max + 1), sigma)
+    weights = power_weights(np.arange(1, n_max + 1, dtype=np.float64), sigma)
 
     def counts(start: int, stop: int) -> np.ndarray:
         sums = f_of(start, stop) * weights  # the batch's one (B, n) float64 buffer

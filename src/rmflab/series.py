@@ -122,7 +122,7 @@ def partial_sum_trajectory(
     val_parts: list[np.ndarray] = []
     for lo, hi in iter_blocks(1, n_max):
         f = stream_f(a, lo, hi).astype(np.float64)
-        terms = f * power_weights(np.arange(lo, hi + 1), sigma)
+        terms = f * power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
         for c0 in range(0, terms.size, CHUNK):
             chunk = terms[c0 : c0 + CHUNK]
             base = acc.value
