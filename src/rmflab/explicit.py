@@ -76,19 +76,19 @@ class TailSeries:
 
 
 def _sieve_walk(lo_n: int, hi_n: int):
-    """Per sieve block of [lo_n, hi_n], ascending: (n, mu^2(n) mask, omega(n))."""
+    """Each sieve block [lo, hi] of [lo_n, hi_n] as (lo, hi, mu^2 mask, omega)."""
     base = primes_up_to(math.isqrt(hi_n))
     for lo, hi in iter_blocks(lo_n, hi_n):
         t = sieve_block_tables(lo, hi, base)
         omega = t.omega.astype(np.int64) + (t.cofactor > 1)
-        yield np.arange(lo, hi + 1, dtype=np.float64), t.squarefree, omega
+        yield lo, hi, t.squarefree, omega
 
 
 @lru_cache(maxsize=32)
 def _omega_histogram(x: int) -> tuple[int, ...]:
     """Counts of squarefree n <= x by omega(n); histogram[k] = #{n: omega=k}."""
     hist = np.zeros(20, dtype=np.int64)
-    for _, squarefree, omega in _sieve_walk(1, x):
+    for _, _, squarefree, omega in _sieve_walk(1, x):
         counts = np.bincount(omega[squarefree], minlength=20)
         hist[: counts.size] += counts
     return tuple(int(c) for c in hist)
@@ -174,7 +174,8 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
     """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block."""
     parts: list[float] = []
-    for n, squarefree, omega in _sieve_walk(lo_n, hi_n):
+    for lo, hi, squarefree, omega in _sieve_walk(lo_n, hi_n):
+        n = np.arange(lo, hi + 1, dtype=np.float64)
         terms = np.where(
             squarefree, (m - 1.0) ** omega * power_weights(n, 2.0 * sigma), 0.0
         )
