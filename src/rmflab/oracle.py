@@ -311,6 +311,8 @@ def _mean(
             m4 = math.fsum((centered**4).tolist()) / trials
             kurtosis_excess = m4 / (var * var) - 3.0
             heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
+    if not math.isfinite(mean + half):
+        raise DomainError("the sample mean or its interval overflows float64")
     low = max(0.0, mean - half)
     return EstimateWithCI(
         mean, trials, low, mean + half, master_seed, level, heavy_tail=heavy
@@ -461,6 +463,8 @@ def mc_moment(
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
+    if not coeffs:
+        raise DomainError("need at least one coefficient")
     n_max = max(coeffs)
     vec = np.zeros(n_max, dtype=np.float64)
     for n, v in coeffs.items():
@@ -476,7 +480,8 @@ def mc_moment(
         return vec @ f_of(start, stop).T.astype(np.float64, order="C")
 
     sums = _per_trial(trials, n_max, linear_sums, threads, np.float64)
-    return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
+        return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 
 
 def mc_prime_tail(

@@ -277,6 +277,14 @@ def test_mean_estimators_clamp_ci_low_at_zero():
     assert mc_sign_changes(0.6, 2000, 3, master_seed=4).ci_low == 0.0
 
 
+def test_mc_moment_rejects_overflow_and_empty_coefficients():
+    # |S|^2000 overflows float64: estimate inf and ci_high NaN, exit 0, before
+    with pytest.raises(DomainError, match="overflows"):
+        mc_moment(power_coeffs(10, 1.0), 2000, 10, master_seed=1)
+    with pytest.raises(DomainError, match="coefficient"):
+        mc_moment(power_coeffs(0, 1.0), 4, 10, master_seed=1)
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.5, math.nan, math.inf])
 def test_mc_estimators_reject_level_outside_unit_interval(level):
     runs = (
