@@ -170,7 +170,8 @@ def positivity_check(t: Trajectory, x: int) -> Positivity:
 
 def _prime_terms(a: SignAssignment, sigma: float, p_max: int) -> np.ndarray:
     """f(p) p^-sigma for every prime p <= p_max."""
-    check_sigma(sigma)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
     if p_max > a.limit:
         raise SignRangeError(f"P={p_max} exceeds sign assignment limit {a.limit}")
     cut = int(np.searchsorted(a.primes.primes, p_max, side="right"))
