@@ -1,10 +1,10 @@
-"""Compensated floating-point accumulation with certified error bounds.
+"""Running sums of weighted series with certified error bounds.
 
 Series here run to 10^8 terms of mixed sign near cancellation, and the
-positivity predicate must never be decided by rounding noise.  The
-accumulators therefore track an L1 magnitude alongside the compensated
-total, from which a rigorous (if slightly conservative) error bound is
-derived.
+positivity predicate must never be decided by rounding noise.  Every
+prefix sum is formed by running_sums, in one fixed order, and
+series_error_bound turns the per-chunk L1 masses of the terms into a
+rigorous (if conservative) bound on the rounding error of that order.
 
 Every weight n^-sigma comes from power_weights as exp(-sigma log n),
 evaluated by numpy's vectorized (SIMD) log and exp rather than libm.  The
@@ -25,50 +25,31 @@ import numpy as np
 #: Unit roundoff of IEEE-754 binary64.
 EPS = 2.0**-53
 
-#: Width of the vectorized cumulative-sum chunks used by trajectory code.
+#: Width of the column blocks that running_sums cumsums at a time.
 CHUNK = 1024
 
 
-class CompensatedSum:
-    """Neumaier-compensated running sum.
+def running_sums(f, weights, base=0.0):
+    """Yield (c, S) for each CHUNK-wide column block c of f * weights.
 
-    The compensated total deviates from the exact sum of the added floats
-    by at most 2*EPS*abs_total up to O(EPS^2); callers fold in their own
-    per-term model via series_error_bound.
+    S holds the running sums sum_{i<=j} f[..., i] weights[i] for the columns
+    j of the block: the block's terms cumsummed along the last axis, plus
+    the last running sum before the block (base for the first block).
+    Callers may overwrite S; the carry is copied before it is yielded.
     """
+    for c in range(0, f.shape[-1], CHUNK):
+        s = f[..., c : c + CHUNK] * weights[c : c + CHUNK]
+        np.cumsum(s, axis=-1, out=s)
+        s += base
+        base = s[..., -1:].copy()
+        yield c, s
 
-    __slots__ = ("total", "comp", "abs_total")
 
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-        self.abs_total = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-        self.abs_total += abs(x)
-
-    def add_exact_chunk(self, chunk) -> float:
-        """Fold a chunk via math.fsum (exactly rounded) into the state.
-
-        Returns the chunk's L1 mass, which replaces the net |sum| that a
-        plain add() would have credited to abs_total.
-        """
-        values = chunk.tolist() if hasattr(chunk, "tolist") else list(chunk)
-        net = math.fsum(values)
-        mass = math.fsum(map(abs, values))
-        self.add(net)
-        self.abs_total += mass - abs(net)
-        return mass
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
+def chunk_masses(abs_terms) -> list[float]:
+    """L1 mass of each CHUNK-wide block of the term magnitudes abs_terms."""
+    return [
+        float(abs_terms[c : c + CHUNK].sum()) for c in range(0, abs_terms.size, CHUNK)
+    ]
 
 
 def power_weights(n, sigma: float) -> np.ndarray:
@@ -81,20 +62,17 @@ def weight_allowance(sigma: float, n_max: int) -> float:
     return 2.0 * sigma * math.log(max(n_max, 2)) + 3.0
 
 
-def series_error_bound(
-    abs_total: float,
-    max_chunk_abs: float,
-    n_chunks: int,
-    sigma: float,
-    n_max: int,
-) -> float:
-    """Certified bound on |computed - exact| for chunked cumulative sums.
+def series_error_bound(masses, sigma: float, n_max: int) -> float:
+    """Certified bound on |computed - exact| for every sum of running_sums.
 
-    Covers: per-term rounding of the power_weights(n, sigma) weights for
-    n <= n_max, cross-chunk base accumulation (one rounding per chunk in
-    the vectorized path, tighter but still covered in the compensated
-    path), the base + cumsum adds at each checkpoint, and the recursive
-    intra-chunk cumulative error.
+    masses are the chunk_masses of the terms f(n) n^-sigma, n <= n_max.
+    A term is off by its power_weights allowance.  It then goes through at
+    most CHUNK - 1 additions in its block's cumsum and one base addition
+    in each block from its own onwards, len(masses) in all, each rounding
+    within EPS.  So every running sum is the exact sum of terms perturbed
+    by at most (allowance + CHUNK + len(masses)) EPS relative, to first
+    order, and its error is at most that times the total mass.  8 more
+    EPS units cover the second-order terms and the rounding of the masses.
     """
     weight = weight_allowance(sigma, n_max)
-    return EPS * ((weight + 8.0 + n_chunks) * abs_total + (CHUNK + 8.0) * max_chunk_abs)
+    return EPS * (weight + 8.0 + CHUNK + len(masses)) * math.fsum(masses)

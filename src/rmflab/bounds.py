@@ -209,6 +209,8 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
     for n, a in coeffs.items():
         if n < 1:
             raise DomainError(f"coefficient index {n} must be >= 1")
+        if not isinstance(a, (int, Fraction)) and not math.isfinite(a):
+            raise DomainError(f"coefficient a({n}) = {a} is not finite")
         sig = arith_signature(n)
         if sig.is_squarefree:
             entries.append((a, sig.omega))
@@ -221,8 +223,14 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
             return base ** (int(m) // 2)
         except (TypeError, ValueError):
             pass  # non-rational coefficient type: fall through to floats
-    base = math.fsum(abs(float(a)) ** 2 * (m - 1.0) ** w for a, w in entries)
-    return base ** (m / 2.0)
+    try:
+        base = math.fsum(abs(float(a)) ** 2 * (m - 1.0) ** w for a, w in entries)
+        value = base ** (m / 2.0)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("the right side overflows float64")
+    return value
 
 
 def maximal_bound(

@@ -25,7 +25,7 @@ from . import explicit as nt
 from . import oracle as orc
 from . import series as ser
 from . import sieve as sv
-from .errors import RmfLabError
+from .errors import DomainError, RmfLabError
 from .sampler import Mode, sample_signs
 
 SCHEMA_VERSION = "1"
@@ -182,10 +182,14 @@ def _h_series_logdecomp(args, ctx):
 def _exact_payload(value) -> dict:
     """Record values for a Fraction, a CertifiedValue or a plain number."""
     if isinstance(value, Fraction):
+        try:
+            as_float = float(value)
+        except OverflowError as exc:
+            raise DomainError("the exact value is too large for float64") from exc
         return {
             "numerator": value.numerator,
             "denominator": value.denominator,
-            "value": float(value),
+            "value": as_float,
         }
     if isinstance(value, orc.CertifiedValue):
         return {"value": value.value, "error_bound": value.error_bound}

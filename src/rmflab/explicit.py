@@ -36,6 +36,10 @@ DEFAULT_ENVELOPE = (10.0, 1.0)
 #: explicitly-verified range.
 DEFAULT_CHEBYSHEV_C2 = 1.04
 
+#: Most integers one sieve walk may cover (a few minutes at about 2 s per
+#: 10^7); like the oracle's 2^24 assignment budget, larger inputs are refused.
+SIEVE_TERM_LIMIT = 10**9
+
 
 @dataclass(frozen=True)
 class SumRecord:
@@ -77,6 +81,10 @@ class TailSeries:
 
 def _sieve_walk(lo_n: int, hi_n: int):
     """Each sieve block [lo, hi] of [lo_n, hi_n] as (lo, hi, mu^2 mask, omega)."""
+    if hi_n - lo_n + 1 > SIEVE_TERM_LIMIT:
+        raise DomainError(
+            f"[{lo_n}, {hi_n}] exceeds the sieve term budget of {SIEVE_TERM_LIMIT}"
+        )
     base = primes_up_to(math.isqrt(hi_n))
     for lo, hi in iter_blocks(lo_n, hi_n):
         t = sieve_block_tables(lo, hi, base)
@@ -163,7 +171,7 @@ def fit_lemma31_constants(
 
 
 def weighted_head(x: float, m: float, sigma: float) -> float:
-    """sum_{n<=x} mu^2(n) (m-1)^omega(n) n^-2sigma, compensated."""
+    """sum_{n<=x} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per sieve block."""
     if not (math.isfinite(x) and x >= 1):
         raise DomainError(f"x must be finite and >= 1, got {x}")
     if not (m >= 1 and sigma > 0.5 and math.isfinite(m) and math.isfinite(sigma)):
@@ -242,6 +250,10 @@ def lemma32_bound(
     envelope: tuple[float, float] = DEFAULT_ENVELOPE,
 ) -> BoundMargin:
     """Tail sum against c7^m m^(c5 m) (sigma-1/2)^(-c8 m) (log x)^(c5 m) x^(1-2sigma)."""
+    if not all(map(math.isfinite, (x, m, sigma, c7, c5, c8))):
+        raise DomainError("x, m, sigma and the constants c7, c5, c8 must be finite")
+    if c7 <= 0:
+        raise DomainError(f"c7 must be > 0, got {c7}")
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
     if m <= 2 or not 0.5 < sigma < 1.0:
@@ -256,7 +268,10 @@ def lemma32_bound(
         + c5 * m * math.log(math.log(x))
         + (1.0 - 2.0 * sigma) * math.log(x)
     )
-    return BoundMargin(lhs, math.exp(log_rhs))
+    try:
+        return BoundMargin(lhs, math.exp(log_rhs))
+    except OverflowError as exc:
+        raise DomainError(f"the right side e^{log_rhs:.6g} overflows float64") from exc
 
 
 def mertens_sum(x: float) -> float:

@@ -31,7 +31,7 @@ from typing import Mapping
 import mpmath as mp
 import numpy as np
 
-from .accum import CHUNK, power_weights, series_error_bound
+from .accum import CHUNK, chunk_masses, power_weights, running_sums, series_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
 from .series import Trajectory, check_sigma
@@ -265,10 +265,11 @@ def exact_moment(
                 total += mp.power(mp.mpf(abs(s) // g) / (denom // g), m)
         if integer_order:
             return Fraction(total, denom**e << bits)
-        value = total / (1 << bits)
-        # ~96-bit arithmetic over 2^bits terms; crude but rigorous slack
-        err = float(value) * ((1 << bits) + 4) * 2.0**-90
-    return CertifiedValue(float(value), err)
+        value = float(total / (1 << bits))
+    if not math.isfinite(value):
+        raise DomainError("the moment is too large for float64")
+    # ~96-bit arithmetic over 2^bits terms; crude but rigorous slack
+    return CertifiedValue(value, value * ((1 << bits) + 4) * 2.0**-90)
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +405,15 @@ def mc_positivity(
         abs_terms = weights
     else:
         abs_terms = np.where(tables.squarefree, weights, 0.0)
-    chunk_masses = [
-        float(abs_terms[c : c + CHUNK].sum()) for c in range(0, n_max, CHUNK)
-    ]
-    band = series_error_bound(
-        float(abs_terms.sum()), max(chunk_masses), len(chunk_masses), sigma, n_max
-    )
+    band = series_error_bound(chunk_masses(abs_terms), sigma, n_max)
 
     def outcomes_of(start: int, stop: int) -> np.ndarray:
         """1 passed, 0 failed, 2 indeterminate, per trial."""
-        f = f_of(start, stop)
-        base_vals = np.zeros(stop - start, dtype=np.float64)
         lowest = np.full(stop - start, np.inf)
-        for c in range(0, n_max, CHUNK):
-            terms = f[:, c : c + CHUNK] * weights[c : c + CHUNK]
-            cums = base_vals[:, None] + np.cumsum(terms, axis=1)
+        for c, sums in running_sums(f_of(start, stop), weights):
             skip = max(0, x - c)  # column c holds y = c + 1
-            if skip < cums.shape[1]:
-                lowest = np.minimum(lowest, cums[:, skip:].min(axis=1))
-            base_vals = cums[:, -1]
+            if skip < sums.shape[1]:
+                lowest = np.minimum(lowest, sums[:, skip:].min(axis=1))
         return np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
 
     outcomes = _per_trial(trials, n_max, outcomes_of, threads, np.uint8)
@@ -538,10 +529,11 @@ def mc_sign_changes(
     weights = power_weights(np.arange(1, n_max + 1, dtype=np.float64), sigma)
 
     def counts(start: int, stop: int) -> np.ndarray:
-        sums = f_of(start, stop) * weights  # the batch's one (B, n) float64 buffer
-        np.cumsum(sums, axis=1, out=sums)
-        s = np.sign(sums, out=sums).astype(np.int8)
-        del sums
+        s = np.empty((stop - start, n_max), dtype=np.int8)
+        for c, sums in running_sums(f_of(start, stop), weights):
+            # astype first: a float64 -> int8 slice assignment is far slower
+            s[:, c : c + CHUNK] = np.sign(sums, out=sums).astype(np.int8)
+        del sums  # on a wide batch the last block is the whole (B, n) float64
         # index of the last nonzero sign so far; 0 while there is none, where
         # s is 0 too, so prev below is the previous nonzero sign or 0
         last = np.where(s != 0, np.arange(n_max), 0)

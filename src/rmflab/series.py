@@ -1,10 +1,11 @@
 """Weighted partial sums S_sigma(y) = sum_{n<=y} f(n) n^-sigma and friends.
 
-Trajectories are built block by block in ascending order with compensated
-summation, so they are bitwise reproducible and carry a certified bound on
-the accumulated rounding error.  The positivity predicate never classifies
-a value inside the +-bound band around zero: such checkpoints come back
-INDETERMINATE instead of silently deciding the central event.
+Trajectories are built block by block in ascending order by
+accum.running_sums, the one prefix-sum scan, so they are bitwise
+reproducible and carry a certified bound on the accumulated rounding
+error.  The positivity predicate never classifies a value inside the
++-bound band around zero: such checkpoints come back INDETERMINATE
+instead of silently deciding the central event.
 
 Also here: truncated prime sums sum_{p<=P} f(p) p^-sigma, truncated Euler
 products, and the decomposition of log of the truncated product into
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import CHUNK, CompensatedSum, power_weights, series_error_bound
+from .accum import chunk_masses, power_weights, running_sums, series_error_bound
 from .errors import DomainError, PoleError, SignRangeError
 from .sampler import Mode, SignAssignment, stream_f
 from .sieve import iter_blocks
@@ -102,9 +103,9 @@ def partial_sum_trajectory(
 ) -> Trajectory:
     """Trajectory of S_sigma(y) for y = 1..n_max at the given stride.
 
-    Checkpoints always include y=1 and y=n_max.  Block partial sums are
-    combined in ascending order by a single compensated reducer, so the
-    result is independent of any internal parallelism.
+    Checkpoints always include y=1 and y=n_max.  Each sieve block runs
+    through running_sums from the last sum before it, so the values are
+    those of one scan over [1, n_max].
     """
     check_sigma(sigma)
     if n_max < 1:
@@ -115,26 +116,21 @@ def partial_sum_trajectory(
         raise SignRangeError(
             f"horizon {n_max} exceeds sign assignment limit {a.limit}"
         )
-    acc = CompensatedSum()
-    max_chunk_abs = 0.0
-    n_chunks = 0
+    base = 0.0
+    masses: list[float] = []
     ys_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     for lo, hi in iter_blocks(1, n_max):
-        f = stream_f(a, lo, hi).astype(np.float64)
-        terms = f * power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
-        for c0 in range(0, terms.size, CHUNK):
-            chunk = terms[c0 : c0 + CHUNK]
-            base = acc.value
-            cumulative = base + np.cumsum(chunk)
-            ys = np.arange(lo + c0, lo + c0 + chunk.size, dtype=np.int64)
+        f = stream_f(a, lo, hi)
+        w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
+        masses += chunk_masses(np.where(f != 0, w, 0.0))
+        for c, sums in running_sums(f, w, base):
+            ys = np.arange(lo + c, lo + c + sums.size, dtype=np.int64)
             keep = (ys % checkpoint_stride == 0) | (ys == 1) | (ys == n_max)
             ys_parts.append(ys[keep])
-            val_parts.append(cumulative[keep])
-            mass = acc.add_exact_chunk(chunk)
-            max_chunk_abs = max(max_chunk_abs, mass)
-            n_chunks += 1
-    bound = series_error_bound(acc.abs_total, max_chunk_abs, n_chunks, sigma, n_max)
+            val_parts.append(sums[keep])
+        base = float(sums[-1])
+    bound = series_error_bound(masses, sigma, n_max)
     return Trajectory(
         sigma=sigma,
         assignment_key=a.key,

@@ -106,6 +106,20 @@ def test_bh_rhs_non_squarefree_support_vanishes():
     assert float(bh_rhs({4: 1.0, 8: 2.0, 9: 3.0, 12: 1.0}, 4)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "coeffs, m",
+    [
+        ({1: math.nan, 2: 0.5}, 4),
+        ({1: 1.0, 2: math.inf}, 3),
+        ({4: math.nan}, 4),  # rejected even off the squarefree support
+        ({1: 1.0, 2: 1.0}, 3001),  # 2^1500.5 overflows float64
+    ],
+)
+def test_bh_rhs_rejects_non_finite(coeffs, m):
+    with pytest.raises(DomainError):
+        bh_rhs(coeffs, m)
+
+
 def test_maximal_bound_lambda_doubling():
     kwargs = dict(m=4.0, x=100.0, sigma=0.75, kappa=6.4, cutoff=10_000.0)
     b1 = maximal_bound(0.1, **kwargs)

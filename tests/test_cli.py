@@ -196,6 +196,42 @@ def test_non_finite_input_exit_3(argv, name):
     assert name in rec.values["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "moment", "--nmax", "10", "--m", "2000"),
+        ("bounds", "bh-rhs", "--nmax", "100", "--m", "2000", "--exponent", "0"),
+        ("oracle", "moment", "--nmax", "10", "--m", "2000.5"),
+        ("bounds", "bh-rhs", "--nmax", "100", "--m", "2001", "--exponent", "0"),
+    ],
+)
+def test_value_beyond_float64_exit_3(argv):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert (code, out) == (3, "")
+    rec = ResultRecord.from_json_line(err.strip())
+    assert rec.values["error"] == "DomainError"
+    assert "float64" in rec.values["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "maximal", "--lambda", "1", "--m", "4", "--x", "1e12",
+         "--sigma", "0.6"),
+        ("nt", "tail", "--x", "1000", "--m", "5", "--sigma", "0.6",
+         "--cutoff", "1e13"),
+        ("nt", "tsum", "--x", "1e13", "--m", "3"),
+    ],
+)
+def test_sieve_walk_beyond_term_budget_exit_3(argv):
+    # each ran for days before the walk had a budget
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert (code, out) == (3, "")
+    rec = ResultRecord.from_json_line(err.strip())
+    assert rec.values["error"] == "DomainError"
+    assert "term budget" in rec.values["message"]
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

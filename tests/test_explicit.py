@@ -162,6 +162,22 @@ def test_lemma32_bound_with_fitted_constants():
         assert lemma32_bound(x, m, s, c7, c5, c8, cutoff=100_000).ratio <= 1.0
 
 
+@pytest.mark.parametrize(
+    "c7, c5, c8",
+    [
+        (math.nan, 1.0, 1.0),
+        (-1.0, 1.0, 1.0),
+        (0.0, 1.0, 1.0),
+        (1.0, math.inf, 1.0),
+        (1.0, 1.0, math.nan),
+        (1e300, 1.0, 1.0),  # finite, but c7^4 overflows float64
+    ],
+)
+def test_lemma32_rejects_bad_constants(c7, c5, c8):
+    with pytest.raises(DomainError):
+        lemma32_bound(1000, 4, 0.6, c7, c5, c8)
+
+
 def test_lemma32_rhs_diverges_toward_half():
     _, c5 = fit_lemma31_constants([100], [3])
     values = [

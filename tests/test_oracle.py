@@ -271,6 +271,21 @@ def test_mc_sign_changes_runs_and_is_deterministic():
     assert a.estimate >= 0.0
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_mc_sign_changes_trials_match_trajectory_path(mode):
+    # 3000 spans three scan blocks: both paths sum in the same order
+    sigma, n_max, seed, trials = 0.55, 3000, 9, 24
+    est = mc_sign_changes(sigma, n_max, trials, seed, mode)
+    counts = [
+        sign_changes(
+            partial_sum_trajectory(sample_signs(seed, k, n_max, mode), sigma, n_max)
+        )
+        for k in range(trials)
+    ]
+    assert sum(counts) > 0
+    assert est.estimate == sum(counts) / trials
+
+
 def test_mean_estimators_clamp_ci_low_at_zero():
     # both normal intervals reach below 0 unclamped: -149.3 and -9.45
     assert mc_moment(power_coeffs(100, 1.0), 6, 5, master_seed=1).ci_low == 0.0

@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rmflab.accum import EPS, power_weights, weight_allowance
+from rmflab.accum import EPS, power_weights, running_sums, weight_allowance
 from rmflab.errors import DomainError
-from rmflab.sampler import Mode, sample_signs, stream_f
+from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
 from rmflab.series import (
     Positivity,
     euler_product_partial,
@@ -18,6 +18,7 @@ from rmflab.series import (
     prime_sum,
     rademacher_menshov_check,
 )
+from rmflab.sieve import primes_up_to, sieve_block_tables
 
 
 def test_all_plus_harmonic_values(assignment_factory):
@@ -96,6 +97,43 @@ def test_error_bound_stays_small_at_scale():
     a = sample_signs(3, 0, 1_000_000)
     t = partial_sum_trajectory(a, 0.51, 1_000_000, checkpoint_stride=100_000)
     assert t.summation_error_bound <= 1e-9
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_trajectory_is_one_row_of_the_batch_scan(mode):
+    # 70000 crosses the first 2^16 sieve block of the trajectory
+    n, sigma, seed, trial = 70_000, 0.6, 5, 3
+    t = partial_sum_trajectory(sample_signs(seed, trial, n, mode), sigma, n)
+    base = primes_up_to(n)
+    bits = batch_neg_bits(seed, np.arange(trial + 1), len(base))
+    f = batch_f(bits, sieve_block_tables(1, n, base), base, mode)
+    weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
+    row = np.concatenate([s[trial] for _, s in running_sums(f, weights)])
+    assert t.values.tobytes() == row.tobytes()
+
+
+def test_running_sums_carry_survives_overwritten_blocks():
+    f = np.where(np.arange(5000) % 3 == 0, -1, 1).astype(np.int8)[None, :]
+    weights = power_weights(np.arange(1, 5001, dtype=np.float64), 0.6)
+    kept = [s.copy() for _, s in running_sums(f, weights)]
+    for k, (_, s) in enumerate(running_sums(f, weights)):
+        assert np.array_equal(s, kept[k])
+        s[:] = np.nan
+    assert len(kept) == 5
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("sigma", [0.5001, 0.6, 1.0])
+def test_trajectory_within_err_bound_of_exact_prefix_sums(sigma, mode):
+    n = 200_000
+    a = sample_signs(17, 2, n, mode)
+    t = partial_sum_trajectory(a, sigma, n, checkpoint_stride=9_973)
+    terms = (
+        stream_f(a, 1, n) * power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
+    ).tolist()
+    assert t.ys.size > 20
+    for y, value in t.checkpoints:
+        assert abs(value - math.fsum(terms[:y])) <= t.summation_error_bound, y
 
 
 @pytest.mark.parametrize("sigma", [0.5001, 0.51, 0.6, 0.75, 1.0, 3.0])
