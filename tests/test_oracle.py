@@ -271,10 +271,12 @@ def test_mc_sign_changes_runs_and_is_deterministic():
     assert a.estimate >= 0.0
 
 
+@pytest.mark.parametrize("n_max", [3000, 70_000])
 @pytest.mark.parametrize("mode", list(Mode))
-def test_mc_sign_changes_trials_match_trajectory_path(mode):
-    # 3000 spans three scan blocks: both paths sum in the same order
-    sigma, n_max, seed, trials = 0.55, 3000, 9, 24
+def test_mc_sign_changes_trials_match_trajectory_path(mode, n_max):
+    # 3000 spans three scan chunks and 70000 two sieve blocks: both paths
+    # sum in the same order
+    sigma, seed, trials = 0.55, 9, 24
     est = mc_sign_changes(sigma, n_max, trials, seed, mode)
     counts = [
         sign_changes(
@@ -348,6 +350,11 @@ GOLDEN_POSITIVITY = [
      "d260455b8335dff188ff3eb96415dcf6508eff6ffb8bb612eaf123ad49a893e9"),
     ((0.52, 10, 3000, 2500, 5, CM), 0.6664, 0,
      "f569039b36e8b56d7e43dc57c22f0a31a629745ad57c2c72268bab53ce8743c3"),
+    # 70000 crosses the first 2^16 sieve block
+    ((0.58, 5, 70_000, 300, 17, SF), 0.36, 0,
+     "16eef64c0d3f73ec2fd3283243002f86eda92cbde7aea794f931cbb061111b35"),
+    ((0.58, 5, 70_000, 300, 17, CM), 0.72, 0,
+     "c18d1a8cc1120bdff5b7688a0a9349c6bd94bae5ab832cf090a68b50930fecd7"),
 ]
 
 SPARSE_COEFFS = {2: 0.5, 6: 1.25, 30: -0.75, 97: 2.0}
@@ -370,6 +377,8 @@ GOLDEN_SIGN_CHANGES = [
     ((0.8, 1000, 2500, 4, SF), (1.9668, 1.7058718776123574, 2.2277281223876426)),
     ((0.6, 40_000, 300, 3, CM), (18.02, 9.275011143484637, 26.764988856515362)),
     ((0.8, 1000, 2500, 4, CM), (0.3816, 0.2890581968667127, 0.4741418031332873)),
+    ((0.6, 70_000, 200, 23, SF), (90.93, 67.99935692084856, 113.86064307915146)),
+    ((0.6, 70_000, 200, 23, CM), (32.11, 13.092600717569727, 51.127399282430275)),
 ]
 
 GOLDEN_STREAM_F = {
