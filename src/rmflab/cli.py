@@ -2,9 +2,9 @@
 
 Every run emits machine-readable ResultRecords (JSON lines with sorted
 keys, or RFC-4180 CSV) embedding the fully resolved configuration and the
-master seed, so any record can be replayed bitwise.  Exit codes: 0 on
-success, 2 on usage errors, 3 on domain errors; errors are themselves
-structured records on stderr.
+master seed, so any record can be replayed (bitwise on one numpy build).
+Exit codes: 0 on success, 2 on usage errors, 3 on domain errors; errors
+are themselves structured records on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 
@@ -48,7 +49,7 @@ class ResultRecord:
     wall_time_ms: int = 0
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, allow_nan=True)
+        return json.dumps(vars(self), sort_keys=True, allow_nan=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ResultRecord":
@@ -215,7 +216,12 @@ def _exact_power_coeffs(n_max: int, exponent: float):
     return orc.power_coeffs(n_max, exponent)
 
 
-def _ci_payload(est: orc.EstimateWithCI) -> dict:
+def _mc_payload(estimator, args, ctx, *head, **options) -> dict:
+    """Run a Monte Carlo estimator on the record's trials, seed and threads."""
+    est = estimator(
+        *head, args.trials, ctx.master_seed, level=args.level, threads=ctx.threads,
+        **options,
+    )
     return {
         "estimate": est.estimate,
         "trials": est.trials,
@@ -228,62 +234,27 @@ def _ci_payload(est: orc.EstimateWithCI) -> dict:
 
 
 def _h_mc_positivity(args, ctx):
-    dump = open(args.dump_trials, "w") if args.dump_trials else None
-    try:
-        est = orc.mc_positivity(
-            args.sigma,
-            args.x,
-            args.nmax,
-            args.trials,
-            ctx.master_seed,
-            _mode_of(args),
-            level=args.level,
-            threads=ctx.threads,
-            trial_dump=dump,
+    with open(args.dump_trials, "w") if args.dump_trials else nullcontext() as dump:
+        return _mc_payload(
+            orc.mc_positivity, args, ctx, args.sigma, args.x, args.nmax,
+            mode=_mode_of(args), trial_dump=dump,
         )
-    finally:
-        if dump:
-            dump.close()
-    return _ci_payload(est)
 
 
 def _h_mc_moment(args, ctx):
-    est = orc.mc_moment(
-        orc.power_coeffs(args.nmax, args.exponent),
-        args.m,
-        args.trials,
-        ctx.master_seed,
-        _mode_of(args),
-        level=args.level,
-        threads=ctx.threads,
-    )
-    return _ci_payload(est)
+    coeffs = orc.power_coeffs(args.nmax, args.exponent)
+    return _mc_payload(orc.mc_moment, args, ctx, coeffs, args.m, mode=_mode_of(args))
 
 
 def _h_mc_prime_tail(args, ctx):
-    est = orc.mc_prime_tail(
-        args.sigma,
-        getattr(args, "lambda"),
-        args.pmax,
-        args.trials,
-        ctx.master_seed,
-        level=args.level,
-        threads=ctx.threads,
-    )
-    return _ci_payload(est)
+    threshold = getattr(args, "lambda")
+    return _mc_payload(orc.mc_prime_tail, args, ctx, args.sigma, threshold, args.pmax)
 
 
 def _h_mc_sign_changes(args, ctx):
-    est = orc.mc_sign_changes(
-        args.sigma,
-        args.nmax,
-        args.trials,
-        ctx.master_seed,
-        _mode_of(args),
-        level=args.level,
-        threads=ctx.threads,
+    return _mc_payload(
+        orc.mc_sign_changes, args, ctx, args.sigma, args.nmax, mode=_mode_of(args)
     )
-    return _ci_payload(est)
 
 
 def _h_nt_tsum(args, ctx):

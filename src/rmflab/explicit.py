@@ -205,7 +205,10 @@ def _integral_envelope_tail(
     big_l = math.log(cutoff)
     with mp.workdps(40):
         integral = mp.gammainc(a + 1.0, b * big_l) / mp.power(b, a + 1.0)
-        return float(2.0 * sigma * c3 * m * integral)
+        value = float(2.0 * sigma * c3 * m * integral)
+    if not math.isfinite(value):
+        raise DomainError("the envelope remainder is too large for float64")
+    return value
 
 
 def tail_series(

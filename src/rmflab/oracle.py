@@ -9,11 +9,14 @@ guessed.  Moment coefficients go over one common denominator, so every
 assignment's sum is an exact integer.  Ground truths like 7/8 come out as
 actual fractions.
 
-Monte Carlo estimators share the sign construction of the sampler module
-and one batch driver, _per_trial, which evaluates trials in vectorized
-batches sized by a cell budget and gathers one value per trial, so the
-estimate for a given (seed, trials) is identical for any thread count.
-Two reducers build every interval: _proportion gives Wilson score
+Monte Carlo estimators share the sign construction of the sampler module,
+and one walk, series.walk_blocks, feeds every scan over n: it sieves each
+2^16 block of [1, n_max] once and hands each trial batch its f there, so
+memory is bounded by batch x sieve block whatever n_max is.  Estimators
+carry per-trial state (running sum, minimum, last sign and flip count,
+linear sum) between blocks, and batches depend on a cell budget alone, so
+the estimate for a given (seed, trials) is identical for any thread
+count.  Two reducers build every interval: _proportion gives Wilson score
 intervals, which behave at estimates near 0 and 1 where the interesting
 events live, and _mean a normal interval clamped at 0.
 """
@@ -22,26 +25,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from statistics import NormalDist
 from typing import Mapping
 
 import mpmath as mp
 import numpy as np
 
-from .accum import CHUNK, chunk_masses, power_weights, running_sums, series_error_bound
+from .accum import power_weights
 from .errors import CertificationError, DomainError, EnumerationLimitError
-from .sampler import Mode, batch_f, batch_neg_bits
-from .series import Trajectory, check_sigma
-from .sieve import arith_signature, primes_up_to, sieve_block_tables
+from .sampler import Mode, batch_neg_bits
+from .series import Trajectory, check_sigma, scanner, trial_batches, walk_blocks
+from .sieve import arith_signature, primes_up_to
 
 ENUMERATION_BIT_LIMIT = 24
 _INTERVAL_SHIFT = 128
-_DEFAULT_BATCH = 2048
-#: Cap on a batch's (n_max x trials) float64 working-set cells (~64 MB).
-_BATCH_CELL_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -327,46 +327,11 @@ def _check_run(trials: int, level: float, least: int = 1) -> None:
     _z(level)
 
 
-def _per_trial(trials: int, cells_per_trial: int, fn, threads: int, dtype, floor=64):
-    """fn(start, stop) over trial batches, gathered into one per-trial array.
-
-    A batch holds about _BATCH_CELL_BUDGET cells (at least `floor` and at
-    most _DEFAULT_BATCH trials) and fn returns one value per trial in it.
-    Batches depend only on (trials, cells_per_trial), never on threads.
-    """
-    batch = max(
-        floor, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // max(cells_per_trial, 1))
-    )
-    out = np.empty(trials, dtype=dtype)
-
-    def run(start: int) -> None:
-        stop = min(start + batch, trials)
-        out[start:stop] = fn(start, stop)
-
-    starts = range(0, trials, batch)
-    if threads <= 1:
-        for start in starts:
-            run(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    return out
-
-
-def _f_batches(n_max: int, master_seed: int, mode: Mode):
-    """Sieve [1, n_max] once; return its tables and a (start, stop) -> f map.
-
-    The map gives f on [1, n_max] for trials start..stop-1 as a (trials, n)
-    int8 array.
-    """
+def _walk_trials(master_seed, n_max, mode, sigma, visit, trials, threads):
+    """walk_blocks over trials 0..trials-1 of master_seed; returns the band."""
+    seeded = partial(batch_neg_bits, master_seed)
     base = primes_up_to(n_max)
-    tables = sieve_block_tables(1, n_max, base)
-
-    def f_of(start: int, stop: int) -> np.ndarray:
-        bits = batch_neg_bits(master_seed, np.arange(start, stop), len(base))
-        return batch_f(bits, tables, base, mode)
-
-    return tables, f_of
+    return walk_blocks(seeded, base, n_max, mode, sigma, visit, trials, threads)
 
 
 def mc_positivity(
@@ -399,35 +364,23 @@ def mc_positivity(
             RuntimeWarning,
             stacklevel=2,
         )
-    tables, f_of = _f_batches(n_max, master_seed, mode)
-    weights = power_weights(np.arange(1, n_max + 1, dtype=np.float64), sigma)
-    if mode is Mode.COMPLETELY_MULT:
-        abs_terms = weights
-    else:
-        abs_terms = np.where(tables.squarefree, weights, 0.0)
-    band = series_error_bound(chunk_masses(abs_terms), sigma, n_max)
+    lowest = np.full(trials, np.inf)
 
-    def outcomes_of(start: int, stop: int) -> np.ndarray:
-        """1 passed, 0 failed, 2 indeterminate, per trial."""
-        lowest = np.full(stop - start, np.inf)
-        for c, sums in running_sums(f_of(start, stop), weights):
-            skip = max(0, x - c)  # column c holds y = c + 1
-            if skip < sums.shape[1]:
-                lowest = np.minimum(lowest, sums[:, skip:].min(axis=1))
-        return np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
+    def scan_min(rows, y, sums):
+        skip = max(0, x + 1 - y)  # column j holds S_sigma(y + j)
+        if skip < sums.shape[1]:
+            lowest[rows] = np.minimum(lowest[rows], sums[:, skip:].min(axis=1))
 
-    outcomes = _per_trial(trials, n_max, outcomes_of, threads, np.uint8)
+    scan = scanner(trials, scan_min)
+    band = _walk_trials(master_seed, n_max, mode, sigma, scan, trials, threads)
+    # 1 passed, 0 failed, 2 indeterminate, per trial
+    outcomes = np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
     if trial_dump is not None:
         trial_dump.write("trial,passed,indeterminate\n")
         for i, o in enumerate(outcomes.tolist()):
             trial_dump.write(f"{i},{int(o == 1)},{int(o == 2)}\n")
-    return _proportion(
-        int(np.count_nonzero(outcomes == 1)),
-        trials,
-        master_seed,
-        level,
-        int(np.count_nonzero(outcomes == 2)),
-    )
+    passed, undecided = (int(np.count_nonzero(outcomes == k)) for k in (1, 2))
+    return _proportion(passed, trials, master_seed, level, undecided)
 
 
 def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
@@ -449,7 +402,10 @@ def mc_moment(
     """Sample mean of |sum a(n) f(n)|^m with a normal-approximation CI.
 
     High moments of heavy-tailed powers make the normal CI optimistic; an
-    extreme sample kurtosis (> 50) is flagged on the estimate.
+    extreme sample kurtosis (> 50) is flagged on the estimate.  Each sum
+    adds up its sieve blocks' dot products a(lo..hi) . f(lo..hi) in
+    ascending order, so above n_max = 2^16 it can differ within rounding
+    from a single dot product over [1, n_max].
     """
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):
@@ -464,13 +420,14 @@ def mc_moment(
         vec[n - 1] = float(v)
     if not np.isfinite(vec).all():
         raise DomainError("coefficients must be finite")
-    _, f_of = _f_batches(n_max, master_seed, mode)
+    sums = np.zeros(trials)
 
-    def linear_sums(start: int, stop: int) -> np.ndarray:
-        # vec @ (n, B) C-order keeps the BLAS summation order of each trial
-        return vec @ f_of(start, stop).T.astype(np.float64, order="C")
+    def add(rows, lo, f, _):
+        # a @ (n, B) C-order keeps the BLAS summation order of each trial
+        a = vec[lo - 1 : lo - 1 + f.shape[1]]
+        sums[rows] += a @ f.T.astype(np.float64, order="C")
 
-    sums = _per_trial(trials, n_max, linear_sums, threads, np.float64)
+    _walk_trials(master_seed, n_max, mode, None, add, trials, threads)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 
@@ -494,12 +451,14 @@ def mc_prime_tail(
     plist = primes_up_to(p_max)
     w = power_weights(plist.primes, sigma)
     total = math.fsum(w.tolist())
+    hit = np.empty(trials, dtype=bool)
 
-    def hits(start: int, stop: int) -> np.ndarray:
-        bits = batch_neg_bits(master_seed, np.arange(start, stop), len(plist))
-        return (total - 2.0 * (bits.astype(np.float64) @ w)) >= threshold
+    def hits(batch) -> None:
+        bits = batch_neg_bits(master_seed, np.arange(*batch), len(plist))
+        hit[slice(*batch)] = (total - 2.0 * (bits.astype(np.float64) @ w)) >= threshold
 
-    hit = _per_trial(trials, len(plist), hits, threads, bool, floor=256)
+    with trial_batches(trials, len(plist), threads, floor=256) as each_batch:
+        each_batch(hits)
     return _proportion(int(np.count_nonzero(hit)), trials, master_seed, level)
 
 
@@ -525,22 +484,23 @@ def mc_sign_changes(
     """Mean number of sign changes of S_sigma over [1, n_max] per trial."""
     _check_run(trials, level)
     check_sigma(sigma)
-    _, f_of = _f_batches(n_max, master_seed, mode)
-    weights = power_weights(np.arange(1, n_max + 1, dtype=np.float64), sigma)
+    last = np.zeros((trials, 1), dtype=np.int8)
+    flips = np.zeros(trials)
 
-    def counts(start: int, stop: int) -> np.ndarray:
-        s = np.empty((stop - start, n_max), dtype=np.int8)
-        for c, sums in running_sums(f_of(start, stop), weights):
-            # astype first: a float64 -> int8 slice assignment is far slower
-            s[:, c : c + CHUNK] = np.sign(sums, out=sums).astype(np.int8)
-        del sums  # on a wide batch the last block is the whole (B, n) float64
-        # index of the last nonzero sign so far; 0 while there is none, where
-        # s is 0 too, so prev below is the previous nonzero sign or 0
-        last = np.where(s != 0, np.arange(n_max), 0)
-        np.maximum.accumulate(last, axis=1, out=last)
-        prev = np.take_along_axis(s, last[:, :-1], axis=1)
-        return np.count_nonzero(prev * s[:, 1:] < 0, axis=1)
+    def count(rows, y, sums):
+        # column 0 carries the last nonzero sign before the chunk, 0 if none
+        s = np.empty((sums.shape[0], sums.shape[1] + 1), dtype=np.int8)
+        s[:, :1] = last[rows]
+        # astype first: a float64 -> int8 slice assignment is far slower
+        s[:, 1:] = np.sign(sums, out=sums).astype(np.int8)
+        # fill each zero with the last nonzero sign before it: a flip is then
+        # a pair of adjacent filled signs of opposite sign
+        source = np.where(s != 0, np.arange(s.shape[1], dtype=np.int16), 0)
+        np.maximum.accumulate(source, axis=1, out=source)
+        s = np.take_along_axis(s, source, axis=1)
+        flips[rows] += np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
+        last[rows] = s[:, -1:]
 
-    return _mean(
-        _per_trial(trials, n_max, counts, threads, np.float64), master_seed, level
-    )
+    scan = scanner(trials, count)
+    _walk_trials(master_seed, n_max, mode, sigma, scan, trials, threads)
+    return _mean(flips, master_seed, level)

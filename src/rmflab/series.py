@@ -1,11 +1,13 @@
 """Weighted partial sums S_sigma(y) = sum_{n<=y} f(n) n^-sigma and friends.
 
-Trajectories are built block by block in ascending order by
-accum.running_sums, the one prefix-sum scan, so they are bitwise
-reproducible and carry a certified bound on the accumulated rounding
-error.  The positivity predicate never classifies a value inside the
-+-bound band around zero: such checkpoints come back INDETERMINATE
-instead of silently deciding the central event.
+walk_blocks is the one ascending walk over y: each sieve block of
+[1, n_max] is sieved and weighted once, and every trial batch gets its f
+on the block in turn.  Trajectories and every Monte Carlo scan reduce the
+running sums of accum.running_sums along it, carried from block to block
+by scanner, so they are bitwise reproducible and carry a certified bound
+on the accumulated rounding error.  The positivity predicate never
+classifies a value inside the +-bound band around zero: such checkpoints
+come back INDETERMINATE instead of silently deciding the central event.
 
 Also here: truncated prime sums sum_{p<=P} f(p) p^-sigma, truncated Euler
 products, and the decomposition of log of the truncated product into
@@ -18,6 +20,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,8 +30,11 @@ import numpy as np
 
 from .accum import chunk_masses, power_weights, running_sums, series_error_bound
 from .errors import DomainError, PoleError, SignRangeError
-from .sampler import Mode, SignAssignment, stream_f
-from .sieve import iter_blocks
+from .sampler import Mode, SignAssignment, batch_f
+from .sieve import DEFAULT_BLOCK, iter_blocks, sieve_block_tables
+
+#: Most trials in a batch, and its budget of float64 working cells (~64 MB).
+_DEFAULT_BATCH, _BATCH_CELL_BUDGET = 2048, 1 << 23
 
 
 class Positivity(enum.Enum):
@@ -95,6 +103,69 @@ def check_sigma(sigma: float) -> None:
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
 
 
+@contextmanager
+def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 64):
+    """Yield each_batch(fn), which calls fn((start, stop)) for every batch.
+
+    A batch holds about _BATCH_CELL_BUDGET cells, and at least `floor` and
+    at most _DEFAULT_BATCH trials, whatever the thread count.  Batches run
+    on min(threads, batches, cpus) threads of one pool.
+    """
+    size = max(floor, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // cells_per_trial))
+    batches = [(s, min(s + size, trials)) for s in range(0, trials, size)]
+    workers = min(threads, len(batches), os.cpu_count() or 1)
+    if workers <= 1:
+        yield lambda fn: list(map(fn, batches))
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield lambda fn: list(pool.map(fn, batches))
+
+
+def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
+    """Hand f of every trial on each sieve block of [1, n_max] to visit.
+
+    Each iter_blocks block, in ascending order, is sieved once against
+    base and weighted once by w = n^-sigma (None if sigma is None).  Each
+    batch of trial_batches then gets its f there from batch_f on the sign
+    bits(trial_indices, len(base)), and visit(rows, lo, f, w) folds it into
+    per-trial state, rows being slice(start, stop): a batch's working set
+    is batch x min(n_max, DEFAULT_BLOCK) cells.  Returns the band of the
+    running sums of f * w, from the masses of w on the support of f.
+    """
+    masses: list[float] = []
+    w = None
+    with trial_batches(trials, min(n_max, DEFAULT_BLOCK), threads) as each_batch:
+        for lo, hi in iter_blocks(1, n_max):
+            tables = sieve_block_tables(lo, hi, base)
+            if sigma is not None:
+                w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
+                support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
+                masses += chunk_masses(np.where(support, w, 0.0))
+
+            def run(batch):
+                f = batch_f(bits(np.arange(*batch), len(base)), tables, base, mode)
+                visit(slice(*batch), lo, f, w)
+
+            each_batch(run)
+    return None if sigma is None else series_error_bound(masses, sigma, n_max)
+
+
+def scanner(trials: int, reduce):
+    """A walk_blocks visitor passing every chunk of running sums to reduce.
+
+    reduce(rows, y, sums) gets S_sigma(y + j) of the trials in rows as
+    sums[:, j], carried across blocks, and may overwrite it.
+    """
+    carry = np.zeros((trials, 1))
+
+    def visit(rows, lo, f, w):
+        for c, sums in running_sums(f, w, carry[rows]):
+            carry[rows] = sums[:, -1:]
+            reduce(rows, lo + c, sums)
+
+    return visit
+
+
 def partial_sum_trajectory(
     a: SignAssignment,
     sigma: float,
@@ -103,9 +174,9 @@ def partial_sum_trajectory(
 ) -> Trajectory:
     """Trajectory of S_sigma(y) for y = 1..n_max at the given stride.
 
-    Checkpoints always include y=1 and y=n_max.  Each sieve block runs
-    through running_sums from the last sum before it, so the values are
-    those of one scan over [1, n_max].
+    Checkpoints always include y=1 and y=n_max.  This is the one-trial
+    walk_blocks scan, so the values are those of one scan over [1, n_max]
+    and memory stays O(block).
     """
     check_sigma(sigma)
     if n_max < 1:
@@ -113,30 +184,24 @@ def partial_sum_trajectory(
     if checkpoint_stride < 1:
         raise DomainError("checkpoint stride must be >= 1")
     if n_max > a.limit:
-        raise SignRangeError(
-            f"horizon {n_max} exceeds sign assignment limit {a.limit}"
-        )
-    base = 0.0
-    masses: list[float] = []
+        raise SignRangeError(f"horizon {n_max} exceeds sign assignment limit {a.limit}")
     ys_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    for lo, hi in iter_blocks(1, n_max):
-        f = stream_f(a, lo, hi)
-        w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
-        masses += chunk_masses(np.where(f != 0, w, 0.0))
-        for c, sums in running_sums(f, w, base):
-            ys = np.arange(lo + c, lo + c + sums.size, dtype=np.int64)
-            keep = (ys % checkpoint_stride == 0) | (ys == 1) | (ys == n_max)
-            ys_parts.append(ys[keep])
-            val_parts.append(sums[keep])
-        base = float(sums[-1])
-    bound = series_error_bound(masses, sigma, n_max)
+
+    def add(rows, y, sums):
+        ys = np.arange(y, y + sums.shape[1], dtype=np.int64)
+        kept = (ys % checkpoint_stride == 0) | (ys == 1) | (ys == n_max)
+        ys_parts.append(ys[kept])
+        val_parts.append(sums[0, kept])
+
+    bits = a.neg_bits()[None, :]
+    band = walk_blocks(lambda *_: bits, a.primes, n_max, a.mode, sigma, scanner(1, add))
     return Trajectory(
         sigma=sigma,
         assignment_key=a.key,
         ys=np.concatenate(ys_parts),
         values=np.concatenate(val_parts),
-        summation_error_bound=bound,
+        summation_error_bound=band,
         stride=checkpoint_stride,
         horizon=n_max,
     )

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +80,23 @@ def test_emit_deterministic_bytes():
     line2 = json.loads(out2)
     line1["wall_time_ms"] = line2["wall_time_ms"] = 0
     assert json.dumps(line1, sort_keys=True) == json.dumps(line2, sort_keys=True)
+
+
+def test_emit_pins_multi_row_record_bytes():
+    _, out, _ = run_cli(
+        "series", "trajectory", "--sigma", "1", "--nmax", "3", "--seed", "3"
+    )
+    assert re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out) == (
+        '{"ci": null, "command": "series trajectory", "params": {"mode": '
+        '"squarefree", "nmax": 3, "sigma": 1.0, "stride": 1, "threads": 1, '
+        '"trial": 0}, "schema_version": "1", "seed": 3, "values": {"csv_columns": '
+        '["y", "value", "err_bound"], "err_bound": 2.1131558485174376e-13, '
+        '"final_value": 0.16666666666666669, "n_checkpoints": 3, "rows": '
+        '[{"err_bound": 2.1131558485174376e-13, "value": 1.0, "y": 1}, '
+        '{"err_bound": 2.1131558485174376e-13, "value": 0.5, "y": 2}, '
+        '{"err_bound": 2.1131558485174376e-13, "value": 0.16666666666666669, '
+        '"y": 3}]}, "wall_time_ms": 0}\n'
+    )
 
 
 def test_jsonl_keys_sorted():
@@ -203,6 +221,10 @@ def test_non_finite_input_exit_3(argv, name):
         ("bounds", "bh-rhs", "--nmax", "100", "--m", "2000", "--exponent", "0"),
         ("oracle", "moment", "--nmax", "10", "--m", "2000.5"),
         ("bounds", "bh-rhs", "--nmax", "100", "--m", "2001", "--exponent", "0"),
+        ("nt", "tail", "--x", "1000", "--m", "1000", "--sigma", "0.6",
+         "--cutoff", "100000"),
+        ("bounds", "maximal", "--lambda", "1", "--m", "1000", "--x", "1000",
+         "--sigma", "0.6"),
     ],
 )
 def test_value_beyond_float64_exit_3(argv):

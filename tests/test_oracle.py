@@ -2,7 +2,11 @@ import hashlib
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -286,6 +290,50 @@ def test_mc_sign_changes_trials_match_trajectory_path(mode, n_max):
     ]
     assert sum(counts) > 0
     assert est.estimate == sum(counts) / trials
+
+
+def test_cross_block_scans_thread_invariant_under_fast_switching():
+    # two trial batches per sieve block, their visitors sharing per-trial
+    # arrays; a tiny switch interval interleaves the worker threads often
+    runs = (
+        lambda t: mc_positivity(0.58, 5, 70_000, 200, 17, threads=t),
+        lambda t: mc_sign_changes(0.6, 70_000, 200, 23, CM, threads=t),
+        lambda t: mc_moment(power_coeffs(70_000, 0.75), 4, 200, 3, threads=t),
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in runs:
+            assert run(1) == run(4)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_sign_changes_memory_bounded_at_many_threads():
+    # batch x sieve block cells per worker, and no more workers than batches
+    # or cpus: 293 MB when each of 8 threads held a (B, n_max) batch
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import resource\n"
+        "from rmflab.oracle import mc_sign_changes\n"
+        "mc_sign_changes(0.6, 100_000, 250, 1, threads=8)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # Linux carries a process's peak RSS across exec into the new program, so
+    # the measured interpreter is started from a small one, not from pytest
+    launcher = (
+        "import subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-c', {code!r}], check=True)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", launcher], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert int(result.stdout) < 120 * 1024  # kB
 
 
 def test_mean_estimators_clamp_ci_low_at_zero():
