@@ -130,7 +130,7 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
     bits(trial_indices, len(base)), and visit(rows, lo, f, w) folds it into
     per-trial state, rows being slice(start, stop): a batch's working set
     is batch x min(n_max, DEFAULT_BLOCK) cells.  Returns the band of the
-    running sums of f * w, from the masses of w on the support of f.
+    running sums of f * w from the masses of w on f's support, or None.
     """
     masses: list[float] = []
     w = None

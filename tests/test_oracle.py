@@ -311,7 +311,7 @@ def test_cross_block_scans_thread_invariant_under_fast_switching():
 
 def test_mc_sign_changes_memory_bounded_at_many_threads():
     # batch x sieve block cells per worker, and no more workers than batches
-    # or cpus: 293 MB when each of 8 threads held a (B, n_max) batch
+    # or cpus; a whole-horizon (B, n_max) batch per thread peaked near 260 MB
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
