@@ -275,8 +275,12 @@ def test_mc_sign_changes_runs_and_is_deterministic():
     assert a.estimate >= 0.0
 
 
-@pytest.mark.parametrize("n_max", [3000, 70_000])
-@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "mode, n_max",
+    [(mode, 3000) for mode in Mode] + [(mode, 70_000) for mode in Mode],
+    # the 3000 cases keep their plain mode ids
+    ids=[str(mode) for mode in Mode] + [f"{mode}-70000" for mode in Mode],
+)
 def test_mc_sign_changes_trials_match_trajectory_path(mode, n_max):
     # 3000 spans three scan chunks and 70000 two sieve blocks: both paths
     # sum in the same order
