@@ -12,8 +12,8 @@ rounding model takes log within EPS and exp within 2 EPS relative error;
 numpy 2.4 measured 0.99 EPS and 1.11 EPS against mpmath for n <= 10^8.
 sigma log n is then rounded twice, in log and in the multiply, and exp
 turns that absolute error in its argument into a relative one, so a
-weight is off by at most about (2 sigma log n + 2) EPS relative.
-weight_allowance rounds this up to 2 sigma log N + 3 for n <= N.
+weight is off by at most about (2 |sigma| log n + 2) EPS relative.
+weight_allowance rounds this up to 2 |sigma| log N + 3 for n <= N.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def power_weights(n, sigma: float) -> np.ndarray:
 
 def weight_allowance(sigma: float, n_max: int) -> float:
     """Relative error of power_weights(n, sigma) for n <= n_max, in EPS units."""
-    return 2.0 * sigma * math.log(max(n_max, 2)) + 3.0
+    return 2.0 * abs(sigma) * math.log(max(n_max, 2)) + 3.0
 
 
 def series_error_bound(masses, sigma: float, n_max: int) -> float:

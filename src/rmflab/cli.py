@@ -204,9 +204,8 @@ def _h_oracle_positivity(args, ctx):
 
 def _h_oracle_moment(args, ctx):
     coeffs = _exact_power_coeffs(args.nmax, args.exponent)
-    return _exact_payload(
-        orc.exact_moment(args.nmax, coeffs, args.m, absolute=args.absolute)
-    )
+    value = orc.exact_moment(args.nmax, coeffs, args.m, args.absolute, _mode_of(args))
+    return _exact_payload(value)
 
 
 def _exact_power_coeffs(n_max: int, exponent: float):

@@ -1,13 +1,13 @@
 """Exact enumeration over small prime universes and seed-parallel Monte Carlo.
 
 The exact oracles enumerate all 2^pi(N) equiprobable sign assignments on
-the primes <= N on one scaled-integer path.  Every weight n^-sigma is
-bracketed by integers under one scale: exactly, with the scale
-lcm(1..N)^sigma, for a nonnegative integer exponent, and by certified
-128-bit brackets otherwise, so each sign decision is certified, never
-guessed.  Moment coefficients go over one common denominator, so every
-assignment's sum is an exact integer.  Ground truths like 7/8 come out as
-actual fractions.
+the primes <= N, and share the sign kernel of Monte Carlo: assignment i
+gives the prime of rank r the sign bit r of i, and series.walk_blocks
+builds its f with sampler.batch_f.  exact_probability decides each
+assignment outside the certified band on the float scan of mc_positivity
+and certifies every in-band one exactly on integer-bracketed weights;
+exact_moment sums each assignment exactly over one common denominator.
+Ground truths like 7/8 come out as actual fractions.
 
 Monte Carlo estimators share the sign construction of the sampler module,
 and one walk, series.walk_blocks, feeds every scan over n: it sieves each
@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Mapping
 
@@ -36,9 +37,9 @@ import numpy as np
 
 from .accum import power_weights
 from .errors import CertificationError, DomainError, EnumerationLimitError
-from .sampler import Mode, batch_neg_bits
+from .sampler import Mode, batch_f, batch_neg_bits
 from .series import Trajectory, check_sigma, scanner, trial_batches, walk_blocks
-from .sieve import arith_signature, primes_up_to
+from .sieve import primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
 _INTERVAL_SHIFT = 128
@@ -104,60 +105,83 @@ def wilson_interval(
 # exact enumeration machinery
 
 
-def _universe(n_max: int, mode: Mode):
-    """Per-n prime-rank bitmasks over n <= n_max, None where f(n) = 0.
-
-    f(n) under an assignment is -1 exactly when the assignment has an odd
-    number of bits in common with the mask of n.
-    """
-    plist = primes_up_to(n_max)
-    bits = len(plist)
-    if bits > ENUMERATION_BIT_LIMIT:
+def _enumeration_base(n_max: int):
+    """The primes <= n_max, refused past the enumeration budget."""
+    base = primes_up_to(n_max)
+    if len(base) > ENUMERATION_BIT_LIMIT:
         raise EnumerationLimitError(
-            f"pi({n_max}) = {bits} exceeds the 2^{ENUMERATION_BIT_LIMIT} "
+            f"pi({n_max}) = {len(base)} exceeds the 2^{ENUMERATION_BIT_LIMIT} "
             "assignment enumeration budget"
         )
-    prime_rank = {int(p): r for r, p in enumerate(plist.primes.tolist())}
-    masks = [None, 0]
-    for n in range(2, n_max + 1):
-        sig = arith_signature(n)
-        if mode is Mode.SQUAREFREE_MULT and not sig.is_squarefree:
-            masks.append(None)
-            continue
-        mask = 0
-        for p in sig.distinct_primes:
-            if mode is Mode.COMPLETELY_MULT:
-                m, v = n, 0
-                while m % p == 0:
-                    m //= p
-                    v += 1
-                if v & 1 == 0:
-                    continue
-            mask |= 1 << prime_rank[p]
-        masks.append(mask)
-    return bits, masks
+    return base
+
+
+def _index_bits(idx: np.ndarray, ranks: int) -> np.ndarray:
+    """Sign bits of assignments idx: bit r of idx is the prime of rank r."""
+    return ((idx[:, None] >> np.arange(ranks)) & 1).astype(np.uint8)
 
 
 def _scaled_weights(n_max: int, sigma: float):
-    """Integers lo[n] <= W n^-sigma <= hi[n] for n <= n_max under one scale W.
+    """Integer brackets lo <= W n^-sigma <= hi for n = 1..n_max, one scale W.
 
-    For a nonnegative integer sigma, W = lcm(1..n_max)^sigma and lo == hi
+    For an integer sigma, W = lcm(1..n_max)^max(sigma, 0) and lo == hi
     exactly; otherwise W = 2^_INTERVAL_SHIFT and each pair is a certified
-    bracket.
+    bracket, widened by mid >> (_INTERVAL_SHIFT + 56) to cover the rounding
+    of weights too large for the working precision to hold their units.
     """
-    if float(sigma) == sigma and float(sigma).is_integer() and sigma >= 0:
+    if float(sigma).is_integer():
         e = int(sigma)
-        scale = math.lcm(*range(1, n_max + 1)) ** e
-        exact = [0] + [scale // n**e for n in range(1, n_max + 1)]
-        return exact, exact
-    lo = [0] * (n_max + 1)
-    hi = [0] * (n_max + 1)
+        scale = math.lcm(*range(1, n_max + 1)) ** max(e, 0)
+        exact = (int(scale * Fraction(n) ** -e) for n in range(1, n_max + 1))
+        return [(w, w) for w in exact]
+    brackets = []
     with mp.workprec(_INTERVAL_SHIFT + 64):
         for n in range(1, n_max + 1):
-            scaled = mp.ldexp(mp.power(n, -sigma), _INTERVAL_SHIFT)
-            mid = int(mp.floor(scaled))
-            lo[n], hi[n] = mid - 1, mid + 2
-    return lo, hi
+            mid = int(mp.floor(mp.ldexp(mp.power(n, -sigma), _INTERVAL_SHIFT)))
+            slack = mid >> (_INTERVAL_SHIFT + 56)
+            brackets.append((mid - 1 - slack, mid + 2 + slack))
+    return brackets
+
+
+def _certified_positive(f, brackets, x: int, assignment: int) -> bool:
+    """Is sum_{n<=y} f[n-1] W n^-sigma > 0 for every y in (x, len(f)]?
+
+    Decided on the integer brackets of _scaled_weights; raises
+    CertificationError when no sum is surely <= 0 but some is not surely > 0.
+    """
+    terms = [(lo, hi) if v > 0 else (-hi, -lo) if v else (0, 0)
+             for v, (lo, hi) in zip(f, brackets)]
+    s_lo, s_hi = (list(accumulate(side))[x:] for side in zip(*terms))
+    if min(s_hi) <= 0:
+        return False
+    if min(s_lo) <= 0:
+        raise CertificationError(
+            f"sign of a partial sum not certifiable at shift "
+            f"{_INTERVAL_SHIFT} (assignment {assignment})"
+        )
+    return True
+
+
+def _outcomes(bits, base, n_max, mode, sigma, x, trials, threads=1):
+    """Per trial 1 passed, 0 failed or 2 undecided: S_sigma(y) > 0 on (x, n_max]?
+
+    The trials are those of walk_blocks.  One is decided only when its
+    lowest sum past x lies outside the band, so a NaN or inf minimum or
+    band leaves it undecided.
+    """
+    lowest = np.full(trials, np.inf)
+
+    def scan_min(rows, y, sums):
+        skip = max(0, x + 1 - y)  # column j holds S_sigma(y + j)
+        if skip < sums.shape[1]:
+            lowest[rows] = np.minimum(lowest[rows], sums[:, skip:].min(axis=1))
+
+    scan = scanner(trials, scan_min)
+    band = walk_blocks(bits, base, n_max, mode, sigma, scan, trials, threads)
+    outcomes = np.full(trials, 2, dtype=np.int8)
+    outcomes[lowest > band] = 1
+    outcomes[lowest < -band] = 0
+    return outcomes
 
 
 def exact_probability(
@@ -168,10 +192,11 @@ def exact_probability(
 ) -> ExactResult:
     """Exact P(S_sigma(y) > 0 for all integer y in (x, n_max]).
 
-    Enumerates all 2^pi(n_max) sign assignments on the scaled integer
-    weights of `_scaled_weights`.  Nonnegative integer sigma is decided
-    exactly; otherwise an assignment whose sign cannot be certified raises
-    rather than being classified.
+    Every assignment runs through the float scan of mc_positivity.  The
+    ones it leaves undecided, overflowing weights included, are decided on
+    the scaled integer weights of `_scaled_weights`: exactly for an integer
+    sigma; otherwise one whose sign cannot be certified raises rather than
+    being classified.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -179,36 +204,19 @@ def exact_probability(
         raise DomainError(f"x must lie in [0, n_max), got x={x}, n_max={n_max}")
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma}")
-    bits, masks = _universe(n_max, mode)
-    wlo, whi = _scaled_weights(n_max, sigma)
-    terms = list(zip(range(n_max + 1), masks, wlo, whi))[1:]
-    positives = 0
-    for assignment in range(1 << bits):
-        s_lo = 0
-        s_hi = 0
-        ok = True
-        ambiguous = False
-        for y, mask, lo, hi in terms:
-            if mask is not None:
-                if (assignment & mask).bit_count() & 1:
-                    s_lo -= hi
-                    s_hi -= lo
-                else:
-                    s_lo += lo
-                    s_hi += hi
-            if y > x:
-                if s_hi <= 0:
-                    ok = False
-                    break
-                if s_lo <= 0:
-                    ambiguous = True
-        if ok and ambiguous:
-            raise CertificationError(
-                f"sign of a partial sum not certifiable at shift "
-                f"{_INTERVAL_SHIFT} (assignment {assignment})"
-            )
-        positives += ok
-    return ExactResult(Fraction(positives, 1 << bits), bits)
+    base = _enumeration_base(n_max)
+    trials = 1 << len(base)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: undecided
+        outcomes = _outcomes(_index_bits, base, n_max, mode, sigma, x, trials)
+    positives = int(np.count_nonzero(outcomes == 1))
+    undecided = np.flatnonzero(outcomes == 2)
+    if undecided.size:
+        tables = sieve_block_tables(1, n_max, base)
+        f = batch_f(_index_bits(undecided, len(base)), tables, base, mode)
+        brackets = _scaled_weights(n_max, sigma)
+        for row, i in zip(f.tolist(), undecided.tolist()):
+            positives += _certified_positive(row, brackets, x, i)
+    return ExactResult(Fraction(positives, trials), len(base))
 
 
 def exact_moment(
@@ -221,7 +229,8 @@ def exact_moment(
     """E (sum a(n) f(n))^m by full enumeration; exact for integer m.
 
     The coefficients are put over one denominator D, so each assignment's
-    sum is an exact integer S and an integer order m gives the Fraction
+    sum is an exact integer S, formed batch by batch on the f of
+    walk_blocks, and an integer order m gives the Fraction
     sum(S^m) / (D^m 2^pi(n_max)).  For even m the signed and absolute
     moments coincide.  Non-integer m >= 2 routes through high-precision
     evaluation of |S/D|^m with a certified error, returned as a
@@ -245,31 +254,32 @@ def exact_moment(
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"coefficient a({n}) = {value} is not finite") from exc
     denom = math.lcm(*(c.denominator for c in table.values()))
-    bits, masks = _universe(n_max, mode)
-    # (mask of n, D a(n)) wherever f(n) a(n) can be nonzero
-    support = [
-        (masks[n], c.numerator * (denom // c.denominator))
-        for n, c in table.items()
-        if c and masks[n] is not None
-    ]
-    e = int(m) if integer_order else None
-    with mp.workprec(96):
-        total = 0 if integer_order else mp.mpf(0)
-        for assignment in range(1 << bits):
-            s = sum(-c if (assignment & k).bit_count() & 1 else c for k, c in support)
+    # D a(n) at index n - 1, as Python ints
+    scaled = np.array(
+        [int(table.get(n, 0) * denom) for n in range(1, n_max + 1)], dtype=object
+    )
+    base = _enumeration_base(n_max)
+    total = 0 if integer_order else mp.mpf(0)
+
+    def add(rows, lo, f, _):
+        nonlocal total
+        for s in (f.astype(object) @ scaled[lo - 1 : lo - 1 + f.shape[1]]).tolist():
             if integer_order:
-                total += (abs(s) if absolute else s) ** e
+                total += (abs(s) if absolute else s) ** int(m)
             else:
                 # reduce S/D as a Fraction would, so the numerator rounds alike
                 g = math.gcd(s, denom)
                 total += mp.power(mp.mpf(abs(s) // g) / (denom // g), m)
+
+    with mp.workprec(96):
+        walk_blocks(_index_bits, base, n_max, mode, None, add, 1 << len(base))
         if integer_order:
-            return Fraction(total, denom**e << bits)
-        value = float(total / (1 << bits))
+            return Fraction(total, denom ** int(m) << len(base))
+        value = float(total / (1 << len(base)))
     if not math.isfinite(value):
         raise DomainError("the moment is too large for float64")
-    # ~96-bit arithmetic over 2^bits terms; crude but rigorous slack
-    return CertifiedValue(value, value * ((1 << bits) + 4) * 2.0**-90)
+    # ~96-bit arithmetic over 2^pi(n_max) terms; crude but rigorous slack
+    return CertifiedValue(value, value * ((1 << len(base)) + 4) * 2.0**-90)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +337,9 @@ def _check_run(trials: int, level: float, least: int = 1) -> None:
     _z(level)
 
 
-def _walk_trials(master_seed, n_max, mode, sigma, visit, trials, threads):
-    """walk_blocks over trials 0..trials-1 of master_seed; returns the band."""
-    seeded = partial(batch_neg_bits, master_seed)
-    base = primes_up_to(n_max)
-    return walk_blocks(seeded, base, n_max, mode, sigma, visit, trials, threads)
+def _seeded(master_seed: int, n_max: int):
+    """The (bits, base) of walk_blocks for the trials of master_seed."""
+    return partial(batch_neg_bits, master_seed), primes_up_to(n_max)
 
 
 def mc_positivity(
@@ -364,17 +372,8 @@ def mc_positivity(
             RuntimeWarning,
             stacklevel=2,
         )
-    lowest = np.full(trials, np.inf)
-
-    def scan_min(rows, y, sums):
-        skip = max(0, x + 1 - y)  # column j holds S_sigma(y + j)
-        if skip < sums.shape[1]:
-            lowest[rows] = np.minimum(lowest[rows], sums[:, skip:].min(axis=1))
-
-    scan = scanner(trials, scan_min)
-    band = _walk_trials(master_seed, n_max, mode, sigma, scan, trials, threads)
-    # 1 passed, 0 failed, 2 indeterminate, per trial
-    outcomes = np.where(lowest > band, 1, np.where(lowest < -band, 0, 2))
+    seeded = _seeded(master_seed, n_max)
+    outcomes = _outcomes(*seeded, n_max, mode, sigma, x, trials, threads)
     if trial_dump is not None:
         trial_dump.write("trial,passed,indeterminate\n")
         for i, o in enumerate(outcomes.tolist()):
@@ -427,7 +426,7 @@ def mc_moment(
         a = vec[lo - 1 : lo - 1 + f.shape[1]]
         sums[rows] += a @ f.T.astype(np.float64, order="C")
 
-    _walk_trials(master_seed, n_max, mode, None, add, trials, threads)
+    walk_blocks(*_seeded(master_seed, n_max), n_max, mode, None, add, trials, threads)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 
@@ -502,5 +501,5 @@ def mc_sign_changes(
         last[rows] = s[:, -1:]
 
     scan = scanner(trials, count)
-    _walk_trials(master_seed, n_max, mode, sigma, scan, trials, threads)
+    walk_blocks(*_seeded(master_seed, n_max), n_max, mode, sigma, scan, trials, threads)
     return _mean(flips, master_seed, level)

@@ -190,11 +190,10 @@ def save_prime_cache(path, plist: PrimeList) -> None:
 
 
 def load_prime_cache(path) -> PrimeList:
-    """Read a prime cache written by save_prime_cache."""
+    """Read a prime cache written by save_prime_cache; DomainError if damaged."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != PRIME_CACHE_MAGIC:
-            raise DomainError(f"bad prime cache magic {magic!r}")
-        limit = int(np.frombuffer(fh.read(8), dtype="<i8")[0])
-        primes = np.frombuffer(fh.read(), dtype="<i8").astype(np.int64)
-    return PrimeList(limit, primes)
+        data = fh.read()
+    if data[:8] != PRIME_CACHE_MAGIC or len(data) < 16 or len(data) % 8:
+        raise DomainError(f"not a whole prime cache: {len(data)} bytes, {data[:8]!r}")
+    limit = int.from_bytes(data[8:16], "little", signed=True)
+    return PrimeList(limit, np.frombuffer(data, "<i8", offset=16).astype(np.int64))

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from rmflab.cli import ResultRecord, dispatch, emit
+from rmflab.oracle import exact_moment
+from rmflab.sampler import Mode
 
 
 def run_cli(*argv):
@@ -387,6 +389,34 @@ def test_sieve_primes_cache_flag(tmp_path):
         "sieve", "primes", "--nmax", "100", "--cache", str(cache)
     )
     assert record_of(out).values["count"] == 25
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"RMFPRIM1", b"RMFPRIM1\x64" + bytes(7) + b"\x02" + bytes(4)],
+    ids=["truncated-header", "odd-body"],
+)
+def test_sieve_primes_damaged_cache_exit_3(tmp_path, content):
+    # a truncated header, then a body that is not whole int64 words
+    cache = tmp_path / "primes.bin"
+    cache.write_bytes(content)
+    code, out, err = run_cli("sieve", "primes", "--nmax", "100", "--cache", str(cache))
+    assert code == 3
+    assert out == ""
+    assert record_of(err).values["error"] == "DomainError"
+
+
+def test_oracle_moment_honours_mode():
+    code, out, _ = run_cli(
+        "oracle", "moment", "--nmax", "12", "--m", "4", "--mode", "completely"
+    )
+    assert code == 0
+    rec = record_of(out)
+    coeffs = {n: Fraction(1, n) for n in range(1, 13)}
+    expected = exact_moment(12, coeffs, 4, mode=Mode.COMPLETELY_MULT)
+    assert rec.params["mode"] == "completely"
+    assert Fraction(rec.values["numerator"], rec.values["denominator"]) == expected
+    assert expected == Fraction(8103719439989733121, 590436101122560000)
 
 
 def test_hoeffding_both_modes_reported():

@@ -18,6 +18,10 @@ from rmflab.bounds import bh_rhs
 from rmflab.errors import DomainError, EnumerationLimitError
 from rmflab.oracle import (
     CertifiedValue,
+    _certified_positive,
+    _index_bits,
+    _outcomes,
+    _scaled_weights,
     exact_moment,
     exact_probability,
     mc_moment,
@@ -28,9 +32,9 @@ from rmflab.oracle import (
     sign_changes,
     wilson_interval,
 )
-from rmflab.sampler import Mode, sample_signs, stream_f
+from rmflab.sampler import Mode, batch_f, sample_signs, stream_f
 from rmflab.series import Trajectory, partial_sum_trajectory, positivity_check
-from rmflab.sieve import primes_up_to
+from rmflab.sieve import primes_up_to, sieve_block_tables
 
 COEFF_13 = {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3)}
 
@@ -82,6 +86,35 @@ def test_exact_probability_interval_path_matches_brute_force():
                     break
             count += ok
     assert got.value == Fraction(count, 16)
+
+
+@pytest.mark.parametrize("mode", [Mode.SQUAREFREE_MULT, Mode.COMPLETELY_MULT])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 0.75, -300.0])
+@pytest.mark.parametrize("x", [1, 6])
+def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
+    # promise 2 on every assignment: a row the float scan decides must agree
+    # with the scaled-integer check of that row; -300 overflows the weights
+    # to inf from n = 11 on, so every row must go to the exact path
+    n_max = 44
+    base = primes_up_to(n_max)
+    trials = 1 << len(base)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = _outcomes(_index_bits, base, n_max, mode, sigma, x, trials)
+    tables = sieve_block_tables(1, n_max, base)
+    f = batch_f(_index_bits(np.arange(trials), len(base)), tables, base, mode)
+    brackets = _scaled_weights(n_max, sigma)
+    exact = np.array(
+        [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.tolist())]
+    )
+    decided = outcomes != 2
+    assert (outcomes[decided] == exact[decided]).all()
+    assert decided.any() == (sigma != -300.0)
+    assert exact_probability(n_max, sigma, x, mode).value == Fraction(
+        int(exact.sum()), trials
+    )
+    if sigma == -300.0 and x == 1:
+        # each S(y) has the sign of its last nonzero term: all primes positive
+        assert exact.sum() == 1
 
 
 def test_exact_probability_completely_mult_mode():

@@ -136,7 +136,7 @@ def test_trajectory_within_err_bound_of_exact_prefix_sums(sigma, mode):
         assert abs(value - math.fsum(terms[:y])) <= t.summation_error_bound, y
 
 
-@pytest.mark.parametrize("sigma", [0.5001, 0.51, 0.6, 0.75, 1.0, 3.0])
+@pytest.mark.parametrize("sigma", [0.5001, 0.51, 0.6, 0.75, 1.0, 3.0, -1.0, -3.0])
 def test_power_weights_within_allowance_against_mpmath(sigma):
     # all n < 2000, a geometric grid to 10^8 and 1000 random n <= 10^8
     rng = np.random.default_rng(0)
