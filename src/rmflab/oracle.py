@@ -117,7 +117,7 @@ def _enumeration_base(n_max: int):
 
 
 def _index_bits(idx: np.ndarray, ranks: int) -> np.ndarray:
-    """Sign bits of assignments idx: bit r of idx is the prime of rank r."""
+    """Sign bits of assignments idx: bit r set gives the prime of rank r -1."""
     return ((idx[:, None] >> np.arange(ranks)) & 1).astype(np.uint8)
 
 
