@@ -217,9 +217,52 @@ def test_chebyshev_ratio_sweep(primes_ten_million):
 
 
 def test_zeta_special_values():
-    assert zeta(2.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
-    assert zeta(4.0) == pytest.approx(math.pi**4 / 90.0, abs=1e-10)
+    with mp.workdps(40):
+        assert zeta(2.0) == pytest.approx(float(mp.pi**2 / 6), rel=1e-15)
+        assert zeta(4.0) == pytest.approx(float(mp.pi**4 / 90), rel=1e-15)
     assert 1.0 < zeta(20.0) < 1.0 + 2.0 * 2.0**-20 + 1e-6
+
+
+# Stieltjes constants gamma_0, gamma_1, gamma_2 to 50 digits:
+# zeta(1 + e) = 1/e + gamma_0 - gamma_1 e + gamma_2 e^2 / 2 - ...
+_STIELTJES = (
+    "0.57721566490153286060651209008240243104215933593992",
+    "-0.072815845483676724860586375874901319137736338334338",
+    "-0.0096903631928723184845303860352125293590658061013408",
+)
+
+
+@pytest.mark.parametrize("s", [1.001, 1.0002])
+def test_zeta_laurent_series_near_one(s):
+    # the next term, gamma_3 e^3 / 6 with gamma_3 < 0.0021, is below
+    # 3.5e-16 of zeta(s) at e = 1e-3
+    with mp.workdps(40):
+        g0, g1, g2 = (mp.mpf(g) for g in _STIELTJES)
+        e = mp.mpf(s) - 1
+        ref = float(1 / e + g0 - g1 * e + g2 * e**2 / 2)
+    assert zeta(s) == pytest.approx(ref, rel=2e-15)
+
+
+# repr of zeta(s) and prime_zeta(s), pinned bitwise from s = 1 + 2e-4 to 1e300
+_ZETA_GOLDEN = [
+    (1.0002, "5000.577230228428", "8.20174120472912"),
+    (1.001, "1000.5772884760116", "6.593368133356785"),
+    (1.01, "100.57794333849678", "4.302651485932175"),
+    (1.1, "10.584448464950801", "2.1088436903320917"),
+    (1.5, "2.612375348685488", "0.8495626836215664"),
+    (2.0, "1.6449340668482264", "0.4522474200410655"),
+    (3.0, "1.2020569031595942", "0.17476263929944352"),
+    (10.0, "1.000994575127818", "0.00099360357443698"),
+    (64.0, "1.0", "5.421010862456646e-20"),
+    (64.5, "1.0", "3.8332335417252494e-20"),
+    (130.7, "1.0", "4.522510321666812e-40"),
+    (1e300, "1.0", "0.0"),
+]
+
+
+@pytest.mark.parametrize("s, zeta_repr, prime_zeta_repr", _ZETA_GOLDEN)
+def test_zeta_and_prime_zeta_golden(s, zeta_repr, prime_zeta_repr):
+    assert (repr(zeta(s)), repr(prime_zeta(s))) == (zeta_repr, prime_zeta_repr)
 
 
 def test_zeta_against_mpmath_grid():
@@ -240,7 +283,9 @@ def test_mobius_small_values():
 
 
 def test_prime_zeta_known_value():
-    assert prime_zeta(2.0) == pytest.approx(0.45224742004106549, abs=1e-10)
+    # published decimals of P(2) and P(3): OEIS A085548 and A085541
+    assert prime_zeta(2.0) == pytest.approx(0.45224742004106549851, rel=1e-15)
+    assert prime_zeta(3.0) == pytest.approx(0.17476263929944353642, rel=1e-15)
 
 
 def test_prime_zeta_identity_vs_direct_sum(primes_ten_million):
