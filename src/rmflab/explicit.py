@@ -8,9 +8,9 @@ empirical witnesses on finite grids and reports margins, it never claims
 universal constants.  Analytic tail remainders are returned as explicit
 intervals, not folded into point values.
 
-Also here: Mertens and Chebyshev prime sums, the Riemann zeta function via
-Euler-Maclaurin with a certified truncation bound, and the prime zeta
-function P(s) = sum_p p^-s through the Moebius identity
+Also here: Mertens and Chebyshev prime sums, the Riemann zeta function
+from mpmath (Borwein's algorithm, which has an a-priori error bound), and
+the prime zeta function P(s) = sum_p p^-s through the Moebius identity
 P(s) = sum_k mu(k)/k * log zeta(k s).
 """
 
@@ -312,66 +312,13 @@ def chebyshev_sum(
 # ---------------------------------------------------------------------------
 # zeta and prime zeta
 
-_BERNOULLI_2K = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-)
-_EM_TERMS = len(_BERNOULLI_2K)  # 8 correction terms, remainder via the 9th
-_B18 = Fraction(43867, 798)
-
-
-def _zeta_em(s, n_cut: int):
-    """Euler-Maclaurin partial: value and the magnitude of the 9th term."""
-    value = mp.fsum(mp.power(n, -s) for n in range(1, n_cut))
-    value += mp.power(n_cut, 1 - s) / (s - 1) + mp.power(n_cut, -s) / 2
-    rising = mp.mpf(1)
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        rising *= s + (2 * k - 2)
-        value += (
-            mp.mpf(b2k.numerator)
-            / b2k.denominator
-            / mp.factorial(2 * k)
-            * rising
-            * mp.power(n_cut, -s - 2 * k + 1)
-        )
-        rising *= s + (2 * k - 1)
-    k = _EM_TERMS + 1
-    rising *= s + (2 * k - 2)
-    omitted = abs(
-        mp.mpf(_B18.numerator)
-        / _B18.denominator
-        / mp.factorial(2 * k)
-        * rising
-        * mp.power(n_cut, -s - 2 * k + 1)
-    )
-    return value, omitted
-
-
-def _zeta_mp(s) -> mp.mpf:
-    """zeta(s) for real s > 1 with truncation certified below 1e-13 relative."""
-    s = mp.mpf(s)
-    n_cut = 16
-    while True:
-        value, omitted = _zeta_em(s, n_cut)
-        # for real s > 0 the Euler-Maclaurin remainder is bounded by the
-        # first omitted correction term
-        if omitted <= 1e-14 * value:
-            return value
-        n_cut *= 2
-
 
 def zeta(s: float) -> float:
-    """Riemann zeta for real s > 1 by Euler-Maclaurin, 8 correction terms."""
+    """Riemann zeta for real s > 1, from mpmath (Borwein's algorithm) at 40 digits."""
     if not (math.isfinite(s) and s > 1):
         raise DomainError(f"zeta evaluated only for finite s > 1, got {s}")
     with mp.workdps(40):
-        return float(_zeta_mp(s))
+        return float(mp.zeta(s))
 
 
 def mobius(k: int) -> int:
@@ -382,9 +329,13 @@ def mobius(k: int) -> int:
 
 
 def _log_zeta(y) -> mp.mpf:
-    """log zeta(y); for large y a short direct series with negligible tail."""
+    """log zeta(y); for y > 64 a short direct series with negligible tail.
+
+    At 40 digits zeta(y) rounds to 1 + O(2^-y) and its log would lose the
+    2^-y part, so large y sums log1p(2^-y + ... + 7^-y) instead.
+    """
     if y <= 64:
-        return mp.log(_zeta_mp(y))
+        return mp.log(mp.zeta(y))
     tail = mp.mpf(0)
     for n in range(2, 8):
         tail += mp.power(n, -y)
