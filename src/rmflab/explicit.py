@@ -26,7 +26,13 @@ import numpy as np
 
 from .accum import power_weights
 from .errors import DomainError, FitError
-from .sieve import arith_signature, iter_blocks, primes_up_to, sieve_block_tables
+from .sieve import (
+    SIEVE_TERM_LIMIT,
+    arith_signature,
+    iter_blocks,
+    primes_up_to,
+    sieve_block_tables,
+)
 
 #: Conservative default envelope constants (c3, c5); desk-grid sanity only,
 #: replace with fit_lemma31_constants output for tighter tail intervals.
@@ -35,10 +41,6 @@ DEFAULT_ENVELOPE = (10.0, 1.0)
 #: Default Chebyshev constant: theta(x) <= 1.04 x on the classical
 #: explicitly-verified range.
 DEFAULT_CHEBYSHEV_C2 = 1.04
-
-#: Most integers one sieve walk may cover (a few minutes at about 2 s per
-#: 10^7); like the oracle's 2^24 assignment budget, larger inputs are refused.
-SIEVE_TERM_LIMIT = 10**9
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ PRIME_CACHE_MAGIC = b"RMFPRIM1"
 #: Default segment width; bounds working memory at O(sqrt(N) + block).
 DEFAULT_BLOCK = 1 << 16
 
+#: Most integers one sieve may cover (a few minutes at about 2 s per 10^7
+#: for a block walk, 1 GB of flags for primes_up_to); like the oracle's
+#: 2^24 assignment budget, larger inputs are refused.
+SIEVE_TERM_LIMIT = 10**9
+
 
 @dataclass(frozen=True)
 class PrimeList:
@@ -62,6 +67,8 @@ def primes_up_to(n: int) -> PrimeList:
     """All primes <= n via a classic odd-only sieve of Eratosthenes."""
     if n < 0:
         raise DomainError(f"negative sieve limit {n}")
+    if n > SIEVE_TERM_LIMIT:
+        raise DomainError(f"{n} exceeds the sieve term budget of {SIEVE_TERM_LIMIT}")
     if n < 2:
         return PrimeList(n, np.empty(0, dtype=np.int64))
     flags = np.ones(n + 1, dtype=bool)

@@ -245,10 +245,18 @@ def test_value_beyond_float64_exit_3(argv):
         ("nt", "tail", "--x", "1000", "--m", "5", "--sigma", "0.6",
          "--cutoff", "1e13"),
         ("nt", "tsum", "--x", "1e13", "--m", "3"),
+        ("sieve", "primes", "--nmax", "20000000000"),
+        ("mc", "positivity", "--sigma", "0.6", "--nmax", "20000000000",
+         "--trials", "10"),
+        ("series", "trajectory", "--sigma", "0.6", "--nmax", "20000000000"),
+        ("nt", "mertens", "--x", "2e10"),
+        ("mc", "prime-tail", "--sigma", "0.6", "--lambda", "1",
+         "--pmax", "20000000000", "--trials", "10"),
     ],
 )
 def test_sieve_walk_beyond_term_budget_exit_3(argv):
-    # each ran for days before the walk had a budget
+    # the walks ran for days, and the prime sieves asked for 18.6 GiB of
+    # flags, before primes_up_to and the walk had a budget
     code, out, err = run_cli(*argv, "--seed", "1")
     assert (code, out) == (3, "")
     rec = ResultRecord.from_json_line(err.strip())
