@@ -3,8 +3,9 @@
 Every run emits machine-readable ResultRecords (JSON lines with sorted
 keys, or RFC-4180 CSV) embedding the fully resolved configuration and the
 master seed, so any record can be replayed (bitwise on one numpy build).
-Exit codes: 0 on success, 2 on usage errors, 3 on domain errors; errors
-are themselves structured records on stderr.
+Exit codes: 0 on success, 2 on usage errors, 3 on domain errors and
+unwritable output paths; errors are themselves structured records on
+stderr.
 """
 
 from __future__ import annotations
@@ -761,7 +762,28 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     start = time.perf_counter()
     try:
         values = args._handler(args, config)
-    except RmfLabError as exc:
+        wall_ms = int((time.perf_counter() - start) * 1000)
+        ci = None
+        if "ci_low" in values and "ci_high" in values:
+            ci = [values["ci_low"], values["ci_high"]]
+        record = ResultRecord(
+            schema_version=SCHEMA_VERSION,
+            command=config.command,
+            params=params,
+            seed=seed,
+            values=values,
+            ci=ci,
+            wall_time_ms=wall_ms,
+        )
+        text = emit(record, config.output_format)
+        if config.output_path:
+            with open(config.output_path, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            stdout.write(text)
+    except (RmfLabError, OSError) as exc:
+        # an unwritable --output, --cache or --dump-trials path is the
+        # caller's input, so it ends like a domain error
         error_record = ResultRecord(
             schema_version=SCHEMA_VERSION,
             command=config.command,
@@ -771,25 +793,6 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         )
         stderr.write(emit(error_record, "jsonl"))
         return 3
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    ci = None
-    if "ci_low" in values and "ci_high" in values:
-        ci = [values["ci_low"], values["ci_high"]]
-    record = ResultRecord(
-        schema_version=SCHEMA_VERSION,
-        command=config.command,
-        params=params,
-        seed=seed,
-        values=values,
-        ci=ci,
-        wall_time_ms=wall_ms,
-    )
-    text = emit(record, config.output_format)
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
     return 0
 
 

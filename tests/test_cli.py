@@ -268,6 +268,26 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+@pytest.mark.parametrize("leaf", ["nope/x", ""])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("nt", "zeta", "--s", "2"), "--output"),
+        (("sieve", "primes", "--nmax", "100"), "--cache"),
+        (("mc", "positivity", "--sigma", "0.6", "--nmax", "100",
+          "--trials", "10"), "--dump-trials"),
+    ],
+)
+def test_unwritable_output_path_exit_3(tmp_path, argv, flag, leaf):
+    # a path in a missing directory, or a directory itself
+    path = str(tmp_path / leaf) if leaf else str(tmp_path)
+    code, out, err = run_cli(*argv, flag, path, "--seed", "1")
+    assert (code, out) == (3, "")
+    rec = json.loads(err.strip(), parse_constant=_reject_constant)
+    assert rec["values"]["error"] in {"FileNotFoundError", "IsADirectoryError"}
+
+
+
 @pytest.mark.parametrize(
     "argv, key, echoed",
     [
