@@ -38,7 +38,14 @@ import numpy as np
 from .accum import power_weights
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
-from .series import Trajectory, check_sigma, scanner, trial_batches, walk_blocks
+from .series import (
+    Trajectory,
+    band_outcomes,
+    check_sigma,
+    scanner,
+    trial_batches,
+    walk_blocks,
+)
 from .sieve import primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
@@ -178,10 +185,7 @@ def _outcomes(bits, base, n_max, mode, sigma, x, trials, threads=1):
 
     scan = scanner(trials, scan_min)
     band = walk_blocks(bits, base, n_max, mode, sigma, scan, trials, threads)
-    outcomes = np.full(trials, 2, dtype=np.int8)
-    outcomes[lowest > band] = 1
-    outcomes[lowest < -band] = 0
-    return outcomes
+    return band_outcomes(lowest, band)
 
 
 def exact_probability(

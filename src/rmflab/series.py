@@ -220,13 +220,22 @@ def positivity_check(t: Trajectory, x: int) -> Positivity:
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     start = int(np.searchsorted(t.ys, x, side="right"))
-    lowest = float(t.values[start:].min())
-    band = t.summation_error_bound
-    if lowest > band:
-        return Positivity.POSITIVE
-    if lowest < -band:
-        return Positivity.NOT_POSITIVE
-    return Positivity.INDETERMINATE
+    outcome = band_outcomes(t.values[start:].min(), t.summation_error_bound)
+    verdicts = (Positivity.NOT_POSITIVE, Positivity.POSITIVE, Positivity.INDETERMINATE)
+    return verdicts[int(outcome)]
+
+
+def band_outcomes(lowest, band: float) -> np.ndarray:
+    """Per lowest sum 1 passed (> band), 0 failed (< -band) or 2 undecided.
+
+    A value inside [-band, band], or a NaN value or band, stays undecided,
+    so rounding never decides an outcome.
+    """
+    lowest = np.asarray(lowest, dtype=np.float64)
+    outcomes = np.full(lowest.shape, 2, dtype=np.int8)
+    outcomes[lowest > band] = 1
+    outcomes[lowest < -band] = 0
+    return outcomes
 
 
 def _prime_terms(a: SignAssignment, sigma: float, p_max: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from rmflab.errors import DomainError
 from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
 from rmflab.series import (
     Positivity,
+    band_outcomes,
     euler_product_partial,
     log_decomposition,
     partial_sum_trajectory,
@@ -60,6 +61,13 @@ def test_positivity_check_preconditions(assignment_factory):
     t = partial_sum_trajectory(a, 1.0, 50)
     with pytest.raises(DomainError):
         positivity_check(t, 50)
+
+
+def test_band_outcomes_decide_only_outside_the_band():
+    lowest = [0.5, -0.5, 0.1, -0.1, 0.0, math.nan, math.inf, -math.inf]
+    assert band_outcomes(lowest, 0.1).tolist() == [1, 0, 2, 2, 2, 2, 1, 0]
+    assert band_outcomes([0.5, -0.5], math.nan).tolist() == [2, 2]
+    assert int(band_outcomes(0.5, 0.1)) == 1
 
 
 def test_exactness_small_inputs_sigma_one():
