@@ -96,10 +96,6 @@ class RegimeParams:
     log_x: float
     x_is_finite_representable: bool
 
-    @property
-    def log_log_x(self) -> float:
-        return math.log(self.log_x)
-
 
 def regime_from_sigma(sigma: float, theta: float, delta: float) -> RegimeParams:
     """Build the regime from sigma; theta = 1 is allowed as a boundary check."""
@@ -163,18 +159,23 @@ def _require_loglog(r: RegimeParams) -> float:
     return math.log(r.log_x)
 
 
+def _theorem1_exponent(r: RegimeParams) -> float:
+    """(1/2theta) (log x)^(2-2theta) / (log log x)^(1+2delta)."""
+    ll = _require_loglog(r)
+    return (
+        (1.0 / (2.0 * r.theta))
+        * r.log_x ** (2.0 - 2.0 * r.theta)
+        / ll ** (1.0 + 2.0 * r.delta)
+    )
+
+
 def theorem1_lower_bound(r: RegimeParams) -> BoundReport:
     """1 - exp(-(1/2theta) (log x)^(2-2theta) / (log log x)^(1+2delta)).
 
     Lower bound on the probability that the partial sums stay positive
     beyond the regime's horizon.  The exponent is reported in extras.
     """
-    ll = _require_loglog(r)
-    exponent = (
-        (1.0 / (2.0 * r.theta))
-        * r.log_x ** (2.0 - 2.0 * r.theta)
-        / ll ** (1.0 + 2.0 * r.delta)
-    )
+    exponent = _theorem1_exponent(r)
     value = -math.expm1(-exponent)
     if 0.0 < value < 1.0:
         log_value = math.log(value)
@@ -188,12 +189,7 @@ def theorem1_lower_bound(r: RegimeParams) -> BoundReport:
 
 def corollary_upper_bound(r: RegimeParams) -> BoundReport:
     """exp(-exponent): probability of some negative partial sum beyond x."""
-    ll = _require_loglog(r)
-    exponent = (
-        (1.0 / (2.0 * r.theta))
-        * r.log_x ** (2.0 - 2.0 * r.theta)
-        / ll ** (1.0 + 2.0 * r.delta)
-    )
+    exponent = _theorem1_exponent(r)
     return _report("corollary_upper_bound", -exponent, exponent=exponent)
 
 
