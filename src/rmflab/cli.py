@@ -114,12 +114,8 @@ def _mode_of(args) -> Mode:
 
 def _h_sieve_primes(args, ctx):
     cache = getattr(args, "cache", None)
-    if cache and os.path.exists(cache):
-        plist = sv.load_prime_cache(cache)
-        if plist.limit != args.nmax:
-            plist = sv.primes_up_to(args.nmax)
-            sv.save_prime_cache(cache, plist)
-    else:
+    plist = sv.load_prime_cache(cache) if cache and os.path.exists(cache) else None
+    if plist is None or plist.limit != args.nmax:
         plist = sv.primes_up_to(args.nmax)
         if cache:
             sv.save_prime_cache(cache, plist)
@@ -759,6 +755,11 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         output_format=args.format,
         output_path=args.output,
     )
+
+    def record(values, ci=None, wall_ms=0):
+        command = config.command
+        return ResultRecord(SCHEMA_VERSION, command, params, seed, values, ci, wall_ms)
+
     start = time.perf_counter()
     try:
         values = args._handler(args, config)
@@ -766,16 +767,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         ci = None
         if "ci_low" in values and "ci_high" in values:
             ci = [values["ci_low"], values["ci_high"]]
-        record = ResultRecord(
-            schema_version=SCHEMA_VERSION,
-            command=config.command,
-            params=params,
-            seed=seed,
-            values=values,
-            ci=ci,
-            wall_time_ms=wall_ms,
-        )
-        text = emit(record, config.output_format)
+        text = emit(record(values, ci, wall_ms), config.output_format)
         if config.output_path:
             with open(config.output_path, "w", newline="") as fh:
                 fh.write(text)
@@ -784,14 +776,8 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     except (RmfLabError, OSError) as exc:
         # an unwritable --output, --cache or --dump-trials path is the
         # caller's input, so it ends like a domain error
-        error_record = ResultRecord(
-            schema_version=SCHEMA_VERSION,
-            command=config.command,
-            params=params,
-            seed=seed,
-            values={"error": type(exc).__name__, "message": str(exc)},
-        )
-        stderr.write(emit(error_record, "jsonl"))
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        stderr.write(emit(record(error), "jsonl"))
         return 3
     return 0
 

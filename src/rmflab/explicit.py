@@ -316,7 +316,7 @@ def chebyshev_sum(
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for real s > 1, from mpmath (Borwein's algorithm) at 40 digits."""
+    """Riemann zeta for real s > 1: mpmath's zeta (Borwein) at 40 digits."""
     if not (math.isfinite(s) and s > 1):
         raise DomainError(f"zeta evaluated only for finite s > 1, got {s}")
     with mp.workdps(40):
@@ -338,9 +338,7 @@ def _log_zeta(y) -> mp.mpf:
     """
     if y <= 64:
         return mp.log(mp.zeta(y))
-    tail = mp.mpf(0)
-    for n in range(2, 8):
-        tail += mp.power(n, -y)
+    tail = sum(mp.power(n, -y) for n in range(2, 8))
     # remaining n >= 8 contribute < 2 * 8^-y < 2^-189, far below working prec
     return mp.log1p(tail)
 
@@ -357,8 +355,6 @@ def prime_zeta(s: float) -> float:
     with mp.workdps(40):
         acc = mp.mpf(0)
         for k in range(1, k_max + 1):
-            mu = mobius(k)
-            if mu == 0:
-                continue
-            acc += mp.mpf(mu) / k * _log_zeta(mp.mpf(k) * s)
+            if mu := mobius(k):
+                acc += mp.mpf(mu) / k * _log_zeta(mp.mpf(k) * s)
         return float(acc)
