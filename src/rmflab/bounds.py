@@ -7,8 +7,9 @@ space, materializes a linear value only when representable, and raises
 explicit overflow/underflow flags instead of silently saturating.
 
 Existential constants (the c_j family, kappa, epsilon, beta) live in a
-ConstantsLedger carrying value + provenance (FITTED / DEFAULT / USER);
-no number leaves this module without its provenance being recoverable.
+ConstantsLedger carrying value + provenance (FITTED / DEFAULT / USER).
+An evaluator given a ledger reads its constants there and records the
+ones it fits; a BoundReport carries values only.
 """
 
 from __future__ import annotations
