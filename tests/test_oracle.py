@@ -18,6 +18,7 @@ from rmflab.bounds import bh_rhs
 from rmflab.errors import DomainError, EnumerationLimitError
 from rmflab.oracle import (
     CertifiedValue,
+    EstimateWithCI,
     _certified_positive,
     _index_bits,
     _outcomes,
@@ -466,6 +467,18 @@ GOLDEN_SIGN_CHANGES = [
     ((0.6, 70_000, 200, 23, CM), (32.11, 13.092600717569727, 51.127399282430275)),
 ]
 
+GOLDEN_PRIME_TAIL = [
+    # (sigma, lambda, P, trials, seed, threads), (estimate, ci_low, ci_high)
+    ((0.6, 1.0, 100_000, 3000, 1, 1),
+     (0.216, 0.19728523535032316, 0.23596819960236776)),
+    ((0.75, 0.0, 1000, 5000, 2, 2),
+     (0.5024, 0.48419523789728686, 0.5205984010429707)),
+    ((0.6, 2.0, 1000, 4500, 3, 2),
+     (0.035555555555555556, 0.02910119506643751, 0.043377473406878274)),
+    ((0.75, 1.0, 100_000, 2000, 4, 1),
+     (0.154, 0.13435726305211546, 0.17593082057270534)),
+]
+
 GOLDEN_STREAM_F = {
     SF: "88ae182a58416c161d708070b1bd7d42348484b277527773b47ec9eea98e2918",
     CM: "909f4155b62db542d8d024866f2f5a0b0a3c685af6aae1dc28817ddde431f80c",
@@ -496,6 +509,15 @@ def test_golden_mc_sign_changes(args, expected):
     sigma, n_max, trials, seed, mode = args
     est = mc_sign_changes(sigma, n_max, trials, master_seed=seed, mode=mode)
     assert (est.estimate, est.ci_low, est.ci_high) == expected
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_PRIME_TAIL)
+def test_golden_mc_prime_tail(args, expected):
+    sigma, threshold, p_max, trials, seed, threads = args
+    est = mc_prime_tail(
+        sigma, threshold, p_max, trials, master_seed=seed, threads=threads
+    )
+    assert est == EstimateWithCI(*expected[:1], trials, *expected[1:], seed)
 
 
 @pytest.mark.parametrize("mode", [SF, CM])
