@@ -25,6 +25,9 @@ import numpy as np
 #: Unit roundoff of IEEE-754 binary64.
 EPS = 2.0**-53
 
+#: Smallest positive normal binary64; below it relative error bounds fail.
+TINY = 2.0**-1022
+
 #: Width of the column blocks that running_sums cumsums at a time.
 CHUNK = 1024
 
@@ -60,6 +63,28 @@ def power_weights(n, sigma: float) -> np.ndarray:
 def weight_allowance(sigma: float, n_max: int) -> float:
     """Relative error of power_weights(n, sigma) for n <= n_max, in EPS units."""
     return 2.0 * abs(sigma) * math.log(max(n_max, 2)) + 3.0
+
+
+def signed_sum_error_bound(k: int, total: float, sigma: float, n_max: int) -> float:
+    """Certified bound on |computed - exact| of total - 2 neg, in any order.
+
+    total is the fsum W of k power_weights n^-sigma, n <= n_max, and neg
+    the sum of some subset of them, formed in any order.  Every partial
+    sum of neg is a sum of positive weights, so whatever the order its
+    rounding is at most gamma_k W with gamma_k = k EPS / (1 - k EPS)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.1), and doubling neg doubles it.  Each weight is off by its
+    weight_allowance relative, which moves total - 2 neg by at most that
+    times W.  8 more EPS units of W cover the fsum, the subtraction and
+    the second-order terms.  A weight below the normal range can lose all
+    its relative accuracy, so each one adds TINY; an allowance too large
+    for float64 arises only when every weight underflows to 0, and then
+    the TINY terms alone apply.  Rounding is monotone, so a rounded
+    difference from a threshold beyond this band is exactly beyond it too.
+    """
+    gamma = k * EPS / (1.0 - k * EPS)
+    relative = 2.0 * gamma + (weight_allowance(sigma, n_max) + 8.0) * EPS
+    return (relative * total if total else 0.0) + k * TINY
 
 
 def series_error_bound(masses, sigma: float, n_max: int) -> float:

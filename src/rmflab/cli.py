@@ -200,6 +200,7 @@ def _h_oracle_positivity(args, ctx):
 
 
 def _h_oracle_moment(args, ctx):
+    orc.enumeration_base(args.nmax)  # refuse before building nmax coefficients
     coeffs = _exact_power_coeffs(args.nmax, args.exponent)
     value = orc.exact_moment(args.nmax, coeffs, args.m, args.absolute, _mode_of(args))
     return _exact_payload(value)
@@ -207,6 +208,11 @@ def _h_oracle_moment(args, ctx):
 
 def _exact_power_coeffs(n_max: int, exponent: float):
     if float(exponent).is_integer() and exponent >= 0:
+        if n_max > sv.SIEVE_TERM_LIMIT:
+            raise DomainError(
+                f"{n_max} coefficients exceed the sieve term budget of "
+                f"{sv.SIEVE_TERM_LIMIT}"
+            )
         e = int(exponent)
         return {n: Fraction(1, n**e) for n in range(1, n_max + 1)}
     return orc.power_coeffs(n_max, exponent)

@@ -35,7 +35,7 @@ from typing import Mapping
 import mpmath as mp
 import numpy as np
 
-from .accum import power_weights
+from .accum import power_weights, signed_sum_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
 from .series import (
@@ -46,7 +46,7 @@ from .series import (
     trial_batches,
     walk_blocks,
 )
-from .sieve import primes_up_to, sieve_block_tables
+from .sieve import SIEVE_TERM_LIMIT, primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
 _INTERVAL_SHIFT = 128
@@ -112,7 +112,7 @@ def wilson_interval(
 # exact enumeration machinery
 
 
-def _enumeration_base(n_max: int):
+def enumeration_base(n_max: int):
     """The primes <= n_max, refused past the enumeration budget."""
     base = primes_up_to(n_max)
     if len(base) > ENUMERATION_BIT_LIMIT:
@@ -208,7 +208,7 @@ def exact_probability(
         raise DomainError(f"x must lie in [0, n_max), got x={x}, n_max={n_max}")
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma}")
-    base = _enumeration_base(n_max)
+    base = enumeration_base(n_max)
     trials = 1 << len(base)
     with np.errstate(over="ignore", invalid="ignore"):  # inf weights: undecided
         outcomes = _outcomes(_index_bits, base, n_max, mode, sigma, x, trials)
@@ -249,6 +249,7 @@ def exact_moment(
         raise DomainError(f"moment order must be >= 0, got {m}")
     if not integer_order and m < 2:
         raise DomainError(f"non-integer moment order must be >= 2, got {m}")
+    base = enumeration_base(n_max)  # before any work on the coefficients
     table = {}
     for n, value in coeffs.items():
         if not 1 <= n <= n_max:
@@ -262,7 +263,6 @@ def exact_moment(
     scaled = np.array(
         [int(table.get(n, 0) * denom) for n in range(1, n_max + 1)], dtype=object
     )
-    base = _enumeration_base(n_max)
     total = 0 if integer_order else mp.mpf(0)
 
     def add(rows, lo, f, _):
@@ -387,9 +387,13 @@ def mc_positivity(
 
 
 def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
-    """Coefficient map a(n) = n^-exponent for n <= n_max."""
+    """Coefficient map a(n) = n^-exponent for n <= n_max <= SIEVE_TERM_LIMIT."""
     if not math.isfinite(exponent):
         raise DomainError(f"coefficient exponent must be finite, got {exponent}")
+    if n_max > SIEVE_TERM_LIMIT:
+        raise DomainError(
+            f"{n_max} coefficients exceed the sieve term budget of {SIEVE_TERM_LIMIT}"
+        )
     return {n: float(n) ** -exponent for n in range(1, n_max + 1)}
 
 
@@ -435,6 +439,21 @@ def mc_moment(
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 
 
+def _byte_sums(w: np.ndarray) -> np.ndarray:
+    """Table t[j, b]: the sum of w[8j + i] over the set bits i of byte b.
+
+    w is zero-padded to whole bytes; each entry adds its weights in
+    ascending i, one doubling of the table per bit.
+    """
+    padded = np.zeros((w.size + 7) // 8 * 8)
+    padded[: w.size] = w
+    padded = padded.reshape(-1, 8)
+    table = np.zeros((padded.shape[0], 256))
+    for i in range(8):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] + padded[:, i, None]
+    return table
+
+
 def mc_prime_tail(
     sigma: float,
     threshold: float,
@@ -444,7 +463,21 @@ def mc_prime_tail(
     level: float = 0.99,
     threads: int = 1,
 ) -> EstimateWithCI:
-    """Empirical P(sum_{p<=P} f(p) p^-sigma >= threshold)."""
+    """Empirical P(sum_{p<=P} f(p) p^-sigma >= threshold).
+
+    With W the fsum of the k = pi(P) weights p^-sigma and neg the sum of
+    those of the primes with sign -1, a trial's sum is v = W - 2 neg.  neg
+    comes from table lookups: the sign bits are packed eight ranks to a
+    byte, each byte picks from its row of the _byte_sums table the sum of
+    its weights over its set bits, and the picks are summed.  The order of
+    that summation is immaterial: accum.signed_sum_error_bound bounds the
+    rounding of v in any order by band = 2 gamma_k W + (weight_allowance
+    + 8) EPS W (+ k TINY for underflowed weights), gamma_k = k EPS / (1 -
+    k EPS).  A trial is a hit if v - threshold > band and a miss if it is
+    < -band; any other trial is INDETERMINATE: it counts as a miss in the
+    estimate and the lower limit, is reported, and widens the upper limit
+    as if it were a hit.
+    """
     _check_run(trials, level)
     if p_max < 2:
         raise DomainError(f"P must be >= 2, got {p_max}")
@@ -452,17 +485,26 @@ def mc_prime_tail(
     if math.isnan(threshold):
         raise DomainError("threshold lambda must not be NaN")
     plist = primes_up_to(p_max)
+    k = len(plist)
     w = power_weights(plist.primes, sigma)
     total = math.fsum(w.tolist())
-    hit = np.empty(trials, dtype=bool)
+    band = signed_sum_error_bound(k, total, sigma, p_max)
+    table = _byte_sums(w).ravel()
+    offsets = 256 * np.arange(table.size // 256)[:, None]
+    outcomes = np.empty(trials, dtype=np.int8)
 
-    def hits(batch) -> None:
-        bits = batch_neg_bits(master_seed, np.arange(*batch), len(plist))
-        hit[slice(*batch)] = (total - 2.0 * (bits.astype(np.float64) @ w)) >= threshold
+    def decide(batch) -> None:
+        bits = batch_neg_bits(master_seed, np.arange(*batch), k)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        del bits  # free the unpacked bits before the lookup's temporaries
+        # byte-major, so each byte's table row stays in cache for the batch
+        neg = table[np.add(packed.T, offsets, order="C")].sum(axis=0)
+        outcomes[slice(*batch)] = band_outcomes(total - 2.0 * neg - threshold, band)
 
-    with trial_batches(trials, len(plist), threads, floor=256) as each_batch:
-        each_batch(hits)
-    return _proportion(int(np.count_nonzero(hit)), trials, master_seed, level)
+    with trial_batches(trials, k, threads, floor=256) as each_batch:
+        each_batch(decide)
+    hits, undecided = (int(np.count_nonzero(outcomes == o)) for o in (1, 2))
+    return _proportion(hits, trials, master_seed, level, undecided)
 
 
 def sign_changes(t: Trajectory) -> int:

@@ -5,10 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab.cli import ResultRecord, dispatch, emit
 from rmflab.oracle import exact_moment
@@ -335,6 +338,56 @@ def test_enumeration_refusal_exit_3():
     code, _, err = run_cli("oracle", "positivity", "--nmax", "97", "--sigma", "1")
     assert code == 3
     assert "EnumerationLimitError" in err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("mc", "moment", "--nmax", "20000000000", "--m", "4", "--trials", "10"),
+         "DomainError"),
+        (("oracle", "moment", "--nmax", "3000000", "--m", "4"),
+         "EnumerationLimitError"),
+    ],
+)
+def test_coefficient_map_refused_before_it_is_built(argv, error):
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    rec = json.loads(err.strip(), parse_constant=_reject_constant)
+    assert rec["values"]["error"] == error
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.floats(min_value=5e-324, max_value=1e308),
+    threshold=st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([math.inf, -math.inf, 1e308, -1e308, 0.0]),
+    ),
+    p_max=st.integers(2, 10**5),
+    trials=st.integers(1, 3000),
+    threads=st.sampled_from([1, 2]),
+)
+def test_mc_prime_tail_argv_ends_in_a_strict_record(
+    sigma, threshold, p_max, trials, threads
+):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "mc", "prime-tail", f"--sigma={sigma!r}", f"--lambda={threshold!r}",
+        "--pmax", str(p_max), "--trials", str(trials), "--threads", str(threads),
+        "--seed", "7",
+    )
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 3)
+    rec = json.loads((out or err).strip(), parse_constant=_reject_constant)
+    if code == 3:
+        return
+    values = rec["values"]
+    numbers = [v for v in values.values() if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in numbers)
+    assert 0 <= values["n_indeterminate"] <= trials == values["trials"]
+    assert values["ci_low"] <= values["estimate"] <= values["ci_high"]
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -33,7 +33,7 @@ from rmflab.oracle import (
     sign_changes,
     wilson_interval,
 )
-from rmflab.sampler import Mode, batch_f, sample_signs, stream_f
+from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
 from rmflab.series import Trajectory, partial_sum_trajectory, positivity_check
 from rmflab.sieve import primes_up_to, sieve_block_tables
 
@@ -280,6 +280,36 @@ def test_mc_prime_tail_unreachable_threshold():
     assert total < 1000.0  # the sum is bounded by ~a few hundred here
     est = mc_prime_tail(0.75, 1000.0, 100_000, 2000, master_seed=3)
     assert est.estimate == 0.0
+
+
+@pytest.mark.parametrize("seed, sigma", [(1, 0.6), (2, 0.75), (3, 0.9)])
+def test_mc_prime_tail_decisions_sound_against_mpmath(seed, sigma):
+    # every trial's V_t = sum f(p) p^-sigma over the 168 primes <= 1000, at
+    # 50 digits: hits may only undercount, and hits + INDETERMINATE only
+    # overcount, the trials with V_t >= lambda
+    trials, primes = 3000, primes_up_to(1000).primes.tolist()
+    bits = batch_neg_bits(seed, np.arange(trials), len(primes)).tolist()
+    with mp.workdps(50):
+        w = [mp.power(p, -sigma) for p in primes]
+        exact = [mp.fsum(-x if b else x for x, b in zip(w, row)) for row in bits]
+    # thresholds at trials' own values sit inside the band of those trials
+    own = [float(exact[t]) for t in range(0, trials, 250)]
+    for threshold in [0.0, 1.0, -1.5, 2.5, *own]:
+        est = mc_prime_tail(sigma, threshold, 1000, trials, master_seed=seed)
+        hits = round(est.estimate * trials)
+        above = sum(v >= threshold for v in exact)
+        assert hits <= above <= hits + est.n_indeterminate
+        if threshold in own:
+            assert est.n_indeterminate >= 1
+
+
+def test_mc_prime_tail_underflowed_weights_decide_only_far_thresholds():
+    # at sigma = 1e308 every weight underflows to 0 and the allowance
+    # overflows; |V_t| < 2^-1000 is undecidable at 0 but surely below 1
+    below = mc_prime_tail(1e308, 1.0, 1000, 50, master_seed=1)
+    assert (below.estimate, below.n_indeterminate) == (0.0, 0)
+    at_zero = mc_prime_tail(1e308, 0.0, 1000, 50, master_seed=1)
+    assert (at_zero.estimate, at_zero.n_indeterminate) == (0.0, 50)
 
 
 def test_sign_changes_synthetic():
