@@ -5,6 +5,8 @@ positivity predicate must never be decided by rounding noise.  Every
 prefix sum is formed by running_sums, in one fixed order, and
 series_error_bound turns the per-chunk L1 masses of the terms into a
 rigorous (if conservative) bound on the rounding error of that order.
+signed_sum_error_bound bounds a signed sum of weights formed in any
+order, so the kernel that forms it may change without moving a verdict.
 
 Every weight n^-sigma comes from power_weights as exp(-sigma log n),
 evaluated by numpy's vectorized (SIMD) log and exp rather than libm.  The

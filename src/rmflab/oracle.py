@@ -495,10 +495,13 @@ def mc_prime_tail(
 
     def decide(batch) -> None:
         bits = batch_neg_bits(master_seed, np.arange(*batch), k)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        del bits  # free the unpacked bits before the lookup's temporaries
-        # byte-major, so each byte's table row stays in cache for the batch
-        neg = table[np.add(packed.T, offsets, order="C")].sum(axis=0)
+        # byte-major: row j holds byte j of every trial
+        packed = np.packbits(bits, axis=1, bitorder="little").T.copy()
+        del bits  # eight times the size of packed
+        neg = np.zeros(packed.shape[1])
+        # 64 table rows (128 KB) and their lookups at a time stay in cache
+        for j in range(0, packed.shape[0], 64):
+            neg += table[packed[j : j + 64] + offsets[j : j + 64]].sum(axis=0)
         outcomes[slice(*batch)] = band_outcomes(total - 2.0 * neg - threshold, band)
 
     with trial_batches(trials, k, threads, floor=256) as each_batch:

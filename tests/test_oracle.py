@@ -19,6 +19,7 @@ from rmflab.errors import DomainError, EnumerationLimitError
 from rmflab.oracle import (
     CertifiedValue,
     EstimateWithCI,
+    _byte_sums,
     _certified_positive,
     _index_bits,
     _outcomes,
@@ -301,6 +302,18 @@ def test_mc_prime_tail_decisions_sound_against_mpmath(seed, sigma):
         assert hits <= above <= hits + est.n_indeterminate
         if threshold in own:
             assert est.n_indeterminate >= 1
+
+
+def test_byte_sums_add_each_bytes_weights_in_ascending_rank():
+    w = np.random.default_rng(5).random(19)  # not a whole number of bytes
+    table = _byte_sums(w)
+    assert table.shape == (3, 256)
+    for j, b in itertools.product(range(3), range(256)):
+        ranks = [8 * j + i for i in range(8) if b >> i & 1 and 8 * j + i < w.size]
+        expected = 0.0
+        for r in ranks:
+            expected += w[r]
+        assert table[j, b] == expected
 
 
 def test_mc_prime_tail_underflowed_weights_decide_only_far_thresholds():
