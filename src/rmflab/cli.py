@@ -208,13 +208,8 @@ def _h_oracle_moment(args, ctx):
 
 def _exact_power_coeffs(n_max: int, exponent: float):
     if float(exponent).is_integer() and exponent >= 0:
-        if n_max > sv.SIEVE_TERM_LIMIT:
-            raise DomainError(
-                f"{n_max} coefficients exceed the sieve term budget of "
-                f"{sv.SIEVE_TERM_LIMIT}"
-            )
         e = int(exponent)
-        return {n: Fraction(1, n**e) for n in range(1, n_max + 1)}
+        return {n: Fraction(1, n**e) for n in orc.coefficient_indices(n_max)}
     return orc.power_coeffs(n_max, exponent)
 
 

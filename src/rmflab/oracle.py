@@ -386,15 +386,20 @@ def mc_positivity(
     return _proportion(passed, trials, master_seed, level, undecided)
 
 
-def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
-    """Coefficient map a(n) = n^-exponent for n <= n_max <= SIEVE_TERM_LIMIT."""
-    if not math.isfinite(exponent):
-        raise DomainError(f"coefficient exponent must be finite, got {exponent}")
+def coefficient_indices(n_max: int) -> range:
+    """1..n_max, the indices of a coefficient map, within the sieve term budget."""
     if n_max > SIEVE_TERM_LIMIT:
         raise DomainError(
             f"{n_max} coefficients exceed the sieve term budget of {SIEVE_TERM_LIMIT}"
         )
-    return {n: float(n) ** -exponent for n in range(1, n_max + 1)}
+    return range(1, n_max + 1)
+
+
+def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
+    """Coefficient map a(n) = n^-exponent for n <= n_max."""
+    if not math.isfinite(exponent):
+        raise DomainError(f"coefficient exponent must be finite, got {exponent}")
+    return {n: float(n) ** -exponent for n in coefficient_indices(n_max)}
 
 
 def mc_moment(

@@ -347,6 +347,7 @@ def test_enumeration_refusal_exit_3():
          "DomainError"),
         (("oracle", "moment", "--nmax", "3000000", "--m", "4"),
          "EnumerationLimitError"),
+        (("bounds", "bh-rhs", "--nmax", "20000000000", "--m", "4"), "DomainError"),
     ],
 )
 def test_coefficient_map_refused_before_it_is_built(argv, error):
