@@ -11,8 +11,9 @@ Ground truths like 7/8 come out as actual fractions.
 
 Monte Carlo estimators share the sign construction of the sampler module,
 and one walk, series.walk_blocks, feeds every scan over n: it sieves each
-2^16 block of [1, n_max] once and hands each trial batch its f there, so
-memory is bounded by batch x sieve block whatever n_max is.  Estimators
+2^16 block of [1, n_max] once and hands each trial batch its f there, one
+row per integer and one column per trial, so memory is bounded by sieve
+block x batch whatever n_max is.  Estimators reduce down those rows and
 carry per-trial state (running sum, minimum, last sign and flip count,
 linear sum) between blocks, and batches depend on a cell budget alone, so
 the estimate for a given (seed, trials) is identical for any thread
@@ -46,9 +47,14 @@ from .series import (
     trial_batches,
     walk_blocks,
 )
-from .sieve import SIEVE_TERM_LIMIT, primes_up_to, sieve_block_tables
+from .sieve import primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
+
+#: Most entries of a coefficient map {n: a(n)}: a dict of 10^7 floats takes
+#: about 1 GB, a seventh of a 7 GB machine, so larger maps are refused.
+COEFFICIENT_LIMIT = 10**7
+
 _INTERVAL_SHIFT = 128
 
 
@@ -179,9 +185,9 @@ def _outcomes(bits, base, n_max, mode, sigma, x, trials, threads=1):
     lowest = np.full(trials, np.inf)
 
     def scan_min(rows, y, sums):
-        skip = max(0, x + 1 - y)  # column j holds S_sigma(y + j)
-        if skip < sums.shape[1]:
-            lowest[rows] = np.minimum(lowest[rows], sums[:, skip:].min(axis=1))
+        skip = max(0, x + 1 - y)  # row j holds S_sigma(y + j)
+        if skip < sums.shape[0]:
+            lowest[rows] = np.minimum(lowest[rows], sums[skip:].min(axis=0))
 
     scan = scanner(trials, scan_min)
     band = walk_blocks(bits, base, n_max, mode, sigma, scan, trials, threads)
@@ -218,7 +224,7 @@ def exact_probability(
         tables = sieve_block_tables(1, n_max, base)
         f = batch_f(_index_bits(undecided, len(base)), tables, base, mode)
         brackets = _scaled_weights(n_max, sigma)
-        for row, i in zip(f.tolist(), undecided.tolist()):
+        for row, i in zip(f.T.tolist(), undecided.tolist()):
             positives += _certified_positive(row, brackets, x, i)
     return ExactResult(Fraction(positives, trials), len(base))
 
@@ -267,7 +273,7 @@ def exact_moment(
 
     def add(rows, lo, f, _):
         nonlocal total
-        for s in (f.astype(object) @ scaled[lo - 1 : lo - 1 + f.shape[1]]).tolist():
+        for s in (scaled[lo - 1 : lo - 1 + f.shape[0]] @ f.astype(object)).tolist():
             if integer_order:
                 total += (abs(s) if absolute else s) ** int(m)
             else:
@@ -387,10 +393,10 @@ def mc_positivity(
 
 
 def coefficient_indices(n_max: int) -> range:
-    """1..n_max, the indices of a coefficient map, within the sieve term budget."""
-    if n_max > SIEVE_TERM_LIMIT:
+    """1..n_max, the indices of a coefficient map, within COEFFICIENT_LIMIT."""
+    if n_max > COEFFICIENT_LIMIT:
         raise DomainError(
-            f"{n_max} coefficients exceed the sieve term budget of {SIEVE_TERM_LIMIT}"
+            f"{n_max} coefficients exceed the budget of {COEFFICIENT_LIMIT}"
         )
     return range(1, n_max + 1)
 
@@ -436,8 +442,7 @@ def mc_moment(
 
     def add(rows, lo, f, _):
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
-        a = vec[lo - 1 : lo - 1 + f.shape[1]]
-        sums[rows] += a @ f.T.astype(np.float64, order="C")
+        sums[rows] += vec[lo - 1 : lo - 1 + f.shape[0]] @ f.astype(np.float64)
 
     walk_blocks(*_seeded(master_seed, n_max), n_max, mode, None, add, trials, threads)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
@@ -525,6 +530,34 @@ def sign_changes(t: Trajectory) -> int:
     return int(np.count_nonzero(nonzero[1:] * nonzero[:-1] < 0.0))
 
 
+def _count_flips(last, sums):
+    """Sign flips down each column of sums, and the last nonzero signs.
+
+    last is (1, trials) int8, the last nonzero sign of each trial before
+    sums, 0 if none; sums is (rows, trials) and is overwritten.  A flip is
+    a pair of nonzero sums of opposite sign with only exact zeros between
+    them.  Returns the flips per trial and the new last, (1, trials).  Only
+    where a column holds an exact zero can the raw adjacent signs miss a
+    flip, so only those trials get the zero fill.
+    """
+    s = np.empty((sums.shape[0] + 1, sums.shape[1]), dtype=np.int8)
+    s[:1] = last
+    # astype first: a float64 -> int8 slice assignment is far slower
+    s[1:] = np.sign(sums, out=sums).astype(np.int8)
+    flips = np.count_nonzero(s[1:] * s[:-1] < 0, axis=0)
+    zeros = np.flatnonzero((s[1:] == 0).any(axis=0))
+    if zeros.size:
+        # fill each zero with the last nonzero sign before it: a flip is then
+        # a pair of adjacent filled signs of opposite sign
+        z = s[:, zeros]
+        source = np.where(z != 0, np.arange(z.shape[0], dtype=np.int16)[:, None], 0)
+        np.maximum.accumulate(source, axis=0, out=source)
+        z = np.take_along_axis(z, source, axis=0)
+        flips[zeros] = np.count_nonzero(z[1:] * z[:-1] < 0, axis=0)
+        s[-1, zeros] = z[-1]
+    return flips, s[-1:]
+
+
 def mc_sign_changes(
     sigma: float,
     n_max: int,
@@ -537,22 +570,12 @@ def mc_sign_changes(
     """Mean number of sign changes of S_sigma over [1, n_max] per trial."""
     _check_run(trials, level)
     check_sigma(sigma)
-    last = np.zeros((trials, 1), dtype=np.int8)
+    last = np.zeros((1, trials), dtype=np.int8)
     flips = np.zeros(trials)
 
     def count(rows, y, sums):
-        # column 0 carries the last nonzero sign before the chunk, 0 if none
-        s = np.empty((sums.shape[0], sums.shape[1] + 1), dtype=np.int8)
-        s[:, :1] = last[rows]
-        # astype first: a float64 -> int8 slice assignment is far slower
-        s[:, 1:] = np.sign(sums, out=sums).astype(np.int8)
-        # fill each zero with the last nonzero sign before it: a flip is then
-        # a pair of adjacent filled signs of opposite sign
-        source = np.where(s != 0, np.arange(s.shape[1], dtype=np.int16), 0)
-        np.maximum.accumulate(source, axis=1, out=source)
-        s = np.take_along_axis(s, source, axis=1)
-        flips[rows] += np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
-        last[rows] = s[:, -1:]
+        counted, last[:, rows] = _count_flips(last[:, rows], sums)
+        flips[rows] += counted
 
     scan = scanner(trials, count)
     walk_blocks(*_seeded(master_seed, n_max), n_max, mode, sigma, scan, trials, threads)

@@ -190,37 +190,48 @@ def batch_f(
     """f(n) for every n in [tables.lo, tables.hi] under each row of sign bits.
 
     bits is (trials, len(base)) as from batch_neg_bits, and base must hold
-    every prime <= tables.hi.  Returns int8 of shape (trials, n), trial-major.
-    The parity of the negative primes dividing n follows the sieve: one
-    gather picks up the single cofactor prime above sqrt(hi), then each base
-    prime p <= sqrt(hi) XORs its bit column into the slice of its multiples,
-    at every power level p, p^2, ... in completely multiplicative mode (which
-    leaves v_p(n) mod 2).  Non-squarefree n are zeroed in squarefree mode.
+    every prime <= tables.hi.  Returns int8 of shape (n, trials), trial-minor:
+    row i holds f(tables.lo + i) of every trial.  The sign bits of the ranks
+    of primes <= hi are packed eight trials to a byte, one row per rank, and
+    the parity of the negative primes dividing n follows the sieve: one
+    gather of packed rows picks up the single cofactor prime above sqrt(hi),
+    then each base prime p <= sqrt(hi) XORs its packed row into the rows of
+    its multiples, at every power level p, p^2, ... in completely
+    multiplicative mode (which leaves v_p(n) mod 2).  One unpack turns the
+    parities into signs, and non-squarefree n are zeroed in squarefree mode.
     """
     if base.limit < tables.hi:
         raise SieveBaseError(
             f"f up to {tables.hi} needs all primes <= {tables.hi}, "
             f"base covers {base.limit}"
         )
+    small = _check_base(tables.hi, base).tolist()
+    used = int(np.searchsorted(base.primes, tables.hi, side="right"))
+    trials = bits.shape[0]
+    # a flat pack of whole bytes: row r, byte j holds rank r of trials 8j..8j+7;
+    # the all-zero row `used` stands for a cofactor of 1
+    rows = np.zeros((used + 1, -(-trials // 8) * 8), dtype=np.uint8)
+    rows[:-1, :trials] = bits[:, :used].T
+    packed = np.packbits(rows.ravel(), bitorder="little").reshape(used + 1, -1)
     big = tables.cofactor > 1
-    ranks = np.full(big.size, len(base))  # the all-zero column appended below
-    ranks[big] = np.searchsorted(base.primes, tables.cofactor[big])
-    parity = np.pad(bits, ((0, 0), (0, 1)))[:, ranks]
-    for r, p in enumerate(_check_base(tables.hi, base).tolist()):
-        column = bits[:, r, None]
+    ranks = np.full(big.size, used)
+    ranks[big] = np.searchsorted(base.primes[:used], tables.cofactor[big])
+    parity = packed[ranks]
+    for r, p in enumerate(small):
         q = p
         while q <= tables.hi:
             # (-lo) % q is the offset of the block's first multiple of q
-            parity[:, (-tables.lo) % q :: q] ^= column
+            parity[(-tables.lo) % q :: q] ^= packed[r]
             if mode is Mode.SQUAREFREE_MULT:
                 break
             q *= p
-    f = parity.view(np.int8)
-    f *= -2  # in place: parity 0, 1 -> f = 1, -1
-    f += 1
+    f = np.unpackbits(parity.ravel(), bitorder="little").view(np.int8)
+    f = f.reshape(parity.shape[0], -1)
+    np.negative(f, out=f)  # parity 0, 1 -> 0, -1
+    f |= 1  # -> 1, -1
     if mode is Mode.SQUAREFREE_MULT:
-        f *= tables.squarefree
-    return f
+        f &= -tables.squarefree.view(np.int8)[:, None]  # 0 or all ones
+    return f[:, :trials]
 
 
 def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
@@ -236,4 +247,4 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
     tables = sieve_block_tables(lo, hi, a.primes)
-    return batch_f(a.neg_bits()[None, :], tables, a.primes, a.mode)[0]
+    return batch_f(a.neg_bits()[None, :], tables, a.primes, a.mode)[:, 0]

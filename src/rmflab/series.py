@@ -2,9 +2,10 @@
 
 walk_blocks is the one ascending walk over y: each sieve block of
 [1, n_max] is sieved and weighted once, and every trial batch gets its f
-on the block in turn.  Trajectories and every Monte Carlo scan reduce the
-running sums of accum.running_sums along it, carried from block to block
-by scanner, so they are bitwise reproducible and carry a certified bound
+on the block in turn, trial-minor: one row per integer, one column per
+trial.  Trajectories and every Monte Carlo scan reduce the running sums of
+accum.running_sums down those rows, carried from block to block by
+scanner, so they are bitwise reproducible and carry a certified bound
 on the accumulated rounding error.  The positivity predicate never
 classifies a value inside the +-bound band around zero: such checkpoints
 come back INDETERMINATE instead of silently deciding the central event.
@@ -127,9 +128,10 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
     Each iter_blocks block, in ascending order, is sieved once against
     base and weighted once by w = n^-sigma (None if sigma is None).  Each
     batch of trial_batches then gets its f there from batch_f on the sign
-    bits(trial_indices, len(base)), and visit(rows, lo, f, w) folds it into
-    per-trial state, rows being slice(start, stop): a batch's working set
-    is batch x min(n_max, DEFAULT_BLOCK) cells.  Returns the band of the
+    bits(trial_indices, len(base)), an (n, batch) array with one row per
+    integer, and visit(rows, lo, f, w) folds it into per-trial state, rows
+    being slice(start, stop): a batch's working set is min(n_max,
+    DEFAULT_BLOCK) x batch cells.  Returns the band of the
     running sums of f * w from the masses of w on f's support, or None.
     """
     masses: list[float] = []
@@ -154,13 +156,13 @@ def scanner(trials: int, reduce):
     """A walk_blocks visitor passing every chunk of running sums to reduce.
 
     reduce(rows, y, sums) gets S_sigma(y + j) of the trials in rows as
-    sums[:, j], carried across blocks, and may overwrite it.
+    sums[j], carried across blocks, and may overwrite it.
     """
-    carry = np.zeros((trials, 1))
+    carry = np.zeros((1, trials))
 
     def visit(rows, lo, f, w):
-        for c, sums in running_sums(f, w, carry[rows]):
-            carry[rows] = sums[:, -1:]
+        for c, sums in running_sums(f, w, carry[:, rows]):
+            carry[:, rows] = sums[-1:]
             reduce(rows, lo + c, sums)
 
     return visit
@@ -189,10 +191,10 @@ def partial_sum_trajectory(
     val_parts: list[np.ndarray] = []
 
     def add(rows, y, sums):
-        ys = np.arange(y, y + sums.shape[1], dtype=np.int64)
+        ys = np.arange(y, y + sums.shape[0], dtype=np.int64)
         kept = (ys % checkpoint_stride == 0) | (ys == 1) | (ys == n_max)
         ys_parts.append(ys[kept])
-        val_parts.append(sums[0, kept])
+        val_parts.append(sums[kept, 0])
 
     bits = a.neg_bits()[None, :]
     band = walk_blocks(lambda *_: bits, a.primes, n_max, a.mode, sigma, scanner(1, add))

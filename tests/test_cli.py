@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -348,6 +349,8 @@ def test_enumeration_refusal_exit_3():
         (("oracle", "moment", "--nmax", "3000000", "--m", "4"),
          "EnumerationLimitError"),
         (("bounds", "bh-rhs", "--nmax", "20000000000", "--m", "4"), "DomainError"),
+        (("mc", "moment", "--nmax", "1000000000", "--m", "4", "--trials", "10"),
+         "DomainError"),
     ],
 )
 def test_coefficient_map_refused_before_it_is_built(argv, error):
@@ -357,6 +360,19 @@ def test_coefficient_map_refused_before_it_is_built(argv, error):
     assert (code, out) == (3, "")
     rec = json.loads(err.strip(), parse_constant=_reject_constant)
     assert rec["values"]["error"] == error
+
+
+def test_overflowing_weights_warn_nothing():
+    # sigma = 1e308 overflows sigma log p; the band and the undecided rule
+    # handle the inf and 0 weights, so no bare warning may reach stderr
+    argv = ("mc", "prime-tail", "--sigma", "1e308", "--lambda", "1", "--pmax",
+            "1000", "--trials", "10", "--seed", "1")
+    _, plain, _ = run_cli(*argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert record_of(out).values == record_of(plain).values
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,6 +21,7 @@ from rmflab.oracle import (
     EstimateWithCI,
     _byte_sums,
     _certified_positive,
+    _count_flips,
     _index_bits,
     _outcomes,
     _scaled_weights,
@@ -106,7 +107,7 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
     f = batch_f(_index_bits(np.arange(trials), len(base)), tables, base, mode)
     brackets = _scaled_weights(n_max, sigma)
     exact = np.array(
-        [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.tolist())]
+        [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.T.tolist())]
     )
     decided = outcomes != 2
     assert (outcomes[decided] == exact[decided]).all()
@@ -343,6 +344,40 @@ def test_sign_changes_examples(assignment_factory):
     assert sign_changes(partial_sum_trajectory(plus, 1.0, 20)) == 0
     neg = assignment_factory(6, {2: -1, 3: -1, 5: -1})
     assert sign_changes(partial_sum_trajectory(neg, 1.0, 6)) == 2
+
+
+def _python_flips(last, values):
+    """Flips between successive nonzero signs, starting after sign last."""
+    flips = 0
+    for v in values:
+        sign = (v > 0) - (v < 0)
+        if sign:
+            flips += last * sign < 0
+            last = sign
+    return flips, last
+
+
+def test_count_flips_matches_a_python_count_across_zero_runs():
+    rng = np.random.default_rng(4)
+    rows, trials = 100, 40
+    sums = rng.standard_normal((rows, trials))
+    sums[rng.random(sums.shape) < 0.2] = 0.0
+    sums[rng.random(sums.shape) < 0.05] = -0.0
+    sums[:, 0] = 0.0  # all zeros
+    sums[:7, 1] = 0.0  # leading zeros after a zero carry
+    sums[30:45, 2] = 0.0  # a zero run across the chunk boundary at 37
+    sums[29, 2], sums[45, 2] = 1.0, -1.0
+    sums[80:, 3] = 0.0  # a trailing zero run
+    start = rng.integers(-1, 2, (1, trials)).astype(np.int8)
+    start[0, :2] = 0
+    last, flips = start.copy(), np.zeros(trials, dtype=np.int64)
+    for a, b in [(0, 5), (5, 37), (37, 38), (38, rows)]:
+        counted, last = _count_flips(last, sums[a:b].copy())
+        flips += counted
+    for t in range(trials):
+        expected = _python_flips(int(start[0, t]), sums[:, t].tolist())
+        assert (int(flips[t]), int(last[0, t])) == expected, t
+    assert flips[2] >= 1 and last[0, 0] == 0
 
 
 def test_mc_sign_changes_runs_and_is_deterministic():

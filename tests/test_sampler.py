@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab.errors import SieveBaseError, SignRangeError
 from rmflab.sampler import (
@@ -109,11 +111,38 @@ def test_batch_f_rows_match_f_value_on_inner_block(mode):
         base,
         mode,
     )
-    assert f.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
-    for row, trial in zip(f, trials.tolist()):
+    assert f.T.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
+    for row, trial in zip(f.T, trials.tolist()):
         a = sample_signs(seed, trial, limit, mode)
         expected = [f_value(a, n, arith_signature(n)) for n in range(lo, hi + 1)]
         assert row.tolist() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    trials=st.sampled_from([1, 7, 8, 9, 255, 256, 257]),
+    mode=st.sampled_from(list(Mode)),
+    lo=st.integers(2, 4200),
+    width=st.integers(1, 120),
+    extra=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_batch_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
+    # blocks away from 1 reach p^2..2^12 and cofactor primes; extra puts
+    # ranks above hi into bits, which the kernel must ignore
+    hi = lo + width - 1
+    base = primes_up_to(hi + extra)
+    f = batch_f(
+        batch_neg_bits(seed, np.arange(trials), len(base)),
+        sieve_block_tables(lo, hi, base),
+        base,
+        mode,
+    )
+    assert f.shape == (width, trials) and f.dtype == np.int8
+    signatures = [arith_signature(n) for n in range(lo, hi + 1)]
+    for t in range(trials):
+        a = sample_signs(seed, t, hi + extra, mode)
+        assert f[:, t].tolist() == [f_value(a, s.n, s) for s in signatures]
 
 
 def test_batch_f_needs_primes_up_to_hi():

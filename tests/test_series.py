@@ -1,12 +1,20 @@
 import io
 import math
+from itertools import accumulate
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from rmflab.accum import EPS, power_weights, running_sums, weight_allowance
+from rmflab.accum import (
+    CHUNK,
+    EPS,
+    WIDE,
+    power_weights,
+    running_sums,
+    weight_allowance,
+)
 from rmflab.errors import DomainError
 from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
 from rmflab.series import (
@@ -116,18 +124,38 @@ def test_trajectory_is_one_row_of_the_batch_scan(mode):
     bits = batch_neg_bits(seed, np.arange(trial + 1), len(base))
     f = batch_f(bits, sieve_block_tables(1, n, base), base, mode)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
-    row = np.concatenate([s[trial] for _, s in running_sums(f, weights)])
+    row = np.concatenate([s.T[trial] for _, s in running_sums(f, weights)])
     assert t.values.tobytes() == row.tobytes()
 
 
 def test_running_sums_carry_survives_overwritten_blocks():
-    f = np.where(np.arange(5000) % 3 == 0, -1, 1).astype(np.int8)[None, :]
+    f = np.where(np.arange(5000) % 3 == 0, -1, 1).astype(np.int8)[None, :].T
     weights = power_weights(np.arange(1, 5001, dtype=np.float64), 0.6)
     kept = [s.copy() for _, s in running_sums(f, weights)]
     for k, (_, s) in enumerate(running_sums(f, weights)):
         assert np.array_equal(s, kept[k])
         s[:] = np.nan
     assert len(kept) == 5
+
+
+@pytest.mark.parametrize("trials", [WIDE - 1, WIDE])
+def test_running_sums_add_each_trial_in_order(trials):
+    # WIDE - 1 trials take the cumsum, WIDE the row loop: both must be
+    # s_j = s_{j-1} + t_j within each CHUNK, plus the carried base
+    rng = np.random.default_rng(trials)
+    n = 3 * CHUNK + 17
+    f = rng.integers(-1, 2, (n, trials)).astype(np.int8)
+    weights = power_weights(np.arange(1, n + 1, dtype=np.float64), 0.6)
+    base = rng.standard_normal((1, trials))
+    got = np.concatenate([s for _, s in running_sums(f, weights, base)])
+    expected = np.empty((n, trials))
+    for t in range(trials):
+        carry = float(base[0, t])
+        for c in range(0, n, CHUNK):
+            terms = (float(v) * w for v, w in zip(f[c : c + CHUNK, t], weights[c:]))
+            expected[c : c + CHUNK, t] = [s + carry for s in accumulate(terms)]
+            carry = float(expected[min(c + CHUNK, n) - 1, t])
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(Mode))
