@@ -213,6 +213,7 @@ def batch_f(
     rows = np.zeros((used + 1, -(-trials // 8) * 8), dtype=np.uint8)
     rows[:-1, :trials] = bits[:, :used].T
     packed = np.packbits(rows.ravel(), bitorder="little").reshape(used + 1, -1)
+    del rows  # eight times the size of packed
     big = tables.cofactor > 1
     ranks = np.full(big.size, used)
     ranks[big] = np.searchsorted(base.primes[:used], tables.cofactor[big])
@@ -247,4 +248,5 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
     tables = sieve_block_tables(lo, hi, a.primes)
-    return batch_f(a.neg_bits()[None, :], tables, a.primes, a.mode)[:, 0]
+    f = batch_f(a.neg_bits()[None, :], tables, a.primes, a.mode)
+    return np.ascontiguousarray(f[:, 0])  # one byte per n, not a row of eight

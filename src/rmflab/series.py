@@ -131,8 +131,8 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
     bits(trial_indices, len(base)), an (n, batch) array with one row per
     integer, and visit(rows, lo, f, w) folds it into per-trial state, rows
     being slice(start, stop): a batch's working set is min(n_max,
-    DEFAULT_BLOCK) x batch cells.  Returns the band of the
-    running sums of f * w from the masses of w on f's support, or None.
+    DEFAULT_BLOCK) x batch cells.  Returns the band of the running sums of
+    f * w from the masses of w on f's support, or None.
     """
     masses: list[float] = []
     w = None
