@@ -1,7 +1,7 @@
 import io
 import math
-from itertools import accumulate
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
