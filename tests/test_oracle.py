@@ -555,6 +555,13 @@ GOLDEN_PRIME_TAIL = [
      (0.035555555555555556, 0.02910119506643751, 0.043377473406878274)),
     ((0.75, 1.0, 100_000, 2000, 4, 1),
      (0.154, 0.13435726305211546, 0.17593082057270534)),
+    # pi(P) = 430, 1229 and 18 leave the last byte of sign bits part-filled
+    ((0.6, 1.0, 3000, 3000, 5, 2),
+     (0.21033333333333334, 0.19181700557401937, 0.23012810589768068)),
+    ((0.75, 0.5, 10_000, 2500, 6, 1),
+     (0.3132, 0.2898278349432523, 0.3375610595197997)),
+    ((0.5, 0.0, 64, 4000, 7, 2),
+     (0.494, 0.47366454772080235, 0.5143553240072855)),
 ]
 
 GOLDEN_STREAM_F = {
