@@ -58,18 +58,6 @@ class ResultRecord:
         return cls(**data)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run configuration, echoed into every ResultRecord."""
-
-    command: str
-    params: dict
-    master_seed: int
-    threads: int = 1
-    output_format: str = "jsonl"
-    output_path: str | None = None
-
-
 def _bool(text: str) -> bool:
     lowered = str(text).strip().lower()
     if lowered in {"1", "true", "yes", "on"}:
@@ -112,7 +100,7 @@ def _mode_of(args) -> Mode:
 # handlers: each returns the values payload (dict); tables add "rows"
 
 
-def _h_sieve_primes(args, ctx):
+def _h_sieve_primes(args):
     cache = getattr(args, "cache", None)
     plist = sv.load_prime_cache(cache) if cache and os.path.exists(cache) else None
     if plist is None or plist.limit != args.nmax:
@@ -125,7 +113,7 @@ def _h_sieve_primes(args, ctx):
     }
 
 
-def _h_sieve_signature(args, ctx):
+def _h_sieve_signature(args):
     sig = sv.arith_signature(args.n)
     return {
         "n": sig.n,
@@ -135,8 +123,8 @@ def _h_sieve_signature(args, ctx):
     }
 
 
-def _h_sample_signs(args, ctx):
-    a = sample_signs(ctx.master_seed, args.trial, args.nmax, _mode_of(args))
+def _h_sample_signs(args):
+    a = sample_signs(args.seed, args.trial, args.nmax, _mode_of(args))
     signs = a.signs()
     return {
         "n_primes": len(a.primes),
@@ -145,8 +133,8 @@ def _h_sample_signs(args, ctx):
     }
 
 
-def _h_series_trajectory(args, ctx):
-    a = sample_signs(ctx.master_seed, args.trial, args.nmax, _mode_of(args))
+def _h_series_trajectory(args):
+    a = sample_signs(args.seed, args.trial, args.nmax, _mode_of(args))
     t = ser.partial_sum_trajectory(a, args.sigma, args.nmax, args.stride)
     rows = [
         {"y": y, "value": v, "err_bound": t.summation_error_bound}
@@ -161,14 +149,14 @@ def _h_series_trajectory(args, ctx):
     }
 
 
-def _h_series_euler(args, ctx):
-    a = sample_signs(ctx.master_seed, args.trial, args.pmax, _mode_of(args))
+def _h_series_euler(args):
+    a = sample_signs(args.seed, args.trial, args.pmax, _mode_of(args))
     value = ser.euler_product_partial(a, args.sigma, args.pmax)
     return {"product": value, "log_product": math.log(value) if value > 0 else None}
 
 
-def _h_series_logdecomp(args, ctx):
-    a = sample_signs(ctx.master_seed, args.trial, args.pmax, _mode_of(args))
+def _h_series_logdecomp(args):
+    a = sample_signs(args.seed, args.trial, args.pmax, _mode_of(args))
     d = ser.log_decomposition(a, args.sigma, args.pmax)
     return {
         "prime_sum": d.prime_sum,
@@ -194,12 +182,12 @@ def _exact_payload(value) -> dict:
     return {"value": value}
 
 
-def _h_oracle_positivity(args, ctx):
+def _h_oracle_positivity(args):
     result = orc.exact_probability(args.nmax, args.sigma, args.x, _mode_of(args))
     return {**_exact_payload(result.value), "universe_bits": result.universe_bits}
 
 
-def _h_oracle_moment(args, ctx):
+def _h_oracle_moment(args):
     orc.enumeration_base(args.nmax)  # refuse before building nmax coefficients
     coeffs = _exact_power_coeffs(args.nmax, args.exponent)
     value = orc.exact_moment(args.nmax, coeffs, args.m, args.absolute, _mode_of(args))
@@ -213,10 +201,10 @@ def _exact_power_coeffs(n_max: int, exponent: float):
     return orc.power_coeffs(n_max, exponent)
 
 
-def _mc_payload(estimator, args, ctx, *head, **options) -> dict:
+def _mc_payload(estimator, args, *head, **options) -> dict:
     """Run a Monte Carlo estimator on the record's trials, seed and threads."""
     est = estimator(
-        *head, args.trials, ctx.master_seed, level=args.level, threads=ctx.threads,
+        *head, args.trials, args.seed, level=args.level, threads=args.threads,
         **options,
     )
     return {
@@ -230,36 +218,36 @@ def _mc_payload(estimator, args, ctx, *head, **options) -> dict:
     }
 
 
-def _h_mc_positivity(args, ctx):
+def _h_mc_positivity(args):
     with open(args.dump_trials, "w") if args.dump_trials else nullcontext() as dump:
         return _mc_payload(
-            orc.mc_positivity, args, ctx, args.sigma, args.x, args.nmax,
+            orc.mc_positivity, args, args.sigma, args.x, args.nmax,
             mode=_mode_of(args), trial_dump=dump,
         )
 
 
-def _h_mc_moment(args, ctx):
+def _h_mc_moment(args):
     coeffs = orc.power_coeffs(args.nmax, args.exponent)
-    return _mc_payload(orc.mc_moment, args, ctx, coeffs, args.m, mode=_mode_of(args))
+    return _mc_payload(orc.mc_moment, args, coeffs, args.m, mode=_mode_of(args))
 
 
-def _h_mc_prime_tail(args, ctx):
+def _h_mc_prime_tail(args):
     threshold = getattr(args, "lambda")
-    return _mc_payload(orc.mc_prime_tail, args, ctx, args.sigma, threshold, args.pmax)
+    return _mc_payload(orc.mc_prime_tail, args, args.sigma, threshold, args.pmax)
 
 
-def _h_mc_sign_changes(args, ctx):
+def _h_mc_sign_changes(args):
     return _mc_payload(
-        orc.mc_sign_changes, args, ctx, args.sigma, args.nmax, mode=_mode_of(args)
+        orc.mc_sign_changes, args, args.sigma, args.nmax, mode=_mode_of(args)
     )
 
 
-def _h_nt_tsum(args, ctx):
+def _h_nt_tsum(args):
     rec = nt.t_sum(args.x, args.m)
     return {"value": rec.value, "terms": rec.terms}
 
 
-def _h_nt_tail(args, ctx):
+def _h_nt_tail(args):
     t = nt.tail_series(args.x, args.m, args.sigma, args.cutoff, (args.c3, args.c5))
     return {
         "head": t.head,
@@ -270,7 +258,7 @@ def _h_nt_tail(args, ctx):
     }
 
 
-def _h_nt_mertens(args, ctx):
+def _h_nt_mertens(args):
     payload = {"value": nt.mertens_sum(args.x)}
     if args.exact:
         exact = nt.mertens_sum_exact(args.x)
@@ -279,20 +267,20 @@ def _h_nt_mertens(args, ctx):
     return payload
 
 
-def _h_nt_chebyshev(args, ctx):
+def _h_nt_chebyshev(args):
     margin = nt.chebyshev_sum(args.x, args.m, args.c2)
     return {"lhs": margin.lhs, "rhs": margin.rhs, "ratio": margin.ratio}
 
 
-def _h_nt_zeta(args, ctx):
+def _h_nt_zeta(args):
     return {"value": nt.zeta(args.s)}
 
 
-def _h_nt_primezeta(args, ctx):
+def _h_nt_primezeta(args):
     return {"value": nt.prime_zeta(args.s)}
 
 
-def _h_nt_fit_lemma31(args, ctx):
+def _h_nt_fit_lemma31(args):
     c3, c5 = nt.fit_lemma31_constants(args.x_grid, args.m_grid)
     rows = []
     for x in args.x_grid:
@@ -333,15 +321,15 @@ def _bound_payload(report: bnd.BoundReport) -> dict:
     return payload
 
 
-def _h_bounds_theorem1(args, ctx):
+def _h_bounds_theorem1(args):
     return _bound_payload(bnd.theorem1_lower_bound(_regime_of(args)))
 
 
-def _h_bounds_corollary(args, ctx):
+def _h_bounds_corollary(args):
     return _bound_payload(bnd.corollary_upper_bound(_regime_of(args)))
 
 
-def _h_bounds_hoeffding(args, ctx):
+def _h_bounds_hoeffding(args):
     lam = getattr(args, "lambda")
     if args.variance_mode == "both":
         exact = bnd.hoeffding_bound(lam, args.sigma, bnd.VarianceMode.EXACT)
@@ -354,12 +342,12 @@ def _h_bounds_hoeffding(args, ctx):
     return _bound_payload(bnd.hoeffding_bound(lam, args.sigma, mode))
 
 
-def _h_bounds_bh_rhs(args, ctx):
+def _h_bounds_bh_rhs(args):
     coeffs = _exact_power_coeffs(args.nmax, args.exponent)
     return _exact_payload(bnd.bh_rhs(coeffs, args.m))
 
 
-def _h_bounds_maximal(args, ctx):
+def _h_bounds_maximal(args):
     report = bnd.maximal_bound(
         getattr(args, "lambda"),
         args.m,
@@ -372,29 +360,29 @@ def _h_bounds_maximal(args, ctx):
     return _bound_payload(report)
 
 
-def _h_bounds_billingsley(args, ctx):
+def _h_bounds_billingsley(args):
     value = bnd.billingsley_constant(args.alpha, args.beta, args.theta_param)
     return {"value": value, "log_value": math.log(value)}
 
 
-def _h_bounds_kappa(args, ctx):
+def _h_bounds_kappa(args):
     theta_star, kappa = bnd.optimize_kappa(args.m)
     return {"theta_star": theta_star, "kappa": kappa}
 
 
-def _h_bounds_lambda(args, ctx):
+def _h_bounds_lambda(args):
     log_lambda = bnd.lambda_threshold(_regime_of(args))
     payload = {"log_lambda": log_lambda}
     payload["lambda"] = math.exp(log_lambda) if log_lambda > -745.0 else 0.0
     return payload
 
 
-def _h_bounds_epsilon(args, ctx):
+def _h_bounds_epsilon(args):
     eps0, beta = bnd.optimize_epsilon(args.c9, args.c10, args.c11, args.theta)
     return {"epsilon": eps0, "beta": beta}
 
 
-def _h_bounds_lemma41(args, ctx):
+def _h_bounds_lemma41(args):
     regime = _regime_of(args)
     log_lam = args.log_lambda
     lam = getattr(args, "lambda")
@@ -410,11 +398,11 @@ def _h_bounds_lemma41(args, ctx):
     return _bound_payload(report)
 
 
-def _h_bounds_angelo_xu(args, ctx):
+def _h_bounds_angelo_xu(args):
     return _bound_payload(bnd.angelo_xu_bound(args.log_x, args.beta_prime))
 
 
-def _h_bounds_compare(args, ctx):
+def _h_bounds_compare(args):
     rows = bnd.comparison_table(
         args.log_x_grid, args.theta, args.delta, args.beta_prime
     )
@@ -738,39 +726,32 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("RMF_LAB_THREADS", "1"))
-    if threads < 1:
+    if args.seed is None:
+        args.seed = secrets.randbits(63)
+    if args.threads is None:
+        args.threads = int(os.environ.get("RMF_LAB_THREADS", "1"))
+    if args.threads < 1:
         print("rmf-lab: --threads must be >= 1", file=stderr)
         return 2
     skip = {"_handler", "group", "op", "seed", "config", "output", "format"}
     params = {k: _json_param(v) for k, v in vars(args).items() if k not in skip}
-    params["threads"] = threads
-    config = RunConfig(
-        command=f"{args.group} {args.op}",
-        params=params,
-        master_seed=seed,
-        threads=threads,
-        output_format=args.format,
-        output_path=args.output,
-    )
+    command = f"{args.group} {args.op}"
 
     def record(values, ci=None, wall_ms=0):
-        command = config.command
-        return ResultRecord(SCHEMA_VERSION, command, params, seed, values, ci, wall_ms)
+        return ResultRecord(
+            SCHEMA_VERSION, command, params, args.seed, values, ci, wall_ms
+        )
 
     start = time.perf_counter()
     try:
-        values = args._handler(args, config)
+        values = args._handler(args)
         wall_ms = int((time.perf_counter() - start) * 1000)
         ci = None
         if "ci_low" in values and "ci_high" in values:
             ci = [values["ci_low"], values["ci_high"]]
-        text = emit(record(values, ci, wall_ms), config.output_format)
-        if config.output_path:
-            with open(config.output_path, "w", newline="") as fh:
+        text = emit(record(values, ci, wall_ms), args.format)
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
                 fh.write(text)
         else:
             stdout.write(text)
