@@ -38,7 +38,7 @@ import numpy as np
 
 from .accum import power_weights, signed_sum_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
-from .sampler import Mode, batch_f, batch_neg_bits
+from .sampler import Mode, batch_f, batch_neg_bits, neg_words
 from .series import (
     Trajectory,
     band_outcomes,
@@ -477,9 +477,9 @@ def mc_prime_tail(
 
     With W the fsum of the k = pi(P) weights p^-sigma and neg the sum of
     those of the primes with sign -1, a trial's sum is v = W - 2 neg.  neg
-    comes from table lookups: the sign bits are packed eight ranks to a
-    byte, each byte picks from its row of the _byte_sums table the sum of
-    its weights over its set bits, and the picks are summed.  The order of
+    comes from table lookups: each byte of a trial's sign words holds the
+    sign bits of eight ranks, picks from its row of the _byte_sums table
+    the sum of its weights over its set bits, and the picks are summed.  The order of
     that summation is immaterial: accum.signed_sum_error_bound bounds the
     rounding of v in any order by band = 2 gamma_k W + (weight_allowance
     + 8) EPS W (+ k TINY for underflowed weights), gamma_k = k EPS / (1 -
@@ -504,10 +504,11 @@ def mc_prime_tail(
     outcomes = np.empty(trials, dtype=np.int8)
 
     def decide(batch) -> None:
-        bits = batch_neg_bits(master_seed, np.arange(*batch), k)
-        # byte-major: row j holds byte j of every trial
-        packed = np.packbits(bits, axis=1, bitorder="little").T.copy()
-        del bits  # eight times the size of packed
+        words = neg_words(master_seed, np.arange(*batch), k).astype("<u8", copy=False)
+        # byte-major: row j holds byte j of every trial.  Bits past rank k in
+        # the last byte pick the zero-padded weights of _byte_sums, and every
+        # such entry is t + 0.0 == t, so neg is that of the k sign bits alone
+        packed = words.view(np.uint8)[:, : (k + 7) // 8].T.copy()
         neg = np.zeros(packed.shape[1])
         # 64 table rows (128 KB) and their lookups at a time stay in cache
         for j in range(0, packed.shape[0], 64):
@@ -524,10 +525,8 @@ def sign_changes(t: Trajectory) -> int:
     """Strict sign flips along a stride-1 trajectory, skipping exact zeros."""
     if t.stride != 1:
         raise DomainError("sign_changes requires a stride-1 trajectory")
-    nonzero = t.values[t.values != 0.0]
-    if nonzero.size < 2:
-        return 0
-    return int(np.count_nonzero(nonzero[1:] * nonzero[:-1] < 0.0))
+    flips, _ = _count_flips(np.zeros((1, 1), np.int8), t.values[:, None].copy())
+    return int(flips[0])
 
 
 def _count_flips(last, sums):

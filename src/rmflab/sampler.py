@@ -16,11 +16,13 @@ and the prime of rank r (0-based, ranks ascending with the primes) gets
 
     sign = +1 if bit (r mod 64) of word(r >> 6) is 0 else -1
 
-with bits counted from the least significant end.  This construction is
-part of the package contract: it is fixed and will not change between
-versions, so archived seeds replay bitwise.  Any (trial, rank) cell is
-computable independently, which makes trials embarrassingly parallel with
-deterministic merges.
+with bits counted from the least significant end, for trials t in
+[0, 2^64).  This construction is part of the package contract: it is
+fixed and will not change between versions, so archived seeds replay
+bitwise.  Any (trial, rank) cell is computable independently, which makes
+trials embarrassingly parallel with deterministic merges.  neg_words is
+the one place that computes the words; a reader of their bytes takes them
+little-endian, so bit r of a trial's bytes is rank r on any host.
 """
 
 from __future__ import annotations
@@ -62,40 +64,28 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def trial_key(master_seed: int, trial_index: int) -> int:
-    """Per-trial key: mix64(mix64(seed) ^ trial)."""
-    if trial_index < 0:
-        raise DomainError(f"trial_index must be >= 0, got {trial_index}")
-    return mix64(mix64(master_seed & _MASK64) ^ (trial_index & _MASK64))
+def neg_words(master_seed: int, trial_indices, n_ranks: int) -> np.ndarray:
+    """The sign words of many trials, shape (trials, ceil(n_ranks / 64)).
 
-
-def _words_to_bits(words: np.ndarray, n_ranks: int) -> np.ndarray:
-    """Explode uint64 words into sign bits, least-significant bit first."""
-    flat = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(flat, bitorder="little")
-    if words.ndim == 1:
-        return bits[:n_ranks]
-    return bits.reshape(words.shape[0], -1)[:, :n_ranks]
-
-
-def trial_neg_bits(master_seed: int, trial_index: int, n_ranks: int) -> np.ndarray:
-    """Bit r is 1 when the prime of rank r gets sign -1 (uint8 vector)."""
-    key = np.uint64(trial_key(master_seed, trial_index))
-    words = mix64_array(key ^ np.arange((n_ranks + 63) // 64, dtype=np.uint64))
-    return _words_to_bits(words, n_ranks)
+    Row i is word(0), word(1), ... of trial trial_indices[i]; bit r mod 64
+    of word r >> 6 is 1 when the prime of rank r gets sign -1.
+    """
+    seed_mix = mix64(master_seed & _MASK64)
+    keys = mix64_array(
+        np.uint64(seed_mix) ^ np.asarray(trial_indices, dtype=np.uint64)
+    )
+    counters = np.arange((n_ranks + 63) // 64, dtype=np.uint64)
+    return mix64_array(keys[:, None] ^ counters[None, :])
 
 
 def batch_neg_bits(
     master_seed: int, trial_indices: np.ndarray, n_ranks: int
 ) -> np.ndarray:
     """Negative-sign bits for many trials at once, shape (trials, ranks)."""
-    seed_mix = mix64(master_seed & _MASK64)
-    keys = mix64_array(
-        np.uint64(seed_mix) ^ np.asarray(trial_indices, dtype=np.uint64)
-    )
-    counters = np.arange((n_ranks + 63) // 64, dtype=np.uint64)
-    words = mix64_array(keys[:, None] ^ counters[None, :])
-    return _words_to_bits(words, n_ranks)
+    words = neg_words(master_seed, trial_indices, n_ranks)
+    # little-endian bytes, so bit r of a row is rank r on any host
+    packed = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n_ranks, bitorder="little")
 
 
 class Mode(enum.Enum):
@@ -107,9 +97,9 @@ class Mode(enum.Enum):
 class SignAssignment:
     """Signs of all primes <= limit for one (master_seed, trial_index).
 
-    Signs are stored bit-packed over prime ranks (bit set means -1), so a
-    trial at limit 10^8 costs ~0.72 MB and thousands of concurrent trials
-    are cheap.  Immutable and safe to share across threads.
+    neg_bits is the trial's row of batch_neg_bits: one uint8 per prime
+    rank, 1 where the prime gets sign -1.  Immutable and safe to share
+    across threads.
     """
 
     master_seed: int
@@ -117,26 +107,19 @@ class SignAssignment:
     limit: int
     mode: Mode
     primes: PrimeList
-    packed_neg_bits: np.ndarray  # uint8, np.packbits layout
+    neg_bits: np.ndarray
 
     @property
     def key(self) -> tuple[int, int, int, str]:
         return (self.master_seed, self.trial_index, self.limit, self.mode.value)
 
-    def neg_bits(self) -> np.ndarray:
-        """Unpacked 0/1 vector over prime ranks."""
-        return np.unpackbits(self.packed_neg_bits, count=len(self.primes))
-
     def signs(self) -> np.ndarray:
         """Vector of +-1 (int8) over prime ranks."""
-        return (1 - 2 * self.neg_bits().astype(np.int8)).astype(np.int8)
+        return (1 - 2 * self.neg_bits.astype(np.int8)).astype(np.int8)
 
     def sign_of(self, p: int) -> int:
         """Sign of a single prime p <= limit."""
-        r = self.primes.rank_of(p)
-        byte, bit = divmod(r, 8)
-        neg = (int(self.packed_neg_bits[byte]) >> (7 - bit)) & 1
-        return -1 if neg else 1
+        return -1 if self.neg_bits[self.primes.rank_of(p)] else 1
 
 
 def sample_signs(
@@ -146,16 +129,13 @@ def sample_signs(
     mode: Mode = Mode.SQUAREFREE_MULT,
 ) -> SignAssignment:
     """Deterministic sign assignment for all primes <= n."""
+    if trial_index < 0:
+        raise DomainError(f"trial_index must be >= 0, got {trial_index}")
+    if trial_index > _MASK64:
+        raise DomainError(f"trial_index must be < 2^64, got {trial_index}")
     primes = primes_up_to(n)
-    bits = trial_neg_bits(master_seed, trial_index, len(primes))
-    return SignAssignment(
-        master_seed & _MASK64,
-        trial_index,
-        n,
-        mode,
-        primes,
-        np.packbits(bits),
-    )
+    bits = batch_neg_bits(master_seed, [trial_index], len(primes))[0]
+    return SignAssignment(master_seed & _MASK64, trial_index, n, mode, primes, bits)
 
 
 def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
@@ -248,5 +228,5 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
     tables = sieve_block_tables(lo, hi, a.primes)
-    f = batch_f(a.neg_bits()[None, :], tables, a.primes, a.mode)
+    f = batch_f(a.neg_bits[None, :], tables, a.primes, a.mode)
     return np.ascontiguousarray(f[:, 0])  # one byte per n, not a row of eight

@@ -196,7 +196,7 @@ def partial_sum_trajectory(
         ys_parts.append(ys[kept])
         val_parts.append(sums[kept, 0])
 
-    bits = a.neg_bits()[None, :]
+    bits = a.neg_bits[None, :]
     band = walk_blocks(lambda *_: bits, a.primes, n_max, a.mode, sigma, scanner(1, add))
     return Trajectory(
         sigma=sigma,

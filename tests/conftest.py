@@ -16,7 +16,7 @@ def assignment_factory():
             [1 if sign_map.get(int(p), 1) < 0 else 0 for p in plist.primes],
             dtype=np.uint8,
         )
-        return SignAssignment(seed, trial, limit, mode, plist, np.packbits(bits))
+        return SignAssignment(seed, trial, limit, mode, plist, bits)
 
     return make
 

@@ -291,6 +291,24 @@ def test_unwritable_output_path_exit_3(tmp_path, argv, flag, leaf):
     assert rec["values"]["error"] in {"FileNotFoundError", "IsADirectoryError"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "signs", "--nmax", "1000"),
+        ("series", "trajectory", "--sigma", "1", "--nmax", "100"),
+        ("series", "euler", "--sigma", "1", "--pmax", "100"),
+        ("series", "logdecomp", "--sigma", "1", "--pmax", "100"),
+    ],
+)
+def test_trial_index_past_64_bits_exit_3(argv):
+    # 2^64 used to wrap to the signs of trial 0
+    code, out, err = run_cli(*argv, "--trial", str(2**64), "--seed", "7")
+    assert (code, out) == (3, "")
+    rec = json.loads(err.strip(), parse_constant=_reject_constant)
+    assert rec["values"]["error"] == "DomainError"
+    assert "trial_index" in rec["values"]["message"]
+
+
 
 @pytest.mark.parametrize(
     "argv, key, echoed",

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -337,6 +338,19 @@ def test_sign_changes_synthetic():
         horizon=4,
     )
     assert sign_changes(t) == 2
+    # exact zeros are skipped: leading, between opposite signs, and trailing
+    for values, flips in [
+        ([0.0, 1.0, -1.0], 1),
+        ([0.0, 0.0, -1.0, 2.0], 1),
+        ([1.0, 0.0, 0.0, -1.0], 1),
+        ([1.0, 0.0, 1.0, -0.0, -1.0], 1),
+        ([-1.0, 1.0, 0.0], 1),
+        ([1.0, -1.0, 0.0, 0.0], 1),
+        ([0.0, 0.0, 0.0], 0),
+    ]:
+        v = np.array(values)
+        zeros = replace(t, ys=np.arange(1, v.size + 1), values=v, horizon=v.size)
+        assert sign_changes(zeros) == flips
 
 
 def test_sign_changes_examples(assignment_factory):

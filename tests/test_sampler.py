@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab.errors import SieveBaseError, SignRangeError
+from rmflab.errors import DomainError, SieveBaseError, SignRangeError
 from rmflab.sampler import (
     Mode,
     batch_f,
@@ -15,7 +15,6 @@ from rmflab.sampler import (
     mix64_array,
     sample_signs,
     stream_f,
-    trial_neg_bits,
 )
 from rmflab.sieve import arith_signature, primes_up_to, sieve_block_tables
 
@@ -23,7 +22,7 @@ from rmflab.sieve import arith_signature, primes_up_to, sieve_block_tables
 def test_determinism_same_inputs_same_signs():
     a = sample_signs(987654321, 3, 1000)
     b = sample_signs(987654321, 3, 1000)
-    assert np.array_equal(a.packed_neg_bits, b.packed_neg_bits)
+    assert np.array_equal(a.neg_bits, b.neg_bits)
     assert np.array_equal(a.signs(), b.signs())
 
 
@@ -55,9 +54,25 @@ def test_empirical_mean_of_single_prime_sign():
 
 
 def test_batch_bits_match_per_trial_bits():
-    batch = batch_neg_bits(77, np.arange(50, 70), 25)
-    for i, trial in enumerate(range(50, 70)):
-        assert np.array_equal(batch[i], trial_neg_bits(77, trial, 25))
+    # the documented chain: bit r mod 64 of mix64(mix64(mix64(s) ^ t) ^ (r >> 6));
+    # 130 ranks cross two word boundaries
+    for n_ranks in (25, 130):
+        batch = batch_neg_bits(77, np.arange(50, 70), n_ranks)
+        for i, trial in enumerate(range(50, 70)):
+            key = mix64(mix64(77) ^ trial)
+            bits = [mix64(key ^ (r >> 6)) >> (r % 64) & 1 for r in range(n_ranks)]
+            assert batch[i].tolist() == bits
+
+
+def test_last_trial_index_matches_the_scalar_chain():
+    trial = 2**64 - 1
+    key = mix64(mix64(7) ^ trial)
+    a = sample_signs(7, trial, 1000)
+    bits = [mix64(key ^ (r >> 6)) >> (r % 64) & 1 for r in range(len(a.primes))]
+    assert a.neg_bits.tolist() == bits
+    for bad in (-1, 2**64):
+        with pytest.raises(DomainError, match="trial_index"):
+            sample_signs(7, bad, 1000)
 
 
 def test_f_value_examples():
