@@ -477,9 +477,9 @@ def mc_prime_tail(
 
     With W the fsum of the k = pi(P) weights p^-sigma and neg the sum of
     those of the primes with sign -1, a trial's sum is v = W - 2 neg.  neg
-    comes from table lookups: each byte of a trial's sign words holds the
-    sign bits of eight ranks, picks from its row of the _byte_sums table
-    the sum of its weights over its set bits, and the picks are summed.  The order of
+    comes from table lookups: each byte of the sign words holds eight
+    ranks, picks from its row of the _byte_sums table the sum of its
+    weights over its set bits, and the picks are summed.  The order of
     that summation is immaterial: accum.signed_sum_error_bound bounds the
     rounding of v in any order by band = 2 gamma_k W + (weight_allowance
     + 8) EPS W (+ k TINY for underflowed weights), gamma_k = k EPS / (1 -

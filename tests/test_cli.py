@@ -301,7 +301,7 @@ def test_unwritable_output_path_exit_3(tmp_path, argv, flag, leaf):
     ],
 )
 def test_trial_index_past_64_bits_exit_3(argv):
-    # 2^64 used to wrap to the signs of trial 0
+    # 2^64 must not wrap round to the signs of trial 0
     code, out, err = run_cli(*argv, "--trial", str(2**64), "--seed", "7")
     assert (code, out) == (3, "")
     rec = json.loads(err.strip(), parse_constant=_reject_constant)
