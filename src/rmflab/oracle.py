@@ -38,7 +38,7 @@ import numpy as np
 
 from .accum import power_weights, signed_sum_error_bound
 from .errors import CertificationError, DomainError, EnumerationLimitError
-from .sampler import Mode, batch_f, batch_neg_bits, neg_words
+from .sampler import Mode, batch_f, batch_neg_bits
 from .series import (
     Trajectory,
     band_outcomes,
@@ -504,11 +504,10 @@ def mc_prime_tail(
     outcomes = np.empty(trials, dtype=np.int8)
 
     def decide(batch) -> None:
-        words = neg_words(master_seed, np.arange(*batch), k).astype("<u8", copy=False)
         # byte-major: row j holds byte j of every trial.  Bits past rank k in
         # the last byte pick the zero-padded weights of _byte_sums, and every
         # such entry is t + 0.0 == t, so neg is that of the k sign bits alone
-        packed = words.view(np.uint8)[:, : (k + 7) // 8].T.copy()
+        packed = batch_neg_bits(master_seed, np.arange(*batch), k, packed=True).T.copy()
         neg = np.zeros(packed.shape[1])
         # 64 table rows (128 KB) and their lookups at a time stay in cache
         for j in range(0, packed.shape[0], 64):
@@ -549,7 +548,8 @@ def _count_flips(last, sums):
         # fill each zero with the last nonzero sign before it: a flip is then
         # a pair of adjacent filled signs of opposite sign
         z = s[:, zeros]
-        source = np.where(z != 0, np.arange(z.shape[0], dtype=np.int16)[:, None], 0)
+        rows = np.arange(z.shape[0], dtype=np.min_scalar_type(z.shape[0]))
+        source = np.where(z != 0, rows[:, None], 0)
         np.maximum.accumulate(source, axis=0, out=source)
         z = np.take_along_axis(z, source, axis=0)
         flips[zeros] = np.count_nonzero(z[1:] * z[:-1] < 0, axis=0)

@@ -21,8 +21,9 @@ with bits counted from the least significant end, for trials t in
 fixed and will not change between versions, so archived seeds replay
 bitwise.  Any (trial, rank) cell is computable independently, which makes
 trials embarrassingly parallel with deterministic merges.  neg_words is
-the one place that computes the words; a reader of their bytes takes them
-little-endian, so bit r of a trial's bytes is rank r on any host.
+the one place that computes the words, and batch_neg_bits the one reader
+of their bytes: it takes them little-endian, so bit r of a trial's bytes
+is rank r on any host.
 """
 
 from __future__ import annotations
@@ -78,14 +79,17 @@ def neg_words(master_seed: int, trial_indices, n_ranks: int) -> np.ndarray:
     return mix64_array(keys[:, None] ^ counters[None, :])
 
 
-def batch_neg_bits(
-    master_seed: int, trial_indices: np.ndarray, n_ranks: int
-) -> np.ndarray:
-    """Negative-sign bits for many trials at once, shape (trials, ranks)."""
-    words = neg_words(master_seed, trial_indices, n_ranks)
-    # little-endian bytes, so bit r of a row is rank r on any host
-    packed = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(packed, axis=1, count=n_ranks, bitorder="little")
+def batch_neg_bits(master_seed: int, trial_indices, n_ranks: int, packed=False):
+    """Negative-sign bits for many trials at once, shape (trials, ranks).
+
+    packed keeps them eight to a byte, rank r at bit r mod 8 of byte r >> 3,
+    shape (trials, ceil(ranks / 8)); bits past the last rank are arbitrary.
+    """
+    words = neg_words(master_seed, trial_indices, n_ranks).astype("<u8", copy=False)
+    raw = words.view(np.uint8)  # little-endian: bit r of a row is rank r on any host
+    if packed:
+        return raw[:, : (n_ranks + 7) // 8]
+    return np.unpackbits(raw, axis=1, count=n_ranks, bitorder="little")
 
 
 class Mode(enum.Enum):

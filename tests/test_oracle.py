@@ -360,6 +360,15 @@ def test_sign_changes_examples(assignment_factory):
     assert sign_changes(partial_sum_trajectory(neg, 1.0, 6)) == 2
 
 
+def test_sign_changes_past_32767_points_with_zeros():
+    # at sigma 1e-300 every weight is 1.0, so the sums are integers and hit
+    # zero often, also past the row indices that an int16 holds
+    t = partial_sum_trajectory(sample_signs(3, 0, 40_000), 1e-300, 40_000)
+    assert np.count_nonzero(t.values[32_768:] == 0) > 0
+    assert _python_flips(0, t.values[32_768:].tolist())[0] > 0
+    assert sign_changes(t) == _python_flips(0, t.values.tolist())[0]
+
+
 def _python_flips(last, values):
     """Flips between successive nonzero signs, starting after sign last."""
     flips = 0
