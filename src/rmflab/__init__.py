@@ -62,13 +62,7 @@ from .series import (
     prime_sum,
     rademacher_menshov_check,
 )
-from .sieve import (
-    ArithSignature,
-    PrimeList,
-    arith_signature,
-    primes_up_to,
-    sieve_block,
-)
+from .sieve import ArithSignature, PrimeList, arith_signature, primes_up_to
 
 __version__ = "0.1.0"
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .errors import DivergenceError, DomainError
 from .explicit import DEFAULT_ENVELOPE, prime_zeta, tail_series
-from .sieve import arith_signature
+from .sieve import sieve_walk
 
 _LOG2 = math.log(2.0)
 #: exp argument beyond which float64 overflows
@@ -198,19 +200,25 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
     """Moment-inequality right side (sum mu^2 |a|^2 (m-1)^omega)^(m/2).
 
     Exact Fraction when the coefficients are rational and m is an even
-    integer; float otherwise.
+    integer; float otherwise.  mu^2 and omega come from one sieve_walk
+    over [min index, max index], within its term budget.
     """
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
-    entries = []
     for n, a in coeffs.items():
         if n < 1:
             raise DomainError(f"coefficient index {n} must be >= 1")
         if not isinstance(a, (int, Fraction)) and not math.isfinite(a):
             raise DomainError(f"coefficient a({n}) = {a} is not finite")
-        sig = arith_signature(n)
-        if sig.is_squarefree:
-            entries.append((a, sig.omega))
+    keys = sorted(coeffs)
+    walk = sieve_walk(keys[0], keys[-1]) if keys else ()  # budget checked before int64
+    index = np.array(keys, dtype=np.int64)
+    entries = []
+    for t in walk:
+        start, stop = np.searchsorted(index, (t.lo, t.hi + 1)).tolist()
+        rows = index[start:stop] - t.lo
+        flags = zip(keys[start:stop], t.squarefree[rows].tolist(), t.omega[rows])
+        entries += [(coeffs[n], int(w)) for n, sf, w in flags if sf]
     if float(m).is_integer() and int(m) % 2 == 0:
         try:
             base = sum(

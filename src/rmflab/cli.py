@@ -34,8 +34,9 @@ SCHEMA_VERSION = "1"
 
 _MODES = {"squarefree": Mode.SQUAREFREE_MULT, "completely": Mode.COMPLETELY_MULT}
 
-#: dest -> coercion callable, populated while the parser tree is built;
-#: used to type config-file values, which bypass argparse's converters.
+#: dest -> argparse type, or _bool for the store_true flags; populated while
+#: the parser tree is built, so _inject_config can reject unknown config keys
+#: and write boolean keys as bare flags.
 _DEST_TYPES: dict = {}
 
 
@@ -74,12 +75,7 @@ def _float_list(text: str) -> list[float]:
 def _add(parser: argparse.ArgumentParser, *names, **kwargs):
     action = parser.add_argument(*names, **kwargs)
     if action.dest != argparse.SUPPRESS:
-        if action.const is True:  # store_true style
-            _DEST_TYPES[action.dest] = _bool
-        elif action.type is not None:
-            _DEST_TYPES[action.dest] = action.type
-        else:
-            _DEST_TYPES[action.dest] = str
+        _DEST_TYPES[action.dest] = _bool if action.const is True else action.type
     return action
 
 
@@ -172,6 +168,11 @@ def _exact_payload(value) -> dict:
             as_float = float(value)
         except OverflowError as exc:
             raise DomainError("the exact value is too large for float64") from exc
+        # a b-bit integer has at most ceil(b log10 2) decimal digits
+        limit = sys.get_int_max_str_digits()
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if limit and bits * math.log10(2) > limit:
+            raise DomainError(f"the exact value may have more than {limit} digits")
         return {
             "numerator": value.numerator,
             "denominator": value.denominator,

@@ -26,13 +26,7 @@ import numpy as np
 
 from .accum import power_weights
 from .errors import DomainError, FitError
-from .sieve import (
-    SIEVE_TERM_LIMIT,
-    arith_signature,
-    iter_blocks,
-    primes_up_to,
-    sieve_block_tables,
-)
+from .sieve import arith_signature, primes_up_to, sieve_walk
 
 #: Conservative default envelope constants (c3, c5); desk-grid sanity only,
 #: replace with fit_lemma31_constants output for tighter tail intervals.
@@ -81,25 +75,12 @@ class TailSeries:
         return self.head + self.remainder_low
 
 
-def _sieve_walk(lo_n: int, hi_n: int):
-    """Each sieve block [lo, hi] of [lo_n, hi_n] as (lo, hi, mu^2 mask, omega)."""
-    if hi_n - lo_n + 1 > SIEVE_TERM_LIMIT:
-        raise DomainError(
-            f"[{lo_n}, {hi_n}] exceeds the sieve term budget of {SIEVE_TERM_LIMIT}"
-        )
-    base = primes_up_to(math.isqrt(hi_n))
-    for lo, hi in iter_blocks(lo_n, hi_n):
-        t = sieve_block_tables(lo, hi, base)
-        omega = t.omega.astype(np.int64) + (t.cofactor > 1)
-        yield lo, hi, t.squarefree, omega
-
-
 @lru_cache(maxsize=32)
 def _omega_histogram(x: int) -> tuple[int, ...]:
     """Counts of squarefree n <= x by omega(n); histogram[k] = #{n: omega=k}."""
     hist = np.zeros(20, dtype=np.int64)
-    for _, _, squarefree, omega in _sieve_walk(1, x):
-        counts = np.bincount(omega[squarefree], minlength=20)
+    for t in sieve_walk(1, x):
+        counts = np.bincount(t.omega[t.squarefree], minlength=20)
         hist[: counts.size] += counts
     return tuple(int(c) for c in hist)
 
@@ -184,10 +165,10 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
     """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block."""
     parts: list[float] = []
-    for lo, hi, squarefree, omega in _sieve_walk(lo_n, hi_n):
-        n = np.arange(lo, hi + 1, dtype=np.float64)
+    for t in sieve_walk(lo_n, hi_n):
+        n = np.arange(t.lo, t.hi + 1, dtype=np.float64)
         terms = np.where(
-            squarefree, (m - 1.0) ** omega * power_weights(n, 2.0 * sigma), 0.0
+            t.squarefree, (m - 1.0) ** t.omega * power_weights(n, 2.0 * sigma), 0.0
         )
         parts.append(math.fsum(terms.tolist()))
     return math.fsum(parts)

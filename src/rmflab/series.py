@@ -32,7 +32,7 @@ import numpy as np
 from .accum import chunk_masses, power_weights, running_sums, series_error_bound
 from .errors import DomainError, PoleError, SignRangeError
 from .sampler import Mode, SignAssignment, batch_f
-from .sieve import DEFAULT_BLOCK, iter_blocks, sieve_block_tables
+from .sieve import DEFAULT_BLOCK, sieve_walk
 
 #: Most trials in a batch, and its budget of float64 working cells (~64 MB).
 _DEFAULT_BATCH, _BATCH_CELL_BUDGET = 2048, 1 << 23
@@ -125,10 +125,10 @@ def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 
 def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
     """Hand f of every trial on each sieve block of [1, n_max] to visit.
 
-    Each iter_blocks block, in ascending order, is sieved once against
-    base and weighted once by w = n^-sigma (None if sigma is None).  Each
-    batch of trial_batches then gets its f there from batch_f on the sign
-    bits(trial_indices, len(base)), an (n, batch) array with one row per
+    Each sieve_walk block, in ascending order, is sieved once and
+    weighted once by w = n^-sigma (None if sigma is None).  Each batch of
+    trial_batches then gets its f there from batch_f, against base, on the
+    sign bits(trial_indices, len(base)), an (n, batch) array with one row per
     integer, and visit(rows, lo, f, w) folds it into per-trial state, rows
     being slice(start, stop): a batch's working set is min(n_max,
     DEFAULT_BLOCK) x batch cells.  Returns the band of the running sums of
@@ -137,8 +137,8 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
     masses: list[float] = []
     w = None
     with trial_batches(trials, min(n_max, DEFAULT_BLOCK), threads) as each_batch:
-        for lo, hi in iter_blocks(1, n_max):
-            tables = sieve_block_tables(lo, hi, base)
+        for tables in sieve_walk(1, n_max):
+            lo, hi = tables.lo, tables.hi
             if sigma is not None:
                 w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
                 support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)

@@ -1,10 +1,11 @@
 """Segmented sieve for primes and per-integer arithmetic data.
 
-For single integers or contiguous blocks this module computes the
-squarefree indicator mu^2(n), the count omega(n) of distinct prime
-divisors, and the distinct prime factorization itself.  Blocks are pure
-functions of (lo, hi, base): they can be sieved in any order, cached,
-and merged freely.
+sieve_walk sieves a range of integers in blocks; each gives, for every n
+in it, the squarefree indicator mu^2(n), the count omega(n) of distinct
+prime divisors, and the cofactor left after the small primes.  Blocks are
+pure functions of (lo, hi, base): they can be sieved in any order, cached,
+and merged freely.  Single integers are factored by trial division, within
+the same term budget.
 
 The block strategy: mark multiples of every base prime p <= sqrt(hi),
 dividing p out of a running cofactor (one division per power level
@@ -80,9 +81,11 @@ def primes_up_to(n: int) -> PrimeList:
 
 
 def arith_signature(n: int) -> ArithSignature:
-    """Direct trial-division factorization; the oracle for the block sieve."""
+    """Trial-division factorization up to isqrt(n); the block sieve's oracle."""
     if n < 1:
         raise DomainError(f"arith_signature needs n >= 1, got {n}")
+    if math.isqrt(n) > SIEVE_TERM_LIMIT:
+        raise DomainError(f"isqrt({n}) exceeds the term budget of {SIEVE_TERM_LIMIT}")
     m = n
     squarefree = True
     primes: list[int] = []
@@ -104,10 +107,11 @@ def arith_signature(n: int) -> ArithSignature:
 
 @dataclass(frozen=True)
 class BlockTables:
-    """Vectorized arithmetic data for every n in [lo, hi].
+    """Vectorized arithmetic data for every n = lo + i in [lo, hi].
 
-    cofactor[i] is the part of n = lo + i left after dividing out all
-    base primes <= sqrt(hi); it is either 1 or a single prime.
+    squarefree[i] is mu^2(n) == 1 and omega[i] is omega(n).  cofactor[i] is
+    the part of n left after dividing out all base primes <= sqrt(hi); it is
+    either 1 or a single prime.
     """
 
     lo: int
@@ -147,36 +151,8 @@ def sieve_block_tables(lo: int, hi: int, base: PrimeList) -> BlockTables:
             squarefree[sl] = False
             cofactor[sl] //= p
             q *= p
+    omega += cofactor > 1
     return BlockTables(lo, hi, omega, squarefree, cofactor)
-
-
-def sieve_block(lo: int, hi: int, base: PrimeList) -> list[ArithSignature]:
-    """Signatures for every n in [lo, hi], cofactors recognized as primes."""
-    tables = sieve_block_tables(lo, hi, base)
-    size = hi - lo + 1
-    factor_lists: list[list[int]] = [[] for _ in range(size)]
-    for p in _check_base(hi, base).tolist():
-        start = ((lo + p - 1) // p) * p
-        for i in range(start - lo, size, p):
-            factor_lists[i].append(p)
-    out = []
-    omega = tables.omega
-    squarefree = tables.squarefree
-    cofactor = tables.cofactor
-    for i in range(size):
-        primes = factor_lists[i]
-        c = int(cofactor[i])
-        if c > 1:
-            primes.append(c)
-        out.append(
-            ArithSignature(
-                lo + i,
-                bool(squarefree[i]),
-                int(omega[i]) + (c > 1),
-                tuple(primes),
-            )
-        )
-    return out
 
 
 def iter_blocks(lo: int, hi: int, block: int = DEFAULT_BLOCK):
@@ -186,6 +162,19 @@ def iter_blocks(lo: int, hi: int, block: int = DEFAULT_BLOCK):
         b = min(a + block - 1, hi)
         yield a, b
         a = b + 1
+
+
+def sieve_walk(lo_n: int, hi_n: int):
+    """BlockTables of each iter_blocks block of [lo_n, hi_n], ascending.
+
+    The term budget is checked at the call, before any block is sieved.
+    """
+    if hi_n - lo_n + 1 > SIEVE_TERM_LIMIT:
+        raise DomainError(
+            f"[{lo_n}, {hi_n}] exceeds the sieve term budget of {SIEVE_TERM_LIMIT}"
+        )
+    base = primes_up_to(math.isqrt(hi_n))
+    return (sieve_block_tables(lo, hi, base) for lo, hi in iter_blocks(lo_n, hi_n))
 
 
 def save_prime_cache(path, plist: PrimeList) -> None:

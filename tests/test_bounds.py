@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab.bounds import (
     ConstantsLedger,
@@ -24,6 +26,7 @@ from rmflab.bounds import (
     theorem1_lower_bound,
 )
 from rmflab.errors import DivergenceError, DomainError
+from rmflab.sieve import DEFAULT_BLOCK, arith_signature
 
 
 def test_regime_examples():
@@ -104,6 +107,56 @@ def test_bh_rhs_m2_is_weighted_square_sum():
 
 def test_bh_rhs_non_squarefree_support_vanishes():
     assert float(bh_rhs({4: 1.0, 8: 2.0, 9: 3.0, 12: 1.0}, 4)) == 0.0
+
+
+def bh_rhs_by_trial_division(coeffs, m):
+    entries = []
+    for n, a in coeffs.items():
+        sig = arith_signature(n)
+        if sig.is_squarefree:
+            entries.append((a, sig.omega))
+    if float(m).is_integer() and int(m) % 2 == 0:
+        base = sum(Fraction(a) ** 2 * (int(m) - 1) ** w for a, w in entries)
+        return Fraction(base) ** (int(m) // 2)
+    return math.fsum(abs(a) ** 2 * (m - 1.0) ** w for a, w in entries) ** (m / 2.0)
+
+
+@st.composite
+def coefficient_maps(draw, values):
+    """A map over three sieve blocks or more, or a sparse one above 10^12."""
+    # one draw in four: a walk above 10^12 sieves with 78498 base primes
+    if draw(st.sampled_from([True, True, True, False])):
+        lo = draw(st.integers(1, 10**7))
+        top = 2 * DEFAULT_BLOCK + draw(st.integers(0, DEFAULT_BLOCK))
+        offsets = {0, top} | set(draw(st.lists(st.integers(0, top), max_size=40)))
+    else:
+        lo = draw(st.integers(10**12, 10**12 + 10**6))
+        offsets = set(draw(st.lists(st.integers(0, 10**4), min_size=1, max_size=4)))
+    return {lo + k: draw(values) for k in offsets}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            coefficient_maps(st.one_of(st.integers(-99, 99), st.fractions(-9, 9))),
+            st.sampled_from([2, 4, 6]),
+        ),
+        st.tuples(
+            coefficient_maps(st.floats(-1e3, 1e3)),
+            st.floats(2, 9),
+        ),
+    )
+)
+def test_bh_rhs_matches_trial_division_across_blocks(case):
+    coeffs, m = case
+    assert bh_rhs(coeffs, m) == bh_rhs_by_trial_division(coeffs, m)
+
+
+@pytest.mark.parametrize("coeffs", [{10**30: 1.0}, {1: 1.0, 10**9 + 1: 1.0}])
+def test_bh_rhs_index_range_beyond_term_budget(coeffs):
+    with pytest.raises(DomainError, match="term budget"):
+        bh_rhs(coeffs, 4)
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,7 @@ def test_value_beyond_float64_exit_3(argv):
         ("nt", "mertens", "--x", "2e10"),
         ("mc", "prime-tail", "--sigma", "0.6", "--lambda", "1",
          "--pmax", "20000000000", "--trials", "10"),
+        ("sieve", "signature", "--n", "2305843009213693951"),
     ],
 )
 def test_sieve_walk_beyond_term_budget_exit_3(argv):
@@ -270,6 +271,22 @@ def test_sieve_walk_beyond_term_budget_exit_3(argv):
 
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "bh-rhs", "--nmax", "3000", "--m", "4"),
+        ("oracle", "moment", "--nmax", "30", "--m", "200", "--exponent", "3"),
+    ],
+)
+def test_exact_value_beyond_the_digit_limit_exit_3(argv):
+    # json.dumps cannot write an int past sys.get_int_max_str_digits()
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert (code, out) == (3, "")
+    rec = json.loads(err.strip(), parse_constant=_reject_constant)
+    assert rec["values"]["error"] == "DomainError"
+    assert "digits" in rec["values"]["message"]
 
 
 @pytest.mark.parametrize("leaf", ["nope/x", ""])
@@ -423,6 +440,23 @@ def test_mc_prime_tail_argv_ends_in_a_strict_record(
     assert all(math.isfinite(v) for v in numbers)
     assert 0 <= values["n_indeterminate"] <= trials == values["trials"]
     assert values["ci_low"] <= values["estimate"] <= values["ci_high"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(1, 5000),
+    m=st.one_of(st.integers(2, 60), st.floats(2, 60)),
+    exponent=st.one_of(st.integers(-2, 3), st.floats(-2, 3)),
+)
+def test_bh_rhs_argv_ends_in_a_strict_record(n_max, m, exponent):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "bounds", "bh-rhs", "--nmax", str(n_max), f"--m={m!r}",
+        f"--exponent={exponent!r}", "--seed", "7",
+    )
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 3)
+    json.loads((out or err).strip(), parse_constant=_reject_constant)
 
 
 def test_config_file_supplies_defaults(tmp_path):

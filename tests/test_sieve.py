@@ -12,7 +12,6 @@ from rmflab.sieve import (
     load_prime_cache,
     primes_up_to,
     save_prime_cache,
-    sieve_block,
     sieve_block_tables,
 )
 
@@ -54,15 +53,22 @@ def test_arith_signature_examples():
         arith_signature(0)
 
 
+def test_arith_signature_within_the_term_budget():
+    # trial division stops at isqrt(n), so isqrt(n) <= 10^9 is the budget
+    assert arith_signature(10**18).distinct_primes == (2, 5)
+    with pytest.raises(DomainError, match="term budget"):
+        arith_signature((10**9 + 1) ** 2)
+
+
 def test_sieve_block_examples():
-    base = primes_up_to(6)
-    block = {s.n: s for s in sieve_block(1, 30, base)}
-    assert block[12].is_squarefree is False
-    assert block[12].omega == 2 and block[12].distinct_primes == (2, 3)
-    assert block[30].is_squarefree and block[30].omega == 3
-    assert block[30].distinct_primes == (2, 3, 5)
-    assert block[1].is_squarefree and block[1].omega == 0
-    assert block[1].distinct_primes == ()
+    t = sieve_block_tables(1, 30, primes_up_to(6))
+    row = {n: (bool(t.squarefree[n - 1]), int(t.omega[n - 1]), int(t.cofactor[n - 1]))
+           for n in (1, 12, 14, 29, 30)}
+    assert row[1] == (True, 0, 1)
+    assert row[12] == (False, 2, 1)
+    assert row[14] == (True, 2, 7)  # omega counts the cofactor prime 7
+    assert row[29] == (True, 1, 29)
+    assert row[30] == (True, 3, 1)
 
 
 def test_sieve_block_insufficient_base_is_loud():
@@ -70,22 +76,28 @@ def test_sieve_block_insufficient_base_is_loud():
         sieve_block_tables(1, 100, primes_up_to(7))  # need primes to 10
 
 
+def assert_tables_match_trial_division(lo, hi):
+    # the cofactor is the one prime factor above sqrt(hi), or 1
+    root = math.isqrt(hi)
+    t = sieve_block_tables(lo, hi, primes_up_to(root))
+    for i, n in enumerate(range(lo, hi + 1)):
+        sig = arith_signature(n)
+        cofactor = max((p for p in sig.distinct_primes if p > root), default=1)
+        assert (bool(t.squarefree[i]), int(t.omega[i]), int(t.cofactor[i])) == (
+            sig.is_squarefree, sig.omega, cofactor
+        )
+
+
 def test_block_oracle_equivalence_fixed_windows():
     # windows spread up to 10^7, compared against trial division
     for lo in (1, 9_999, 123_456, 5_000_000, 9_998_000):
-        hi = lo + 500
-        base = primes_up_to(math.isqrt(hi))
-        for sig in sieve_block(lo, hi, base):
-            assert sig == arith_signature(sig.n)
+        assert_tables_match_trial_division(lo, lo + 500)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=10_000_000 - 64))
 def test_block_oracle_equivalence_random(lo):
-    hi = lo + 64
-    base = primes_up_to(math.isqrt(hi))
-    for sig in sieve_block(lo, hi, base):
-        assert sig == arith_signature(sig.n)
+    assert_tables_match_trial_division(lo, lo + 64)
 
 
 @settings(max_examples=50, deadline=None)
