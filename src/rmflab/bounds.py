@@ -27,8 +27,17 @@ from .explicit import DEFAULT_ENVELOPE, prime_zeta, tail_series
 from .sieve import sieve_walk
 
 _LOG2 = math.log(2.0)
-#: exp argument beyond which float64 overflows
-_EXP_MAX = 709.0
+#: exp arguments beyond which float64 overflows, and below which it underflows
+_EXP_MAX, _EXP_MIN = 709.0, -745.0
+
+
+def _linear(log_value: float) -> float:
+    """e^log_value, or inf / 0.0 where float64 over- / underflows."""
+    if log_value > _EXP_MAX:
+        return math.inf
+    if log_value < _EXP_MIN:
+        return 0.0
+    return math.exp(log_value)
 
 
 class Provenance(enum.Enum):
@@ -109,7 +118,7 @@ def regime_from_sigma(sigma: float, theta: float, delta: float) -> RegimeParams:
     if not (math.isfinite(delta) and delta > 0):
         raise DomainError(f"delta must be finite and > 0, got {delta}")
     log_x = math.exp(-math.log(sigma - 0.5) / theta)
-    return RegimeParams(sigma, theta, delta, log_x, log_x <= 700.0)
+    return RegimeParams(sigma, theta, delta, log_x, _linear(log_x) < math.inf)
 
 
 def regime_from_log_x(log_x: float, theta: float, delta: float) -> RegimeParams:
@@ -121,7 +130,7 @@ def regime_from_log_x(log_x: float, theta: float, delta: float) -> RegimeParams:
     if not (math.isfinite(delta) and delta > 0):
         raise DomainError(f"delta must be finite and > 0, got {delta}")
     sigma = 0.5 + log_x**-theta
-    return RegimeParams(sigma, theta, delta, log_x, log_x <= 700.0)
+    return RegimeParams(sigma, theta, delta, log_x, _linear(log_x) < math.inf)
 
 
 @dataclass(frozen=True)
@@ -141,18 +150,14 @@ class BoundReport:
 
 
 def _report(name: str, log_value: float, **extras) -> BoundReport:
+    value = _linear(log_value)
     flags: tuple[str, ...] = ()
-    if math.isinf(log_value):
-        if log_value > 0:
-            value, flags = math.inf, ("OVERFLOW",)
-        else:
-            value, flags = 0.0, ("UNDERFLOW", "LOG_OVERFLOW")
-    elif log_value > _EXP_MAX:
-        value, flags = math.inf, ("OVERFLOW",)
-    elif log_value < -745.0:
-        value, flags = 0.0, ("UNDERFLOW",)
-    else:
-        value = math.exp(log_value)
+    if value == math.inf:
+        flags = ("OVERFLOW",)
+    elif value == 0.0:
+        flags = ("UNDERFLOW",)
+        if log_value == -math.inf:
+            flags += ("LOG_OVERFLOW",)
     return BoundReport(name, value, log_value, flags, extras)
 
 
@@ -334,7 +339,7 @@ def billingsley_constant(alpha: float, beta: float, theta_param: float) -> float
     converge, i.e. theta^(4 beta) * 2^(2 alpha - 1) <= 1.
     """
     log_k = _billingsley_log(alpha, beta, theta_param)
-    return math.exp(log_k) if log_k <= _EXP_MAX else math.inf
+    return _linear(log_k)
 
 
 def optimize_kappa(m: float) -> tuple[float, float]:
@@ -469,7 +474,7 @@ def angelo_xu_bound(log_x: float, beta_prime: float) -> BoundReport:
     if not (math.isfinite(beta_prime) and beta_prime > 0):
         raise DomainError(f"beta' must be finite and > 0, got {beta_prime}")
     inner = beta_prime * log_x / math.log(log_x)
-    log_value = -math.exp(inner) if inner <= _EXP_MAX else -math.inf
+    log_value = -_linear(inner)
     return _report("angelo_xu_bound", log_value, inner_exponent=inner)
 
 

@@ -34,11 +34,6 @@ SCHEMA_VERSION = "1"
 
 _MODES = {"squarefree": Mode.SQUAREFREE_MULT, "completely": Mode.COMPLETELY_MULT}
 
-#: dest -> argparse type, or _bool for the store_true flags; populated while
-#: the parser tree is built, so _inject_config can reject unknown config keys
-#: and write boolean keys as bare flags.
-_DEST_TYPES: dict = {}
-
 
 @dataclass
 class ResultRecord:
@@ -70,13 +65,6 @@ def _bool(text: str) -> bool:
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in str(text).split(",") if part.strip()]
-
-
-def _add(parser: argparse.ArgumentParser, *names, **kwargs):
-    action = parser.add_argument(*names, **kwargs)
-    if action.dest != argparse.SUPPRESS:
-        _DEST_TYPES[action.dest] = _bool if action.const is True else action.type
-    return action
 
 
 def _json_param(value):
@@ -373,9 +361,7 @@ def _h_bounds_kappa(args):
 
 def _h_bounds_lambda(args):
     log_lambda = bnd.lambda_threshold(_regime_of(args))
-    payload = {"log_lambda": log_lambda}
-    payload["lambda"] = math.exp(log_lambda) if log_lambda > -745.0 else 0.0
-    return payload
+    return {"log_lambda": log_lambda, "lambda": bnd._linear(log_lambda)}
 
 
 def _h_bounds_epsilon(args):
@@ -422,19 +408,124 @@ def _h_bounds_compare(args):
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# the operations: one table builds the parser and names the config keys
 
 
-def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # global flags are valid both before and after the subcommand; the
-    # per-subcommand copies use SUPPRESS so absence never clobbers values
-    # already parsed at the root
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    _add(parser, "--seed", type=int, help="64-bit master seed", **kw)
-    _add(parser, "--threads", type=int, **kw)
-    _add(parser, "--format", choices=["jsonl", "csv"], **kw)
-    _add(parser, "--output", type=str, **kw)
-    _add(parser, "--config", type=str, help="key=value file", **kw)
+def _required(flag: str, type=float):
+    return flag, {"type": type, "required": True}
+
+
+def _optional(flag: str, default, type=float):
+    return flag, {"type": type, "default": default}
+
+
+def _choice(flag: str, choices: list, default):
+    return flag, {"choices": choices, "default": default}
+
+
+def _switch(flag: str):
+    return flag, {"action": "store_true"}
+
+
+#: global flags, valid both before and after `group op`
+_GLOBALS = (
+    ("--seed", {"type": int, "help": "64-bit master seed"}),
+    ("--threads", {"type": int, "help": "default: $RMF_LAB_THREADS, else 1"}),
+    _choice("--format", ["jsonl", "csv"], "jsonl"),
+    ("--output", {"type": str}),
+    ("--config", {"type": str, "help": "key=value file"}),
+)
+
+# flag specs that several operations share
+_SIGMA = _required("--sigma")
+_M = _required("--m")
+_X = _required("--x")
+_X_INT = _optional("--x", 1, int)
+_NMAX = _required("--nmax", int)
+_PMAX = _required("--pmax", int)
+_TRIAL = _optional("--trial", 0, int)
+_LAMBDA = _required("--lambda")
+_S = _required("--s")
+_EXPONENT = _optional("--exponent", 1.0)
+_BETA_PRIME = _optional("--beta-prime", 1.0)
+_THETA = _required("--theta")
+_DELTA = _required("--delta")
+_MODE = _choice("--mode", list(_MODES), "squarefree")
+_MC = (_required("--trials", int), _optional("--level", 0.99))
+_ENVELOPE = (
+    _optional("--c3", nt.DEFAULT_ENVELOPE[0]),
+    _optional("--c5", nt.DEFAULT_ENVELOPE[1]),
+)
+_REGIME = (_optional("--sigma", None), _THETA, _DELTA, _optional("--log-x", None))
+
+#: (group, op, handler, flags) of every operation, in `--help` order
+_OPERATIONS = (
+    ("sieve", "primes", _h_sieve_primes, (_NMAX, _optional("--cache", None, str))),
+    ("sieve", "signature", _h_sieve_signature, (_required("--n", int),)),
+    ("sample", "signs", _h_sample_signs, (_NMAX, _TRIAL, _MODE)),
+    ("series", "trajectory", _h_series_trajectory,
+     (_SIGMA, _NMAX, _TRIAL, _optional("--stride", 1, int), _MODE)),
+    ("series", "euler", _h_series_euler, (_SIGMA, _PMAX, _TRIAL, _MODE)),
+    ("series", "logdecomp", _h_series_logdecomp, (_SIGMA, _PMAX, _TRIAL, _MODE)),
+    ("oracle", "positivity", _h_oracle_positivity, (_NMAX, _SIGMA, _X_INT, _MODE)),
+    ("oracle", "moment", _h_oracle_moment,
+     (_NMAX, _M, _EXPONENT, _switch("--absolute"), _MODE)),
+    ("mc", "positivity", _h_mc_positivity,
+     (_SIGMA, _X_INT, _NMAX, *_MC, _optional("--dump-trials", None, str), _MODE)),
+    ("mc", "moment", _h_mc_moment, (_NMAX, _M, _EXPONENT, *_MC, _MODE)),
+    ("mc", "prime-tail", _h_mc_prime_tail, (_SIGMA, _LAMBDA, _PMAX, *_MC)),
+    ("mc", "sign-changes", _h_mc_sign_changes, (_SIGMA, _NMAX, *_MC, _MODE)),
+    ("nt", "tsum", _h_nt_tsum, (_X, _M)),
+    ("nt", "tail", _h_nt_tail, (_X, _M, _SIGMA, _required("--cutoff"), *_ENVELOPE)),
+    ("nt", "mertens", _h_nt_mertens, (_X, _switch("--exact"))),
+    ("nt", "chebyshev", _h_nt_chebyshev,
+     (_X, _optional("--m", 2.0), _optional("--c2", nt.DEFAULT_CHEBYSHEV_C2))),
+    ("nt", "zeta", _h_nt_zeta, (_S,)),
+    ("nt", "primezeta", _h_nt_primezeta, (_S,)),
+    ("nt", "fit-lemma31", _h_nt_fit_lemma31, (
+        _optional("--x-grid", [1e2, 1e3, 1e4, 1e5, 1e6], _float_list),
+        _optional("--m-grid", [3.0, 5.0, 10.0], _float_list),
+    )),
+    ("bounds", "theorem1", _h_bounds_theorem1, _REGIME),
+    ("bounds", "corollary", _h_bounds_corollary, _REGIME),
+    ("bounds", "hoeffding", _h_bounds_hoeffding, (
+        _LAMBDA, _SIGMA,
+        _choice("--variance-mode", ["exact", "asymptotic", "both"], "both"),
+    )),
+    ("bounds", "bh-rhs", _h_bounds_bh_rhs, (_NMAX, _M, _EXPONENT)),
+    ("bounds", "maximal", _h_bounds_maximal, (
+        _LAMBDA, _M, _X, _SIGMA, _optional("--kappa", None),
+        _optional("--cutoff", None), *_ENVELOPE,
+    )),
+    ("bounds", "billingsley", _h_bounds_billingsley,
+     (_required("--alpha"), _required("--beta"), _required("--theta-param"))),
+    ("bounds", "kappa", _h_bounds_kappa, (_M,)),
+    ("bounds", "lambda", _h_bounds_lambda, _REGIME),
+    ("bounds", "epsilon", _h_bounds_epsilon, (
+        _optional("--c9", 1.0), _optional("--c10", 1.0), _optional("--c11", 1.0),
+        _THETA,
+    )),
+    ("bounds", "lemma41", _h_bounds_lemma41, (
+        *_REGIME, _optional("--lambda", None), _optional("--log-lambda", None),
+        _optional("--epsilon", None), _optional("--beta", None),
+    )),
+    ("bounds", "angelo-xu", _h_bounds_angelo_xu, (_required("--log-x"), _BETA_PRIME)),
+    ("bounds", "compare", _h_bounds_compare,
+     (_required("--log-x-grid", _float_list), _THETA, _DELTA, _BETA_PRIME)),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+_GLOBAL_DESTS = {_dest(flag) for flag, _ in _GLOBALS}
+
+#: every config key, mapped to whether it is a store_true switch
+_CONFIG_KEYS = {
+    _dest(flag): spec.get("action") == "store_true"
+    for flag, spec in _GLOBALS + tuple(f for *_, flags in _OPERATIONS for f in flags)
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,185 +534,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for weighted partial sums of "
         "Rademacher random multiplicative functions",
     )
-    _global_options(parser, suppress=False)
-    parser.set_defaults(seed=None, threads=None, format="jsonl", output=None)
+    # the per-operation copies of the global flags default to SUPPRESS, so
+    # that absence never clobbers values already parsed at the root
     leaf_common = argparse.ArgumentParser(add_help=False)
-    _global_options(leaf_common, suppress=True)
+    for flag, spec in _GLOBALS:
+        parser.add_argument(flag, **spec)
+        leaf_common.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
+    # argparse converts a string default with type=int, so a value that is
+    # no integer ends as a usage error
+    parser.set_defaults(threads=os.environ.get("RMF_LAB_THREADS", "1"))
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def sub(group, name, handler, **kwargs):
-        p = group.add_parser(name, parents=[leaf_common], **kwargs)
+    ops: dict = {}
+    for group, op, handler, flags in _OPERATIONS:
+        if group not in ops:
+            ops[group] = groups.add_parser(group).add_subparsers(
+                dest="op", required=True
+            )
+        p = ops[group].add_parser(op, parents=[leaf_common])
         p.set_defaults(_handler=handler)
-        return p
-
-    def add_mode(p):
-        _add(p, "--mode", choices=list(_MODES), default="squarefree")
-
-    g_sieve = sub_group(groups, "sieve")
-    p = sub(g_sieve, "primes", _h_sieve_primes)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--cache", type=str, default=None)
-    p = sub(g_sieve, "signature", _h_sieve_signature)
-    _add(p, "--n", type=int, required=True)
-
-    g_sample = sub_group(groups, "sample")
-    p = sub(g_sample, "signs", _h_sample_signs)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--trial", type=int, default=0)
-    add_mode(p)
-
-    g_series = sub_group(groups, "series")
-    p = sub(g_series, "trajectory", _h_series_trajectory)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--trial", type=int, default=0)
-    _add(p, "--stride", type=int, default=1)
-    add_mode(p)
-    p = sub(g_series, "euler", _h_series_euler)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--pmax", type=int, required=True)
-    _add(p, "--trial", type=int, default=0)
-    add_mode(p)
-    p = sub(g_series, "logdecomp", _h_series_logdecomp)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--pmax", type=int, required=True)
-    _add(p, "--trial", type=int, default=0)
-    add_mode(p)
-
-    g_oracle = sub_group(groups, "oracle")
-    p = sub(g_oracle, "positivity", _h_oracle_positivity)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--x", type=int, default=1)
-    add_mode(p)
-    p = sub(g_oracle, "moment", _h_oracle_moment)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--m", type=float, required=True)
-    _add(p, "--exponent", type=float, default=1.0)
-    _add(p, "--absolute", action="store_true")
-    add_mode(p)
-
-    g_mc = sub_group(groups, "mc")
-    p = sub(g_mc, "positivity", _h_mc_positivity)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--x", type=int, default=1)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--trials", type=int, required=True)
-    _add(p, "--level", type=float, default=0.99)
-    _add(p, "--dump-trials", type=str, default=None)
-    add_mode(p)
-    p = sub(g_mc, "moment", _h_mc_moment)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--m", type=float, required=True)
-    _add(p, "--exponent", type=float, default=1.0)
-    _add(p, "--trials", type=int, required=True)
-    _add(p, "--level", type=float, default=0.99)
-    add_mode(p)
-    p = sub(g_mc, "prime-tail", _h_mc_prime_tail)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--lambda", type=float, required=True, dest="lambda")
-    _add(p, "--pmax", type=int, required=True)
-    _add(p, "--trials", type=int, required=True)
-    _add(p, "--level", type=float, default=0.99)
-    p = sub(g_mc, "sign-changes", _h_mc_sign_changes)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--trials", type=int, required=True)
-    _add(p, "--level", type=float, default=0.99)
-    add_mode(p)
-
-    g_nt = sub_group(groups, "nt")
-    p = sub(g_nt, "tsum", _h_nt_tsum)
-    _add(p, "--x", type=float, required=True)
-    _add(p, "--m", type=float, required=True)
-    p = sub(g_nt, "tail", _h_nt_tail)
-    _add(p, "--x", type=float, required=True)
-    _add(p, "--m", type=float, required=True)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--cutoff", type=float, required=True)
-    _add(p, "--c3", type=float, default=nt.DEFAULT_ENVELOPE[0])
-    _add(p, "--c5", type=float, default=nt.DEFAULT_ENVELOPE[1])
-    p = sub(g_nt, "mertens", _h_nt_mertens)
-    _add(p, "--x", type=float, required=True)
-    _add(p, "--exact", action="store_true")
-    p = sub(g_nt, "chebyshev", _h_nt_chebyshev)
-    _add(p, "--x", type=float, required=True)
-    _add(p, "--m", type=float, default=2.0)
-    _add(p, "--c2", type=float, default=nt.DEFAULT_CHEBYSHEV_C2)
-    p = sub(g_nt, "zeta", _h_nt_zeta)
-    _add(p, "--s", type=float, required=True)
-    p = sub(g_nt, "primezeta", _h_nt_primezeta)
-    _add(p, "--s", type=float, required=True)
-    p = sub(g_nt, "fit-lemma31", _h_nt_fit_lemma31)
-    _add(p, "--x-grid", type=_float_list, default=[1e2, 1e3, 1e4, 1e5, 1e6])
-    _add(p, "--m-grid", type=_float_list, default=[3.0, 5.0, 10.0])
-
-    g_bounds = sub_group(groups, "bounds")
-
-    def add_regime(p):
-        _add(p, "--sigma", type=float, default=None)
-        _add(p, "--theta", type=float, required=True)
-        _add(p, "--delta", type=float, required=True)
-        _add(p, "--log-x", type=float, default=None)
-
-    p = sub(g_bounds, "theorem1", _h_bounds_theorem1)
-    add_regime(p)
-    p = sub(g_bounds, "corollary", _h_bounds_corollary)
-    add_regime(p)
-    p = sub(g_bounds, "hoeffding", _h_bounds_hoeffding)
-    _add(p, "--lambda", type=float, required=True, dest="lambda")
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--variance-mode", choices=["exact", "asymptotic", "both"], default="both")
-    p = sub(g_bounds, "bh-rhs", _h_bounds_bh_rhs)
-    _add(p, "--nmax", type=int, required=True)
-    _add(p, "--m", type=float, required=True)
-    _add(p, "--exponent", type=float, default=1.0)
-    p = sub(g_bounds, "maximal", _h_bounds_maximal)
-    _add(p, "--lambda", type=float, required=True, dest="lambda")
-    _add(p, "--m", type=float, required=True)
-    _add(p, "--x", type=float, required=True)
-    _add(p, "--sigma", type=float, required=True)
-    _add(p, "--kappa", type=float, default=None)
-    _add(p, "--cutoff", type=float, default=None)
-    _add(p, "--c3", type=float, default=nt.DEFAULT_ENVELOPE[0])
-    _add(p, "--c5", type=float, default=nt.DEFAULT_ENVELOPE[1])
-    p = sub(g_bounds, "billingsley", _h_bounds_billingsley)
-    _add(p, "--alpha", type=float, required=True)
-    _add(p, "--beta", type=float, required=True)
-    _add(p, "--theta-param", type=float, required=True)
-    p = sub(g_bounds, "kappa", _h_bounds_kappa)
-    _add(p, "--m", type=float, required=True)
-    p = sub(g_bounds, "lambda", _h_bounds_lambda)
-    add_regime(p)
-    p = sub(g_bounds, "epsilon", _h_bounds_epsilon)
-    _add(p, "--c9", type=float, default=1.0)
-    _add(p, "--c10", type=float, default=1.0)
-    _add(p, "--c11", type=float, default=1.0)
-    _add(p, "--theta", type=float, required=True)
-    p = sub(g_bounds, "lemma41", _h_bounds_lemma41)
-    add_regime(p)
-    _add(p, "--lambda", type=float, default=None, dest="lambda")
-    _add(p, "--log-lambda", type=float, default=None)
-    _add(p, "--epsilon", type=float, default=None)
-    _add(p, "--beta", type=float, default=None)
-    p = sub(g_bounds, "angelo-xu", _h_bounds_angelo_xu)
-    _add(p, "--log-x", type=float, required=True)
-    _add(p, "--beta-prime", type=float, default=1.0)
-    p = sub(g_bounds, "compare", _h_bounds_compare)
-    _add(p, "--log-x-grid", type=_float_list, required=True)
-    _add(p, "--theta", type=float, required=True)
-    _add(p, "--delta", type=float, required=True)
-    _add(p, "--beta-prime", type=float, default=1.0)
-
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
     return parser
-
-
-def sub_group(groups, name: str):
-    p = groups.add_parser(name)
-    return p.add_subparsers(dest="op", required=True)
-
-
-_GLOBAL_DESTS = {"seed", "threads", "format", "output", "config"}
 
 
 def _read_config(path: str) -> dict:
@@ -646,7 +579,7 @@ def _inject_config(argv: list[str], config: dict) -> list[str]:
     command-line flags override the config.  Unknown keys are rejected.
     """
     for key in config:
-        if key not in _DEST_TYPES:
+        if key not in _CONFIG_KEYS:
             raise KeyError(f"unknown config key {key!r}")
     head: list[str] = []
     tail: list[str] = []
@@ -655,7 +588,7 @@ def _inject_config(argv: list[str], config: dict) -> list[str]:
             continue
         flag = "--" + key.replace("_", "-")
         bucket = head if key in _GLOBAL_DESTS else tail
-        if _DEST_TYPES.get(key) is _bool:
+        if _CONFIG_KEYS[key]:
             if _bool(value):
                 bucket.append(flag)
         else:
@@ -729,8 +662,6 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         return int(exc.code) if exc.code else 0
     if args.seed is None:
         args.seed = secrets.randbits(63)
-    if args.threads is None:
-        args.threads = int(os.environ.get("RMF_LAB_THREADS", "1"))
     if args.threads < 1:
         print("rmf-lab: --threads must be >= 1", file=stderr)
         return 2

@@ -431,6 +431,7 @@ def mc_moment(
     if not coeffs:
         raise DomainError("need at least one coefficient")
     n_max = max(coeffs)
+    seeded = _seeded(master_seed, n_max)  # refuses n_max past the term budget
     vec = np.zeros(n_max, dtype=np.float64)
     for n, v in coeffs.items():
         if not 1 <= n <= n_max:
@@ -444,7 +445,7 @@ def mc_moment(
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
         sums[rows] += vec[lo - 1 : lo - 1 + f.shape[0]] @ f.astype(np.float64)
 
-    walk_blocks(*_seeded(master_seed, n_max), n_max, mode, None, add, trials, threads)
+    walk_blocks(*seeded, n_max, mode, None, add, trials, threads)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 

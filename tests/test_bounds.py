@@ -346,6 +346,17 @@ def test_angelo_xu_worked_example():
     assert report.log_value == -math.inf
 
 
+def test_one_rule_for_a_representable_exponential():
+    from rmflab.bounds import _linear
+
+    assert _linear(709.0) == math.exp(709.0) and _linear(709.5) == math.inf
+    assert _linear(-745.0) == math.exp(-745.0) > 0.0 and _linear(-745.5) == 0.0
+    assert _linear(-math.inf) == 0.0 and math.isnan(_linear(math.nan))
+    # the regime flag follows it: e^705 is a finite float64, e^710 is not
+    assert regime_from_log_x(705.0, 0.5, 0.5).x_is_finite_representable
+    assert not regime_from_log_x(710.0, 0.5, 0.5).x_is_finite_representable
+
+
 def test_angelo_xu_beta_to_zero_limit():
     report = angelo_xu_bound(100.0, 1e-9)
     assert report.value == pytest.approx(math.exp(-1.0), rel=1e-6)

@@ -488,6 +488,28 @@ def test_env_var_thread_default(monkeypatch):
     assert record_of(out).params["threads"] == 3
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_env_var_thread_default_not_an_integer_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("RMF_LAB_THREADS", value)
+    code, out, err = run_cli("nt", "zeta", "--s", "2")
+    assert code == 2
+    assert out == ""
+    stderr = err + capsys.readouterr().err
+    assert "--threads" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("switch, numerator", [("yes", True), ("off", False)])
+def test_config_switches_and_global_keys(tmp_path, switch, numerator):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x = 10\nexact = {switch}\nseed = 5\nthreads = 2\n")
+    code, out, _ = run_cli("nt", "mertens", "--config", str(cfg))
+    assert code == 0
+    rec = record_of(out)
+    assert (rec.seed, rec.params["threads"], rec.params["exact"]) == (5, 2, numerator)
+    assert ("numerator" in rec.values) is numerator
+
+
 def test_mc_thread_replay_identical():
     args = [
         "mc", "prime-tail", "--sigma", "0.6", "--lambda", "0.5", "--pmax", "1000",

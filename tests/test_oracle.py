@@ -489,6 +489,12 @@ def test_mc_moment_rejects_overflow_and_empty_coefficients():
         mc_moment(power_coeffs(0, 1.0), 4, 10, master_seed=1)
 
 
+def test_mc_moment_refuses_a_huge_index_before_allocating():
+    # a float64 vector up to 10^11 would take 745 GiB
+    with pytest.raises(DomainError, match="term budget"):
+        mc_moment({10**11: 1.0}, 4, 10, master_seed=1)
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.5, math.nan, math.inf])
 def test_mc_estimators_reject_level_outside_unit_interval(level):
     runs = (

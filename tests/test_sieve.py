@@ -60,6 +60,19 @@ def test_arith_signature_within_the_term_budget():
         arith_signature((10**9 + 1) ** 2)
 
 
+def test_arith_signature_past_the_first_trial_chunk():
+    # both primes lie past the first numpy chunk of odd trial divisors
+    p, q = primes_up_to(1_100_000).primes[-2:].tolist()
+    assert 2**20 < p < q
+    assert arith_signature(p * q).distinct_primes == (p, q)
+    sig = arith_signature(9 * p * q)
+    assert (sig.is_squarefree, sig.omega, sig.distinct_primes) == (False, 3, (3, p, q))
+    sig = arith_signature(10 * p**2)
+    assert (sig.is_squarefree, sig.omega, sig.distinct_primes) == (False, 3, (2, 5, p))
+    # a prime near 10^14: about 5 * 10^6 odd trial divisors
+    assert arith_signature(99999999999973).distinct_primes == (99999999999973,)
+
+
 def test_sieve_block_examples():
     t = sieve_block_tables(1, 30, primes_up_to(6))
     row = {n: (bool(t.squarefree[n - 1]), int(t.omega[n - 1]), int(t.cofactor[n - 1]))
