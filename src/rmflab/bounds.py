@@ -1,4 +1,4 @@
-"""Closed-form bound evaluators and the two optimizations they feed.
+"""Closed-form bound evaluators and the closed-form kappa and epsilon they use.
 
 The working regime ties sigma to a horizon through
 log x = (sigma - 1/2)^(-1/theta), which makes x itself astronomically
@@ -29,6 +29,8 @@ from .sieve import sieve_walk
 _LOG2 = math.log(2.0)
 #: exp arguments beyond which float64 overflows, and below which it underflows
 _EXP_MAX, _EXP_MIN = 709.0, -745.0
+#: most bits an exact sum or power may reach, about 5 times what json writes
+EXACT_BITS_LIMIT = 1 << 16
 
 
 def _linear(log_value: float) -> float:
@@ -109,28 +111,34 @@ class RegimeParams:
     x_is_finite_representable: bool
 
 
-def regime_from_sigma(sigma: float, theta: float, delta: float) -> RegimeParams:
-    """Build the regime from sigma; theta = 1 is allowed as a boundary check."""
-    if not 0.5 < sigma <= 1.0:
-        raise DomainError(f"sigma must lie in (1/2, 1], got {sigma}")
+def _regime(theta: float, delta: float, sigma=None, log_x=None) -> RegimeParams:
+    """Check theta and delta, then derive log x from sigma or sigma from log x."""
     if not 0.0 < theta <= 1.0:
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     if not (math.isfinite(delta) and delta > 0):
         raise DomainError(f"delta must be finite and > 0, got {delta}")
-    log_x = math.exp(-math.log(sigma - 0.5) / theta)
+    if log_x is None:
+        try:
+            log_x = math.exp(-math.log(sigma - 0.5) / theta)
+        except OverflowError:
+            raise DomainError(f"log x overflows float64 at sigma={sigma}") from None
+    else:
+        sigma = 0.5 + log_x**-theta
     return RegimeParams(sigma, theta, delta, log_x, _linear(log_x) < math.inf)
+
+
+def regime_from_sigma(sigma: float, theta: float, delta: float) -> RegimeParams:
+    """Build the regime from sigma; theta = 1 is allowed as a boundary check."""
+    if not 0.5 < sigma <= 1.0:
+        raise DomainError(f"sigma must lie in (1/2, 1], got {sigma}")
+    return _regime(theta, delta, sigma=sigma)
 
 
 def regime_from_log_x(log_x: float, theta: float, delta: float) -> RegimeParams:
     """Regime addressed directly by log x (larger-x explorations)."""
     if not (math.isfinite(log_x) and log_x > 1.0):
         raise DomainError(f"log x must be finite and > 1, got {log_x}")
-    if not 0.0 < theta <= 1.0:
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise DomainError(f"delta must be finite and > 0, got {delta}")
-    sigma = 0.5 + log_x**-theta
-    return RegimeParams(sigma, theta, delta, log_x, _linear(log_x) < math.inf)
+    return _regime(theta, delta, log_x=log_x)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,8 @@ class BoundReport:
 
 
 def _report(name: str, log_value: float, **extras) -> BoundReport:
+    if math.isnan(log_value):
+        raise DomainError(f"{name} is NaN: its terms leave float64")
     value = _linear(log_value)
     flags: tuple[str, ...] = ()
     if value == math.inf:
@@ -161,19 +171,24 @@ def _report(name: str, log_value: float, **extras) -> BoundReport:
     return BoundReport(name, value, log_value, flags, extras)
 
 
-def _require_loglog(r: RegimeParams) -> float:
+def _log_power_ratio(r: RegimeParams, scale: float, a: float, b: float) -> float:
+    """scale (log x)^a / (log log x)^b; DomainError where float64 cannot hold it."""
     if r.log_x <= 1.0:
         raise DomainError(f"log x must exceed 1, got {r.log_x}")
-    return math.log(r.log_x)
+    ll = math.log(r.log_x)
+    try:
+        value = scale * r.log_x**a / ll**b
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"(log x)^{a:.6g} / (log log x)^{b:.6g} leaves float64")
+    return value
 
 
 def _theorem1_exponent(r: RegimeParams) -> float:
     """(1/2theta) (log x)^(2-2theta) / (log log x)^(1+2delta)."""
-    ll = _require_loglog(r)
-    return (
-        (1.0 / (2.0 * r.theta))
-        * r.log_x ** (2.0 - 2.0 * r.theta)
-        / ll ** (1.0 + 2.0 * r.delta)
+    return _log_power_ratio(
+        r, 1.0 / (2.0 * r.theta), 2.0 - 2.0 * r.theta, 1.0 + 2.0 * r.delta
     )
 
 
@@ -185,8 +200,8 @@ def theorem1_lower_bound(r: RegimeParams) -> BoundReport:
     """
     exponent = _theorem1_exponent(r)
     value = -math.expm1(-exponent)
-    if 0.0 < value < 1.0:
-        log_value = math.log(value)
+    if value < 1.0:  # 0 where the exponent underflowed
+        log_value = math.log(value) if value > 0 else -math.inf
     else:
         # value rounded up to 1: log1p(-e^-E) ~ -e^-E keeps the deficit
         log_value = math.log1p(-math.exp(-exponent))
@@ -225,14 +240,20 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
         flags = zip(keys[start:stop], t.squarefree[rows].tolist(), t.omega[rows])
         entries += [(coeffs[n], int(w)) for n, sf, w in flags if sf]
     if float(m).is_integer() and int(m) % 2 == 0:
+        k, base, bits = int(m) // 2, Fraction(0), 1
         try:
-            base = sum(
-                (Fraction(a) ** 2 * (Fraction(m) - 1) ** w for a, w in entries),
-                Fraction(0),
-            )
-            return base ** (int(m) // 2)
+            for a, w in entries:
+                base += Fraction(a) ** 2 * (Fraction(m) - 1) ** w
+                # a b-bit integer is at least 2^(b-1): base^k has over (b-1) k bits
+                bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+                if (bits - 1) * k > EXACT_BITS_LIMIT:
+                    break
         except (TypeError, ValueError):
             pass  # non-rational coefficient type: fall through to floats
+        else:
+            if (bits - 1) * k > EXACT_BITS_LIMIT:
+                raise DomainError(f"the exact sum passes {EXACT_BITS_LIMIT} bits")
+            return base**k
     try:
         base = math.fsum(abs(float(a)) ** 2 * (m - 1.0) ** w for a, w in entries)
         value = base ** (m / 2.0)
@@ -274,11 +295,8 @@ def maximal_bound(
     if cutoff is None:
         cutoff = max(1_000_000.0, 64.0 * x)
     tail_upper = tail_series(x, m, sigma, cutoff, envelope).upper
-    log_value = (
-        2.0 * m * math.log(kappa)
-        - m * math.log(threshold)
-        + 0.5 * m * math.log(tail_upper)
-    )
+    log_tail = math.log(tail_upper) if tail_upper != 0 else -math.inf
+    log_value = 2.0 * m * math.log(kappa) - m * math.log(threshold) + 0.5 * m * log_tail
     return _report("maximal_bound", log_value, kappa=kappa, tail_upper=tail_upper)
 
 
@@ -309,11 +327,18 @@ def hoeffding_bound(
             raise DomainError(
                 f"asymptotic variance proxy nonpositive at sigma={sigma}"
             )
-    log_value = -threshold * threshold / (2.0 * q)
+    # P(2 sigma) underflows to 0 beyond sigma = 537: the bound is 0 there if lambda > 0
+    log_zero = -math.inf if threshold else 0.0
+    log_value = -threshold * threshold / (2.0 * q) if q else log_zero
     return _report("hoeffding_bound", log_value, variance_proxy=q)
 
 
-def _billingsley_log(alpha: float, beta: float, theta_param: float) -> float:
+def billingsley_constant(alpha: float, beta: float, theta_param: float) -> float:
+    """Maximal-inequality constant K = 2^(2a+4b) (1-t)^(-4b) / (1 - t^(-4b) 2^(1-2a)).
+
+    Raises DivergenceError when the underlying geometric series does not
+    converge, i.e. theta^(4 beta) * 2^(2 alpha - 1) <= 1.
+    """
     if not (alpha > 0.5 and beta >= 0 and math.isfinite(alpha) and math.isfinite(beta)):
         raise DomainError("need finite alpha > 1/2 and beta >= 0")
     if not 0.0 < theta_param < 1.0:
@@ -325,62 +350,30 @@ def _billingsley_log(alpha: float, beta: float, theta_param: float) -> float:
             f"series diverges: theta^(4 beta) 2^(2 alpha - 1) = "
             f"{math.exp(-log_ratio):.6g} <= 1"
         )
-    return (
+    return _linear(
         (2.0 * alpha + 4.0 * beta) * _LOG2
         - 4.0 * beta * math.log1p(-theta_param)
         - math.log1p(-math.exp(log_ratio))
     )
 
 
-def billingsley_constant(alpha: float, beta: float, theta_param: float) -> float:
-    """Maximal-inequality constant K = 2^(2a+4b) (1-t)^(-4b) / (1 - t^(-4b) 2^(1-2a)).
-
-    Raises DivergenceError when the underlying geometric series does not
-    converge, i.e. theta^(4 beta) * 2^(2 alpha - 1) <= 1.
-    """
-    log_k = _billingsley_log(alpha, beta, theta_param)
-    return _linear(log_k)
-
-
 def optimize_kappa(m: float) -> tuple[float, float]:
     """Minimize K^(1/2m) over admissible theta at 2 alpha = m/2, 4 beta = m.
 
-    Returns (theta_star, kappa) with kappa = K(theta_star)^(1/(2m)), the
-    normalization that enters the maximal bound as kappa^(2m).  Coarse
-    grid scan followed by golden-section refinement; the returned theta
-    always satisfies the convergence precondition.
+    Returns (theta_star, kappa) with kappa = K(theta_star)^(1/(2m)), which
+    enters the maximal bound as kappa^(2m).  d log K / d theta vanishes only
+    where theta = theta^(-m) 2^(1-m/2): at theta_star = 2^(-(m-2)/(2(m+1))),
+    admissible for every m > 2.  K's denominator is 1 - theta_star there, so
+    kappa = 2^(3/4) (1 - theta_star)^(-(m+1)/(2m)), with 1 - theta_star from
+    expm1: near m = 2 theta_star rounds to 1.0, but kappa keeps its precision.
     """
     if not (math.isfinite(m) and m > 2):
         raise DomainError(f"m must be finite and > 2, got {m}")
-    alpha = m / 4.0
-    beta = m / 4.0
-    # admissibility: theta > 2^((1 - 2 alpha) / (4 beta))
-    theta_min = 2.0 ** ((1.0 - 2.0 * alpha) / (4.0 * beta))
-    lo = theta_min + 1e-9 * (1.0 - theta_min)
-    hi = 1.0 - 1e-12
-
-    def objective(theta: float) -> float:
-        return _billingsley_log(alpha, beta, theta) / (2.0 * m)
-
-    grid = [lo + (hi - lo) * i / 200.0 for i in range(201)]
-    best = min(grid, key=objective)
-    i = grid.index(best)
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    for _ in range(80):
-        if objective(c) < objective(d):
-            b, d = d, c
-            c = b - inv_phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + inv_phi * (b - a)
-        if b - a < 1e-12:
-            break
-    theta_star = (a + b) / 2.0
-    return theta_star, math.exp(objective(theta_star))
+    exponent = -0.5 * (m - 2.0) / (m + 1.0)
+    gap = -math.expm1(_LOG2 * exponent)
+    # (m+1)/(2m) = 3/4 - (m-2)/(4m): no rounded exponent meets a large log(gap)
+    kappa = (2.0 / gap) ** 0.75 * gap ** (0.25 * (m - 2.0) / m)
+    return 2.0**exponent, kappa
 
 
 def lambda_threshold(r: RegimeParams) -> float:
@@ -390,8 +383,7 @@ def lambda_threshold(r: RegimeParams) -> float:
     event; returned in log space because lambda itself underflows deep in
     the regime.
     """
-    ll = _require_loglog(r)
-    return -_LOG2 - 0.5 * r.log_x ** (1.0 - r.theta) / ll**r.delta
+    return -_LOG2 - _log_power_ratio(r, 0.5, 1.0 - r.theta, r.delta)
 
 
 def optimize_epsilon(
@@ -406,9 +398,17 @@ def optimize_epsilon(
         raise DomainError("c9, c10, c11 must be finite and positive")
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
+    # scaled by a power of two, which is exact, so that no product overflows
+    k = math.frexp(max(c9, c10, c11))[1]
+    c9, c10, c11 = (math.ldexp(c, -k) for c in (c9, c10, c11))
     c12 = c9 * (1.0 - theta) + c9 + c10 * theta
-    eps0 = c11 / (2.0 * c12)
-    return eps0, c11 * c11 / (4.0 * c12)
+    try:
+        eps0, beta = c11 / (2.0 * c12), math.ldexp(c11 * c11 / (4.0 * c12), k)
+    except (ZeroDivisionError, OverflowError):  # c12 underflowed, beta overflows
+        eps0 = beta = math.inf
+    if not (0.0 < eps0 < math.inf and 0.0 < beta < math.inf):
+        raise DomainError(f"epsilon = {eps0:.6g} or beta = {beta:.6g} leaves float64")
+    return eps0, beta
 
 
 def lemma41_bound(
@@ -427,7 +427,6 @@ def lemma41_bound(
     reported both real-valued and rounded (the moment inequality needs
     m >= 2 real, not integer).
     """
-    ll = _require_loglog(r)
     if log_threshold is None:
         if threshold is None or not threshold > 0:
             raise DomainError("need lambda > 0 (or log_threshold)")
@@ -447,8 +446,8 @@ def lemma41_bound(
         beta = beta0 if beta is None else beta
     if not all(map(math.isfinite, (log_threshold, epsilon, beta))):
         raise DomainError("log lambda, epsilon and beta must be finite")
-    scale_main = r.log_x ** (2.0 - 2.0 * r.theta) / ll
-    scale_lam = r.log_x ** (1.0 - r.theta) / ll
+    scale_main = _log_power_ratio(r, 1.0, 2.0 - 2.0 * r.theta, 1.0)
+    scale_lam = _log_power_ratio(r, 1.0, 1.0 - r.theta, 1.0)
     term_beta = -beta * scale_main
     term_lambda = epsilon * (-log_threshold) * scale_lam
     m_real = epsilon * scale_lam
@@ -458,7 +457,7 @@ def lemma41_bound(
         term_beta=term_beta,
         term_lambda=term_lambda,
         m_real=m_real,
-        m_rounded=float(max(3, round(m_real))),
+        m_rounded=max(3.0, m_real if math.isinf(m_real) else float(round(m_real))),
     )
 
 

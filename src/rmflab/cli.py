@@ -186,6 +186,8 @@ def _h_oracle_moment(args):
 def _exact_power_coeffs(n_max: int, exponent: float):
     if float(exponent).is_integer() and exponent >= 0:
         e = int(exponent)
+        if e * math.log2(max(n_max, 1)) > bnd.EXACT_BITS_LIMIT:
+            raise DomainError(f"n^{e} needs over {bnd.EXACT_BITS_LIMIT} bits")
         return {n: Fraction(1, n**e) for n in orc.coefficient_indices(n_max)}
     return orc.power_coeffs(n_max, exponent)
 
@@ -294,8 +296,10 @@ def _h_nt_fit_lemma31(args):
 
 
 def _regime_of(args) -> bnd.RegimeParams:
-    if getattr(args, "log_x", None) is not None:
+    if args.log_x is not None:
         return bnd.regime_from_log_x(args.log_x, args.theta, args.delta)
+    if args.sigma is None:
+        raise DomainError("the regime needs --sigma or --log-x")
     return bnd.regime_from_sigma(args.sigma, args.theta, args.delta)
 
 

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import NoConvergence
 
 from .accum import power_weights
 from .errors import DomainError, FitError
@@ -31,6 +32,10 @@ from .sieve import arith_signature, primes_up_to, sieve_walk
 #: Conservative default envelope constants (c3, c5); desk-grid sanity only,
 #: replace with fit_lemma31_constants output for tighter tail intervals.
 DEFAULT_ENVELOPE = (10.0, 1.0)
+
+#: largest |c5 m| for the envelope's incomplete gamma: mpmath answers at once
+#: up to here, and stalls at exponents near 10^9 with arguments close to them
+ENVELOPE_EXPONENT_LIMIT = 10**6
 
 #: Default Chebyshev constant: theta(x) <= 1.04 x on the classical
 #: explicitly-verified range.
@@ -184,10 +189,15 @@ def _integral_envelope_tail(
     L = log cutoff.
     """
     a = c5 * m
+    if not abs(a) <= ENVELOPE_EXPONENT_LIMIT:
+        raise DomainError(f"c5 m = {a:.6g} exceeds {ENVELOPE_EXPONENT_LIMIT}")
     b = 2.0 * sigma - 1.0
     big_l = math.log(cutoff)
     with mp.workdps(40):
-        integral = mp.gammainc(a + 1.0, b * big_l) / mp.power(b, a + 1.0)
+        try:
+            integral = mp.gammainc(a + 1.0, b * big_l) / mp.power(b, a + 1.0)
+        except NoConvergence:
+            raise DomainError(f"incomplete gamma failed at c5 m = {a:.6g}") from None
         value = float(2.0 * sigma * c3 * m * integral)
     if not math.isfinite(value):
         raise DomainError("the envelope remainder is too large for float64")
@@ -214,8 +224,8 @@ def tail_series(
         raise DomainError(f"cutoff {cutoff} must be finite and exceed finite x {x}")
     if not (math.isfinite(m) and m >= 1):
         raise DomainError(f"m must be finite and >= 1, got {m}")
-    if not all(map(math.isfinite, envelope)):
-        raise DomainError(f"envelope constants must be finite, got {envelope}")
+    if not (all(map(math.isfinite, envelope)) and envelope[0] >= 0):
+        raise DomainError(f"envelope needs finite c3 >= 0 and c5, got {envelope}")
     if m == 1:
         return TailSeries(0.0, 0.0, 0.0, int(cutoff))
     hi_n = int(cutoff)

@@ -405,7 +405,10 @@ def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
     """Coefficient map a(n) = n^-exponent for n <= n_max."""
     if not math.isfinite(exponent):
         raise DomainError(f"coefficient exponent must be finite, got {exponent}")
-    return {n: float(n) ** -exponent for n in coefficient_indices(n_max)}
+    try:
+        return {n: float(n) ** -exponent for n in coefficient_indices(n_max)}
+    except OverflowError:
+        raise DomainError(f"n^-({exponent}) overflows float64") from None
 
 
 def mc_moment(

@@ -155,9 +155,11 @@ def sieve_block_tables(lo: int, hi: int, base: PrimeList) -> BlockTables:
     omega = np.zeros(size, dtype=np.int16)
     squarefree = np.ones(size, dtype=bool)
     cofactor = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in _check_base(hi, base).tolist():
-        start = ((lo + p - 1) // p) * p
-        sl = slice(start - lo, size, p)
+    primes = _check_base(hi, base)
+    first = -lo % primes  # offset of each prime's first multiple in the block
+    within = first < size  # a narrow block misses most primes, and their powers
+    for p, start in zip(primes[within].tolist(), first[within].tolist()):
+        sl = slice(start, size, p)
         omega[sl] += 1
         cofactor[sl] //= p
         q = p * p

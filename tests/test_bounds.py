@@ -258,6 +258,32 @@ def test_optimizer_never_worse_than_user_theta():
         assert kappa_star <= user + 1e-12
 
 
+def _kappa_of(m, theta):
+    """K(theta)^(1/2m) at 2 alpha = m/2, 4 beta = m, from the log of K's definition."""
+    log_ratio = -m * mp.log(theta) + (1 - m / 2) * mp.log(2)  # of t^-m 2^(1-m/2)
+    log_k = 1.5 * m * mp.log(2) - m * mp.log1p(-theta) - mp.log(-mp.expm1(log_ratio))
+    return mp.exp(log_k / (2 * m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [2 + 1e-15, 2 + 1e-10, 2.00001, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0,
+     1e4, 1e300, 1.7976931348623157e308],
+)
+def test_optimize_kappa_is_the_minimum_to_4_ulps(m):
+    theta_star, kappa = optimize_kappa(m)
+    assert 0.0 < theta_star < 1.0
+    # theta^-m spends log10(m) of the digits, so keep 50 beyond them
+    with mp.workdps(50 + int(math.log10(m))):
+        mm = mp.mpf(m)
+        exact = float(_kappa_of(mm, mp.power(2, -(mm - 2) / (2 * (mm + 1)))))
+        assert abs(kappa - exact) <= 4 * math.ulp(exact)
+        # admissible theta lie in (2^(-(m-2)/(2m)), 1)
+        width = 1 - mp.power(2, -(mm - 2) / (2 * mm))
+        for i in range(1, 1001):
+            assert kappa <= _kappa_of(mm, 1 - width * i / 1001)
+
+
 def test_lambda_threshold_oracle_value():
     r = regime_from_sigma(0.51, 0.5, 0.5)
     with mp.workdps(40):
@@ -291,6 +317,15 @@ def test_optimize_epsilon_scaling_and_sign():
     assert w < 0 and beta == pytest.approx(-w, rel=1e-12)
     _, beta2 = optimize_epsilon(2.0, 3.0, 3.0, 0.25)
     assert beta2 == pytest.approx(4.0 * beta, rel=1e-15)
+
+
+def test_optimize_epsilon_stays_in_float64():
+    # c12 = 2.5e308 overflowed, and beta came out as inf / inf = NaN
+    assert optimize_epsilon(1e308, 1e308, 1e308, 0.5) == (0.25, 1.25e307)
+    with pytest.raises(DomainError, match="float64"):
+        optimize_epsilon(1e-300, 1e-300, 1e300, 0.5)  # beta = 1.25e899
+    with pytest.raises(DomainError, match="float64"):
+        optimize_epsilon(1.0, 1.0, 1e-200, 0.5)  # beta = 1.25e-401
 
 
 def test_lemma41_matches_substituted_threshold():

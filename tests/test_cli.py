@@ -231,6 +231,9 @@ def test_non_finite_input_exit_3(argv, name):
          "--cutoff", "100000"),
         ("bounds", "maximal", "--lambda", "1", "--m", "1000", "--x", "1000",
          "--sigma", "0.6"),
+        # log x = e^4605: math.exp overflowed into a traceback
+        ("bounds", "theorem1", "--sigma", "0.51", "--theta", "0.001",
+         "--delta", "0.5"),
     ],
 )
 def test_value_beyond_float64_exit_3(argv):
@@ -457,6 +460,143 @@ def test_bh_rhs_argv_ends_in_a_strict_record(n_max, m, exponent):
     assert time.perf_counter() - start < 10.0
     assert code in (0, 3)
     json.loads((out or err).strip(), parse_constant=_reject_constant)
+
+
+_REAL = st.one_of(
+    st.floats(),
+    st.floats(-1.0, 4.0),
+    st.floats(0.0, 1e4),
+    st.sampled_from([0.5, 2.0, 2.0000000001, 5e-324, 1e300, 1.7976931348623157e308]),
+)
+_REGIME_FLAGS = {"--sigma": _REAL, "--theta": _REAL, "--delta": _REAL, "--log-x": _REAL}
+#: every bounds operation and a strategy for each of its flags; x and the
+#: cutoff stay small, since the tail sum sieves max(10^6, 64 x) integers
+_BOUNDS_FLAGS = {
+    "theorem1": _REGIME_FLAGS,
+    "corollary": _REGIME_FLAGS,
+    "hoeffding": {"--lambda": _REAL, "--sigma": _REAL,
+                  "--variance-mode": st.sampled_from(["exact", "asymptotic", "both"])},
+    "bh-rhs": {"--nmax": st.integers(-2, 200), "--m": _REAL, "--exponent": _REAL},
+    "maximal": {"--lambda": _REAL, "--m": _REAL, "--x": st.floats(-10.0, 1e4),
+                "--sigma": _REAL, "--kappa": _REAL, "--cutoff": st.floats(-10.0, 1e5),
+                "--c3": _REAL, "--c5": _REAL},
+    "billingsley": {"--alpha": _REAL, "--beta": _REAL, "--theta-param": _REAL},
+    "kappa": {"--m": _REAL},
+    "lambda": _REGIME_FLAGS,
+    "epsilon": {"--c9": _REAL, "--c10": _REAL, "--c11": _REAL, "--theta": _REAL},
+    "lemma41": {**_REGIME_FLAGS, "--lambda": _REAL, "--log-lambda": _REAL,
+                "--epsilon": _REAL, "--beta": _REAL},
+    "angelo-xu": {"--log-x": _REAL, "--beta-prime": _REAL},
+    "compare": {"--log-x-grid": st.lists(_REAL, min_size=1, max_size=3),
+                "--theta": _REAL, "--delta": _REAL, "--beta-prime": _REAL},
+}
+
+
+def _reject_nan(token):
+    if token == "NaN":
+        raise ValueError("NaN in a record")
+    return float(token)  # +-Infinity is flagged by design
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_BOUNDS_FLAGS)).flatmap(
+        lambda op: st.tuples(
+            st.just(op), st.fixed_dictionaries({}, optional=_BOUNDS_FLAGS[op])
+        )
+    )
+)
+def test_bounds_argv_ends_in_a_record_without_nan(op_flags):
+    op, flags = op_flags
+    argv = ["bounds", op, "--seed", "7"]
+    for flag, value in flags.items():
+        if isinstance(value, list):
+            value = ",".join(map(repr, value))
+        argv.append(f"{flag}={value if isinstance(value, str) else repr(value)}")
+    code, out, err = run_cli(*argv)
+    assert code in (0, 2, 3), err  # an escaping exception fails the run itself
+    if code == 2:
+        assert out == ""
+        return
+    json.loads((out or err).strip(), parse_constant=_reject_nan)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # P(1200) underflows to 0: the bound is 0, not a ZeroDivisionError
+        (("bounds", "hoeffding", "--lambda", "1", "--sigma", "600",
+          "--variance-mode", "exact"), 0),
+        # the exponent (log 3)^-inf underflowed to 0, and log(0) raised
+        (("bounds", "theorem1", "--log-x", "3", "--theta", "1", "--delta", "1e308"), 0),
+        # (log x)^1.8 overflowed
+        (("bounds", "theorem1", "--log-x", "1e300", "--theta", "0.1",
+          "--delta", "0.5"), 3),
+        (("bounds", "bh-rhs", "--nmax", "10", "--m", "4", "--exponent=-1e300"), 3),
+        # the exact powers behind these two hung or ran out of memory
+        (("bounds", "bh-rhs", "--nmax", "10", "--m", "1e20"), 3),
+        (("bounds", "bh-rhs", "--nmax", "10", "--m", "4", "--exponent", "1e20"), 3),
+        # mpmath's incomplete gamma raised NoConvergence
+        (("nt", "tail", "--x", "1000", "--m", "10000.5", "--sigma", "869.4",
+          "--cutoff", "100000"), 3),
+        # a zero tail took math.log(0.0), a negative c3 math.log(-r)
+        (("bounds", "maximal", "--lambda", "1", "--m", "3", "--x", "1000",
+          "--sigma", "1e300", "--c3", "0"), 0),
+        (("bounds", "maximal", "--lambda", "1", "--m", "3", "--x", "1000",
+          "--sigma", "0.6", "--c3", "-1"), 3),
+        # -inf + inf, and round(inf) for the moment order
+        (("bounds", "lemma41", "--log-x", "1e300", "--theta", "0.9", "--delta",
+          "0.5", "--beta", "1e308", "--epsilon", "1e308", "--log-lambda=-1e308"), 3),
+        (("bounds", "lemma41", "--log-x", "1e300", "--theta", "0.5", "--delta",
+          "0.5", "--beta", "1", "--epsilon", "1e308", "--log-lambda", "-1"), 0),
+        # the golden-section search stepped outside the admissible interval
+        (("bounds", "kappa", "--m", "2.0000000001"), 0),
+    ],
+)
+def test_float_extremes_end_in_a_record_without_nan(argv, code):
+    got, out, err = run_cli(*argv, "--seed", "1")
+    assert got == code, err
+    rec = json.loads((out or err).strip(), parse_constant=_reject_nan)
+    if code == 3:
+        assert rec["values"]["error"] == "DomainError"
+
+
+def test_exact_bh_sum_past_its_bit_budget_is_refused_at_once():
+    # each 1/n^10000 has up to 76000 bits: the Fraction sum ran for 47 s
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        "bounds", "bh-rhs", "--nmax", "200", "--m", "4", "--exponent", "5000",
+        "--seed", "1",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    assert "bits" in ResultRecord.from_json_line(err.strip()).values["message"]
+
+
+def test_kappa_at_huge_m_is_its_limit():
+    # theta_star -> 2^(-1/2), so kappa -> 2^(3/4) (1 - 2^(-1/2))^(-1/2); the
+    # golden-section search returned NaN here
+    _, out, _ = run_cli("bounds", "kappa", "--m", "1e308", "--seed", "1")
+    assert record_of(out).values["kappa"] == pytest.approx(3.10754794806, rel=1e-11)
+
+
+@pytest.mark.parametrize("op", ["theorem1", "corollary", "lambda", "lemma41"])
+def test_regime_without_sigma_or_log_x_exit_3(op):
+    # regime_from_sigma(None, ...) ended in a TypeError traceback
+    code, out, err = run_cli("bounds", op, "--theta", "0.5", "--delta", "0.5")
+    assert (code, out) == (3, "")
+    message = ResultRecord.from_json_line(err.strip()).values["message"]
+    assert "--sigma" in message and "--log-x" in message
+
+
+def test_regime_log_x_wins_over_sigma(tmp_path):
+    # a config file and an argv flag can give both; --log-x is then used
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma = 0.9\n")  # log x = 6.25
+    argv = ("bounds", "theorem1", "--theta", "0.5", "--delta", "0.5", "--seed", "1")
+    _, both, _ = run_cli(*argv, "--config", str(cfg), "--log-x", "100")
+    _, log_x, _ = run_cli(*argv, "--log-x", "100")
+    assert record_of(both).values == record_of(log_x).values
 
 
 def test_config_file_supplies_defaults(tmp_path):
