@@ -33,6 +33,33 @@ _EXP_MAX, _EXP_MIN = 709.0, -745.0
 EXACT_BITS_LIMIT = 1 << 16
 
 
+def check_bits(value: int, power: int, what: str) -> None:
+    """DomainError where |value|^power, >= 2^((bits-1) power), may pass the limit."""
+    if (abs(value).bit_length() - 1) * max(power, 1) > EXACT_BITS_LIMIT:
+        raise DomainError(f"{what} to the power {power} passes {EXACT_BITS_LIMIT} bits")
+
+
+def exact_ints(pairs, power: int) -> tuple[int, list[int]]:
+    """The least common denominator D of (n, a(n)) pairs, and the ints D a(n).
+
+    DomainError where an a(n) is not finite, as soon as D to the power power
+    may pass EXACT_BITS_LIMIT bits, and where the sum of the |D a(n)|, which
+    bounds every sum of them, may; TypeError where an a(n) is not rational.
+    """
+    denom, fractions = 1, []
+    for n, a in pairs:
+        try:
+            fractions.append(q := a if isinstance(a, (int, Fraction)) else Fraction(a))
+        except (ValueError, OverflowError):
+            raise DomainError(f"coefficient a({n}) = {a} is not finite") from None
+        if denom % q.denominator:
+            denom = math.lcm(denom, q.denominator)
+            check_bits(denom, power, "the common denominator")
+    ints = [denom // q.denominator * q.numerator for q in fractions]
+    check_bits(sum(map(abs, ints)), power, "the sum of the |D a(n)|")
+    return denom, ints
+
+
 def _linear(log_value: float) -> float:
     """e^log_value, or inf / 0.0 where float64 over- / underflows."""
     if log_value > _EXP_MAX:
@@ -220,8 +247,8 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
     """Moment-inequality right side (sum mu^2 |a|^2 (m-1)^omega)^(m/2).
 
     Exact Fraction when the coefficients are rational and m is an even
-    integer; float otherwise.  mu^2 and omega come from one sieve_walk
-    over [min index, max index], within its term budget.
+    integer, from the ints of exact_ints; float otherwise.  mu^2 and omega
+    come from one sieve_walk over [min index, max index], in its term budget.
     """
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
@@ -233,29 +260,23 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
     keys = sorted(coeffs)
     walk = sieve_walk(keys[0], keys[-1]) if keys else ()  # budget checked before int64
     index = np.array(keys, dtype=np.int64)
-    entries = []
+    entries = []  # (n, omega(n)) of each squarefree index n
     for t in walk:
         start, stop = np.searchsorted(index, (t.lo, t.hi + 1)).tolist()
         rows = index[start:stop] - t.lo
         flags = zip(keys[start:stop], t.squarefree[rows].tolist(), t.omega[rows])
-        entries += [(coeffs[n], int(w)) for n, sf, w in flags if sf]
-    if float(m).is_integer() and int(m) % 2 == 0:
-        k, base, bits = int(m) // 2, Fraction(0), 1
+        entries += [(n, int(w)) for n, sf, w in flags if sf]
+    if m % 2 == 0:  # an even integer order: the exact value
         try:
-            for a, w in entries:
-                base += Fraction(a) ** 2 * (Fraction(m) - 1) ** w
-                # a b-bit integer is at least 2^(b-1): base^k has over (b-1) k bits
-                bits = max(base.numerator.bit_length(), base.denominator.bit_length())
-                if (bits - 1) * k > EXACT_BITS_LIMIT:
-                    break
-        except (TypeError, ValueError):
+            denom, ints = exact_ints(((n, coeffs[n]) for n, _ in entries), int(m))
+        except TypeError:
             pass  # non-rational coefficient type: fall through to floats
         else:
-            if (bits - 1) * k > EXACT_BITS_LIMIT:
-                raise DomainError(f"the exact sum passes {EXACT_BITS_LIMIT} bits")
-            return base**k
+            base = sum(a * a * (int(m) - 1) ** w for a, (_, w) in zip(ints, entries))
+            check_bits(base, int(m) // 2, "the exact sum")
+            return Fraction(base ** (int(m) // 2), denom ** int(m))
     try:
-        base = math.fsum(abs(float(a)) ** 2 * (m - 1.0) ** w for a, w in entries)
+        base = math.fsum(float(coeffs[n]) ** 2 * (m - 1.0) ** w for n, w in entries)
         value = base ** (m / 2.0)
     except OverflowError:
         value = math.inf
@@ -345,6 +366,8 @@ def billingsley_constant(alpha: float, beta: float, theta_param: float) -> float
         raise DomainError(f"theta must lie in (0, 1), got {theta_param}")
     # geometric ratio 1 / (theta^4beta 2^(2alpha-1)) must be < 1
     log_ratio = -4.0 * beta * math.log(theta_param) + (1.0 - 2.0 * alpha) * _LOG2
+    if math.isnan(log_ratio):  # inf - inf: both terms overflowed
+        raise DomainError("theta^(4 beta) and 2^(2 alpha - 1) both leave float64")
     if log_ratio >= 0.0:
         raise DivergenceError(
             f"series diverges: theta^(4 beta) 2^(2 alpha - 1) = "

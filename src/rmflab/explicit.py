@@ -168,15 +168,20 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 
 
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
-    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block."""
+    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block.
+
+    DomainError where it is not finite, as when (m-1)^omega = inf meets 0.
+    """
     parts: list[float] = []
     for t in sieve_walk(lo_n, hi_n):
         n = np.arange(t.lo, t.hi + 1, dtype=np.float64)
-        terms = np.where(
-            t.squarefree, (m - 1.0) ** t.omega * power_weights(n, 2.0 * sigma), 0.0
-        )
-        parts.append(math.fsum(terms.tolist()))
-    return math.fsum(parts)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN end below
+            terms = (m - 1.0) ** t.omega * power_weights(n, 2.0 * sigma)
+        parts.append(math.fsum(np.where(t.squarefree, terms, 0.0).tolist()))
+    total = math.fsum(parts)
+    if not math.isfinite(total):
+        raise DomainError(f"the weighted sum over [{lo_n}, {hi_n}] leaves float64")
+    return total
 
 
 def _integral_envelope_tail(

@@ -37,6 +37,7 @@ import mpmath as mp
 import numpy as np
 
 from .accum import power_weights, signed_sum_error_bound
+from .bounds import check_bits, exact_ints
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
 from .series import (
@@ -144,9 +145,9 @@ def _scaled_weights(n_max: int, sigma: float):
     """
     if float(sigma).is_integer():
         e = int(sigma)
-        scale = math.lcm(*range(1, n_max + 1)) ** max(e, 0)
-        exact = (int(scale * Fraction(n) ** -e) for n in range(1, n_max + 1))
-        return [(w, w) for w in exact]
+        check_bits(n_max, abs(e), str(n_max))  # W or a weight is n_max^|e| at least
+        weights = ((n, Fraction(n) ** -e) for n in range(1, n_max + 1))
+        return [(w, w) for w in exact_ints(weights, 1)[1]]
     brackets = []
     with mp.workprec(_INTERVAL_SHIFT + 64):
         for n in range(1, n_max + 1):
@@ -238,9 +239,9 @@ def exact_moment(
 ):
     """E (sum a(n) f(n))^m by full enumeration; exact for integer m.
 
-    The coefficients are put over one denominator D, so each assignment's
-    sum is an exact integer S, formed batch by batch on the f of
-    walk_blocks, and an integer order m gives the Fraction
+    The coefficients are put over one denominator D by bounds.exact_ints,
+    so each assignment's sum is an exact integer S, formed batch by batch
+    on the f of walk_blocks, and an integer order m gives the Fraction
     sum(S^m) / (D^m 2^pi(n_max)).  For even m the signed and absolute
     moments coincide.  Non-integer m >= 2 routes through high-precision
     evaluation of |S/D|^m with a certified error, returned as a
@@ -256,19 +257,12 @@ def exact_moment(
     if not integer_order and m < 2:
         raise DomainError(f"non-integer moment order must be >= 2, got {m}")
     base = enumeration_base(n_max)  # before any work on the coefficients
-    table = {}
-    for n, value in coeffs.items():
+    for n in coeffs:
         if not 1 <= n <= n_max:
             raise DomainError(f"coefficient index {n} outside [1, {n_max}]")
-        try:
-            table[n] = Fraction(value)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"coefficient a({n}) = {value} is not finite") from exc
-    denom = math.lcm(*(c.denominator for c in table.values()))
-    # D a(n) at index n - 1, as Python ints
-    scaled = np.array(
-        [int(table.get(n, 0) * denom) for n in range(1, n_max + 1)], dtype=object
-    )
+    pairs = ((n, coeffs.get(n, 0)) for n in range(1, n_max + 1))
+    denom, ints = exact_ints(pairs, int(m))  # within the bit budget of |S|^m
+    scaled = np.array(ints, dtype=object)  # D a(n) at index n - 1, as Python ints
     total = 0 if integer_order else mp.mpf(0)
 
     def add(rows, lo, f, _):

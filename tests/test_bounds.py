@@ -15,6 +15,7 @@ from rmflab.bounds import (
     billingsley_constant,
     comparison_table,
     corollary_upper_bound,
+    exact_ints,
     hoeffding_bound,
     lambda_threshold,
     lemma41_bound,
@@ -107,6 +108,53 @@ def test_bh_rhs_m2_is_weighted_square_sum():
 
 def test_bh_rhs_non_squarefree_support_vanishes():
     assert float(bh_rhs({4: 1.0, 8: 2.0, 9: 3.0, 12: 1.0}, 4)) == 0.0
+
+
+def test_exact_ints_share_one_denominator():
+    pairs = [(1, 1), (2, Fraction(1, 2)), (3, Fraction(-2, 3)), (4, 0.25)]
+    assert exact_ints(pairs, 4) == (12, [12, 6, -8, 3])
+    assert exact_ints([], 4) == (1, [])
+
+
+@pytest.mark.parametrize(
+    "pairs, power, what",
+    [
+        # a b-bit integer to the power p has over (b - 1) p bits
+        ([(1, Fraction(1, 2**16385))], 4, "denominator"),
+        ([(1, 2**16385)], 4, "sum"),
+        ([(n, 2**16384) for n in (1, 2, 3)], 4, "sum"),  # each one is at the limit
+        ([(1, 2**65537)], 0, "sum"),  # power 0 is budgeted as power 1
+    ],
+)
+def test_exact_ints_refuse_a_power_past_the_bit_budget(pairs, power, what):
+    with pytest.raises(DomainError, match=what):
+        exact_ints(pairs, power)
+    assert exact_ints([(1, 2**16384)], 4) == (1, [2**16384])  # exactly at the limit
+
+
+def test_exact_ints_stop_at_the_first_denominator_past_the_budget():
+    def pairs():
+        yield 1, Fraction(1, 2**20000)
+        raise AssertionError("read past the refusal")
+
+    with pytest.raises(DomainError, match="denominator"):
+        exact_ints(pairs(), 4)
+
+
+def test_exact_ints_reject_non_finite_and_non_rational():
+    with pytest.raises(DomainError, match=r"a\(7\)"):
+        exact_ints([(1, 1.0), (7, math.nan)], 2)
+    with pytest.raises(DomainError, match=r"a\(2\)"):
+        exact_ints([(2, -math.inf)], 2)
+    with pytest.raises(TypeError):
+        exact_ints([(1, 1j)], 2)
+
+
+def test_bh_rhs_exact_sum_past_the_bit_budget():
+    # a single unit coefficient: only (m - 1)^omega(6) = (10^20 - 1)^2 is large
+    with pytest.raises(DomainError, match="exact sum"):
+        bh_rhs({6: 1}, 1e20)
+    assert bh_rhs({1: 1}, 1e20) == 1
 
 
 def bh_rhs_by_trial_division(coeffs, m):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab.cli import ResultRecord, dispatch, emit
@@ -234,6 +234,11 @@ def test_non_finite_input_exit_3(argv, name):
         # log x = e^4605: math.exp overflowed into a traceback
         ("bounds", "theorem1", "--sigma", "0.51", "--theta", "0.001",
          "--delta", "0.5"),
+        # the head summed (m-1)^omega = inf times n^-1200 = 0 into NaN, then inf
+        ("nt", "tail", "--x", "1000", "--m", "1e300", "--c5", "1e-300",
+         "--sigma", "600", "--cutoff", "2000"),
+        ("nt", "tail", "--x", "10", "--m", "1e300", "--c5", "1e-300",
+         "--sigma", "0.75", "--cutoff", "2000"),
     ],
 )
 def test_value_beyond_float64_exit_3(argv):
@@ -506,6 +511,8 @@ def _reject_nan(token):
         )
     )
 )
+# -4 beta log theta = inf and (1 - 2 alpha) log 2 = -inf: a NaN log ratio
+@example(("billingsley", {"--alpha": 1e308, "--beta": 1e308, "--theta-param": 0.5}))
 def test_bounds_argv_ends_in_a_record_without_nan(op_flags):
     op, flags = op_flags
     argv = ["bounds", op, "--seed", "7"]
@@ -573,6 +580,27 @@ def test_exact_bh_sum_past_its_bit_budget_is_refused_at_once():
     assert "bits" in ResultRecord.from_json_line(err.strip()).values["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each assignment's exact sum went to the power m with no budget
+        ("oracle", "moment", "--nmax", "10", "--m", "1e20"),
+        ("oracle", "moment", "--nmax", "10", "--m", "1e6"),
+        # the integer weights n^1000000 were formed with no budget
+        ("oracle", "positivity", "--nmax", "40", "--sigma=-1000000", "--x", "1"),
+        ("oracle", "positivity", "--nmax", "40", "--sigma=1e308", "--x", "1"),
+    ],
+)
+def test_exact_power_past_its_bit_budget_exit_3_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    rec = ResultRecord.from_json_line(err.strip())
+    assert rec.values["error"] == "DomainError"
+    assert "65536 bits" in rec.values["message"]
+
+
 def test_kappa_at_huge_m_is_its_limit():
     # theta_star -> 2^(-1/2), so kappa -> 2^(3/4) (1 - 2^(-1/2))^(-1/2); the
     # golden-section search returned NaN here
@@ -620,6 +648,38 @@ def test_unknown_config_key_rejected(tmp_path):
     code, _, err = run_cli("nt", "zeta", "--s", "2", "--config", str(cfg))
     assert code == 2
     assert "nonsense" in err
+
+
+@pytest.mark.parametrize("form", ["after", "equals", "global-first"])
+def test_config_file_forms(tmp_path, form):
+    # comment-only lines are skipped; --config=FILE and a global flag ahead of
+    # the group leave the config keys to land after `group op`
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# defaults for a zeta run\n\n   # indented comment\ns = 2.0\n")
+    argv = {
+        "after": ["nt", "zeta", "--config", str(cfg), "--seed", "5"],
+        "equals": [f"--config={cfg}", "nt", "zeta", "--seed", "5"],
+        "global-first": ["--seed", "5", "--config", str(cfg), "nt", "zeta"],
+    }[form]
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    rec = record_of(out)
+    assert (rec.seed, rec.params["s"]) == (5, 2.0)
+    assert rec.values["value"] == pytest.approx(math.pi**2 / 6, rel=1e-12)
+
+
+def test_malformed_config_line_exit_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = 2.0\njust some words\n")
+    code, out, err = run_cli("nt", "zeta", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "malformed config line" in err and "just some words" in err
+
+
+def test_threads_below_one_exit_2():
+    code, out, err = run_cli("nt", "zeta", "--s", "2", "--threads", "0")
+    assert (code, out) == (2, "")
+    assert "--threads must be >= 1" in err
 
 
 def test_env_var_thread_default(monkeypatch):
@@ -743,6 +803,38 @@ def test_emit_csv_flat_record():
     lines = out.strip().splitlines()
     assert lines[0].startswith("command,seed,")
     assert "1.6449340668" in lines[1]
+
+
+@pytest.mark.parametrize(
+    "argv, header, row",
+    [
+        # a nested payload flattens to <key>_<inner key> columns
+        (("bounds", "hoeffding", "--lambda", "1", "--sigma", "0.6"),
+         "command,seed,asymptotic_flags,asymptotic_log_value,asymptotic_name,"
+         "asymptotic_value,asymptotic_variance_proxy,exact_flags,exact_log_value,"
+         "exact_name,exact_value,exact_variance_proxy",
+         "bounds hoeffding,1,,-0.21714724095162588,hoeffding_bound,"
+         "0.8048114593753003,2.302585092994046,,-0.3289975161232271,"
+         "hoeffding_bound,0.7196448042538695,1.5197683128182748"),
+        # a list cell joins its items with ';'
+        (("sieve", "signature", "--n", "30"),
+         "command,seed,distinct_primes,is_squarefree,n,omega",
+         "sieve signature,1,2;3;5,True,30,3"),
+    ],
+)
+def test_csv_flattens_nested_payloads_and_lists(argv, header, row):
+    code, out, _ = run_cli(*argv, "--format", "csv", "--seed", "1")
+    assert code == 0
+    assert out.splitlines() == [header, row]
+
+
+def test_oracle_moment_non_integer_order_is_a_certified_value():
+    code, out, _ = run_cli("oracle", "moment", "--nmax", "6", "--m", "2.5")
+    assert code == 0
+    expected = exact_moment(6, {n: Fraction(1, n) for n in range(1, 7)}, 2.5)
+    assert record_of(out).values == {
+        "value": expected.value, "error_bound": expected.error_bound,
+    }
 
 
 def test_per_trial_dump(tmp_path):

@@ -121,6 +121,19 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
         assert exact.sum() == 1
 
 
+@pytest.mark.parametrize("sigma", [-7.0, -1.0, 0.0, 1.0, 2.0, 12.0])
+def test_integer_sigma_weights_are_lcm_scaled(sigma):
+    n_max, e = 40, int(sigma)
+    scale = math.lcm(*range(1, n_max + 1)) ** max(e, 0)
+    weights = [int(scale * Fraction(n) ** -e) for n in range(1, n_max + 1)]
+    assert _scaled_weights(n_max, sigma) == [(w, w) for w in weights]
+
+
+def test_exact_moment_rejects_a_non_finite_coefficient():
+    with pytest.raises(DomainError, match=r"a\(2\) = nan"):
+        exact_moment(3, {1: 1, 2: math.nan}, 4)
+
+
 def test_exact_probability_completely_mult_mode():
     # f* never vanishes; universe n <= 4 has primes {2, 3}
     res = exact_probability(4, 1.0, 1, Mode.COMPLETELY_MULT)
