@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -102,6 +103,124 @@ def test_emit_pins_multi_row_record_bytes():
         '{"err_bound": 2.1131558485174376e-13, "value": 0.5, "y": 2}, '
         '{"err_bound": 2.1131558485174376e-13, "value": 0.16666666666666669, '
         '"y": 3}]}, "wall_time_ms": 0}\n'
+    )
+
+
+def _table_output(*argv):
+    code, out, err = run_cli(*argv, "--seed", "11")
+    assert code == 0, err
+    return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out)
+
+
+_TRAJ_HEAD = (
+    '{"ci": null, "command": "series trajectory", "params": {"mode": "%s", '
+    '"nmax": %d, "sigma": 0.6, "stride": %d, "threads": 1, "trial": 0}, '
+    '"schema_version": "1", "seed": 11, "values": {"csv_columns": ["y", "value", '
+    '"err_bound"], '
+)
+_TRAJ_PINS = [
+    (
+        (1, 1, "squarefree"),
+        '"err_bound": 1.1511145110628362e-13, "final_value": 1.0, "n_checkpoints": '
+        '1, "rows": [{"err_bound": 1.1511145110628362e-13, "value": 1.0, "y": 1}]}, '
+        '"wall_time_ms": 0}\n',
+        "y,value,err_bound\n1,1.0,1.1511145110628362e-13\n",
+    ),
+    *[
+        (
+            (2, stride, mode),
+            '"err_bound": 1.9105668628392785e-13, "final_value": 0.3402460446135529, '
+            '"n_checkpoints": 2, "rows": [{"err_bound": 1.9105668628392785e-13, '
+            '"value": 1.0, "y": 1}, {"err_bound": 1.9105668628392785e-13, "value": '
+            '0.3402460446135529, "y": 2}]}, "wall_time_ms": 0}\n',
+            "y,value,err_bound\n1,1.0,1.9105668628392785e-13\n"
+            "2,0.3402460446135529,1.9105668628392785e-13\n",
+        )
+        for stride, mode in ((1, "squarefree"), (7, "completely"))
+    ],
+]
+
+
+@pytest.mark.parametrize("shape, jsonl_tail, csv_text", _TRAJ_PINS)
+def test_trajectory_output_pinned(shape, jsonl_tail, csv_text):
+    nmax, stride, mode = shape
+    argv = ("series", "trajectory", "--sigma", "0.6", "--nmax", str(nmax),
+            "--stride", str(stride), "--mode", mode)
+    assert _table_output(*argv) == _TRAJ_HEAD % (mode, nmax, stride) + jsonl_tail
+    assert _table_output(*argv, "--format", "csv") == csv_text
+
+
+@pytest.mark.parametrize(
+    "nmax, stride, mode, digests",
+    [
+        # past a 2^16 boundary at stride 1, past a 2^18 one at stride 7
+        (70000, 1, "squarefree",
+         ("a26f226ae125937246026cd381c8dd9fe5546254a4b371bf2a26b0147d87b23e",
+          "b3ccb46f2b2ba01fff9ff3d379264ea0ba6de03872d8d76011f9fb60b8a3fcc7")),
+        (300000, 7, "squarefree",
+         ("f56115c8e5e68804632490ccedb51b33cb1219e7d4e99233bc084d0f16e6bb6d",
+          "f3c9f6a820a846afd748f1f79dd2fc37ecfeed5440bc5035e06c24437d3d730a")),
+        (300000, 7, "completely",
+         ("93b7ed6cde1118f132b5b7f3f99097c31bba7e0c55cd4c5abf48bbf4ae785e87",
+          "deeaa9ce842cb15993f3ff5769db328ae25b10d597645f9a93f487f029c4ae92")),
+    ],
+)
+def test_long_trajectory_output_pinned(nmax, stride, mode, digests):
+    argv = ("series", "trajectory", "--sigma", "0.6", "--nmax", str(nmax),
+            "--stride", str(stride), "--mode", mode)
+    got = [
+        hashlib.sha256(_table_output(*argv, "--format", fmt).encode()).hexdigest()
+        for fmt in ("jsonl", "csv")
+    ]
+    assert tuple(got) == digests
+
+
+def test_bound_and_fit_tables_pinned():
+    compare = ("bounds", "compare", "--log-x-grid", "100,10000", "--theta", "0.5",
+               "--delta", "0.5")
+    assert _table_output(*compare) == (
+        '{"ci": null, "command": "bounds compare", "params": {"beta_prime": 1.0, '
+        '"delta": 0.5, "log_x_grid": [100.0, 10000.0], "theta": 0.5, "threads": 1}, '
+        '"schema_version": "1", "seed": 11, "values": {"csv_columns": ["name", '
+        '"sigma", "theta", "delta", "log_x", "log_value", "value"], "rows": '
+        '[{"delta": 0.5, "log_value": -4.715292425290347, "log_x": 100.0, "name": '
+        '"corollary_upper_bound", "sigma": 0.6, "theta": 0.5, "value": '
+        '0.008957246358495975}, {"delta": 0.5, "log_value": -2695161849.999626, '
+        '"log_x": 100.0, "name": "angelo_xu_bound", "sigma": 0.6, "theta": 0.5, '
+        '"value": 0.0}, {"delta": 0.5, "log_value": -117.88231063225868, "log_x": '
+        '10000.0, "name": "corollary_upper_bound", "sigma": 0.51, "theta": 0.5, '
+        '"value": 6.3732796986228975e-52}, {"delta": 0.5, "log_value": -Infinity, '
+        '"log_x": 10000.0, "name": "angelo_xu_bound", "sigma": 0.51, "theta": 0.5, '
+        '"value": 0.0}]}, "wall_time_ms": 0}\n'
+    )
+    assert _table_output(*compare, "--format", "csv") == (
+        "name,sigma,theta,delta,log_x,log_value,value\n"
+        "corollary_upper_bound,0.6,0.5,0.5,100.0,-4.715292425290347,"
+        "0.008957246358495975\n"
+        "angelo_xu_bound,0.6,0.5,0.5,100.0,-2695161849.999626,0.0\n"
+        "corollary_upper_bound,0.51,0.5,0.5,10000.0,-117.88231063225868,"
+        "6.3732796986228975e-52\n"
+        "angelo_xu_bound,0.51,0.5,0.5,10000.0,-inf,0.0\n"
+    )
+    fit = ("nt", "fit-lemma31", "--x-grid", "100,1000", "--m-grid", "3,5")
+    assert _table_output(*fit) == (
+        '{"ci": null, "command": "nt fit-lemma31", "params": {"m_grid": [3.0, 5.0], '
+        '"threads": 1, "x_grid": [100.0, 1000.0]}, "schema_version": "1", "seed": '
+        '11, "values": {"c3": 2.2226866363050606, "c5": 0.05, "csv_columns": ["x", '
+        '"m", "sigma", "lhs", "rhs", "ratio"], "rows": [{"lhs": 211.0, "m": 3.0, '
+        '"ratio": 0.25164952186243494, "rhs": 838.4677166815515, "sigma": "", "x": '
+        '100.0}, {"lhs": 901.0, "m": 5.0, "ratio": 0.5534330963256867, "rhs": '
+        '1628.0197299038573, "sigma": "", "x": 100.0}, {"lhs": 2825.0, "m": 3.0, '
+        '"ratio": 0.31704318158287226, "rhs": 8910.458146098215, "sigma": "", "x": '
+        '1000.0}, {"lhs": 18017.0, "m": 5.0, "ratio": 1.0, "rhs": 18017.0, "sigma": '
+        '"", "x": 1000.0}]}, "wall_time_ms": 0}\n'
+    )
+    assert _table_output(*fit, "--format", "csv") == (
+        "x,m,sigma,lhs,rhs,ratio\n"
+        "100.0,3.0,,211.0,838.4677166815515,0.25164952186243494\n"
+        "100.0,5.0,,901.0,1628.0197299038573,0.5534330963256867\n"
+        "1000.0,3.0,,2825.0,8910.458146098215,0.31704318158287226\n"
+        "1000.0,5.0,,18017.0,18017.0,1.0\n"
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from rmflab.errors import DomainError, FitError
 from rmflab.explicit import (
+    _omega_histogram,
     chebyshev_sum,
     fit_lemma31_constants,
     lemma31_margin,
@@ -128,6 +129,16 @@ def test_tail_series_positive_and_decreasing_in_x():
     ts = [tail_series(x, 3, 0.75, 100_000).head for x in (10, 100, 1000)]
     assert all(v >= 0 for v in ts)
     assert ts == sorted(ts, reverse=True)
+
+
+def test_weighted_sums_pinned_across_sieve_blocks():
+    # several sieve blocks, from a start and to an end off any block edge;
+    # the per-slice fsums make these bitwise, whatever the sieve width
+    assert repr(tail_series(1000, 5, 0.6, 2_000_000).head) == "40.187758616045244"
+    assert repr(weighted_head(10**6 + 12345, 3.5, 0.55)) == "36.678431717763225"
+    assert _omega_histogram(10**6 + 12345) == (
+        1, 79415, 212302, 209550, 94236, 18662, 1261, 9, *[0] * 12
+    )
 
 
 def test_partition_consistency():
