@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .explicit import DEFAULT_ENVELOPE, prime_zeta, tail_series
-from .sieve import sieve_walk
+from .sieve import iter_blocks, sieve_block_tables, walk_base
 
 _LOG2 = math.log(2.0)
 #: exp arguments beyond which float64 overflows, and below which it underflows
@@ -48,10 +49,14 @@ def exact_ints(pairs, power: int) -> tuple[int, list[int]]:
     """
     denom, fractions = 1, []
     for n, a in pairs:
-        try:
-            fractions.append(q := a if isinstance(a, (int, Fraction)) else Fraction(a))
-        except (ValueError, OverflowError):
-            raise DomainError(f"coefficient a({n}) = {a} is not finite") from None
+        if hasattr(a, "__index__"):
+            q = operator.index(a)  # a Python int, from a numpy integer too
+        else:
+            try:
+                q = a if isinstance(a, Fraction) else Fraction(a)
+            except (ValueError, OverflowError):
+                raise DomainError(f"coefficient a({n}) = {a} is not finite") from None
+        fractions.append(q)
         if denom % q.denominator:
             denom = math.lcm(denom, q.denominator)
             check_bits(denom, power, "the common denominator")
@@ -248,7 +253,8 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
 
     Exact Fraction when the coefficients are rational and m is an even
     integer, from the ints of exact_ints; float otherwise.  mu^2 and omega
-    come from one sieve_walk over [min index, max index], in its term budget.
+    come from the blocks of a sieve walk over [min index, max index], in its
+    term budget, that hold an index.
     """
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
@@ -258,14 +264,18 @@ def bh_rhs(coeffs: Mapping[int, object], m: float):
         if not isinstance(a, (int, Fraction)) and not math.isfinite(a):
             raise DomainError(f"coefficient a({n}) = {a} is not finite")
     keys = sorted(coeffs)
-    walk = sieve_walk(keys[0], keys[-1]) if keys else ()  # budget checked before int64
-    index = np.array(keys, dtype=np.int64)
     entries = []  # (n, omega(n)) of each squarefree index n
-    for t in walk:
-        start, stop = np.searchsorted(index, (t.lo, t.hi + 1)).tolist()
-        rows = index[start:stop] - t.lo
-        flags = zip(keys[start:stop], t.squarefree[rows].tolist(), t.omega[rows])
-        entries += [(n, int(w)) for n, sf, w in flags if sf]
+    if keys:
+        base = walk_base(keys[0], keys[-1])  # the span's budget, checked before int64
+        index = np.array(keys, dtype=np.int64)
+        for lo, hi in iter_blocks(keys[0], keys[-1]):
+            start, stop = np.searchsorted(index, (lo, hi + 1)).tolist()
+            if start == stop:
+                continue  # sieve only the blocks that hold an index
+            t = sieve_block_tables(lo, hi, base)
+            rows = index[start:stop] - lo
+            flags = zip(keys[start:stop], t.squarefree[rows].tolist(), t.omega[rows])
+            entries += [(n, int(w)) for n, sf, w in flags if sf]
     if m % 2 == 0:  # an even integer order: the exact value
         try:
             denom, ints = exact_ints(((n, coeffs[n]) for n, _ in entries), int(m))

@@ -21,6 +21,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
+from itertools import repeat
+
+import numpy as np
 
 from . import bounds as bnd
 from . import explicit as nt
@@ -46,12 +49,101 @@ class ResultRecord:
     wall_time_ms: int = 0
 
     def to_json_line(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, allow_nan=True)
+        parts: list[str] = []
+        _json_parts(vars(self), parts)
+        return "".join(parts)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ResultRecord":
         data = json.loads(line)
         return cls(**data)
+
+
+@dataclass(frozen=True)
+class Table:
+    """Table rows held as columns, named in CSV order.
+
+    A column is a list or numpy array of JSON scalars, or one scalar that
+    every row shares.  A record writes the rows straight from the columns,
+    _ROWS rows at a time, which bounds the memory of their cells: in JSON,
+    the array of row objects that json.dumps gives for the row dicts, keys
+    sorted; in CSV, one line per row.
+    """
+
+    columns: dict
+
+    _ROWS = 1 << 12
+
+    def _blocks(self):
+        """(rows, {name: list of cells, or the shared cell}) of each block."""
+        columns = self.columns.items()
+        size = max(len(c) for _, c in columns if isinstance(c, (list, np.ndarray)))
+        for a in range(0, size, self._ROWS):
+            b = min(a + self._ROWS, size)
+            yield b - a, {
+                name: c[a:b].tolist() if isinstance(c, np.ndarray)
+                else c[a:b] if isinstance(c, list) else c
+                for name, c in columns
+            }
+
+    def json_parts(self, parts: list) -> None:
+        """Append the JSON text of the rows to parts, one string per block."""
+        parts.append("[")
+        start = len(parts)
+        for rows, block in self._blocks():
+            names = sorted(block)
+            width = 2 * len(names) + 1
+            pieces = [""] * (width * rows)  # row-major: each key, its cell, "}, "
+            for j, name in enumerate(names):
+                key = ("{" if j == 0 else ", ") + json.dumps(name) + ": "
+                pieces[2 * j :: width] = [key] * rows
+                pieces[2 * j + 1 :: width] = _json_cells(block[name], rows)
+            pieces[width - 1 :: width] = ["}, "] * rows
+            parts.append("".join(pieces))
+        if len(parts) > start:
+            parts[-1] = parts[-1][:-2]  # the last row ends in "}" alone
+        parts.append("]")
+
+    def write_csv(self, writer) -> None:
+        writer.writerow(list(self.columns))
+        for rows, block in self._blocks():
+            columns = block.values()
+            writer.writerows(
+                zip(*(c if isinstance(c, list) else repeat(c, rows) for c in columns))
+            )
+
+
+def _json_cells(cells, rows: int) -> list[str]:
+    """The JSON text of each of a list of cells, or of rows shared ones."""
+    if not isinstance(cells, list):
+        return [json.dumps(cells, allow_nan=True)] * rows
+    # json.dumps writes a NUL inside a string as \u0000, so the array's text
+    # split at NUL separators gives each cell's own
+    text = json.dumps(cells, separators=("\0", ": "), allow_nan=True)
+    return text[1:-1].split("\0")
+
+
+def _table(columns: dict) -> dict:
+    """The payload fields of a table: its rows, and their CSV column order."""
+    return {"rows": Table(columns), "csv_columns": list(columns)}
+
+
+def _json_parts(value, parts: list) -> None:
+    """Append json.dumps(value, sort_keys=True, allow_nan=True) to parts.
+
+    Dicts, keyed by str in every record, are written here so that a Table
+    in them writes its own rows.
+    """
+    if isinstance(value, Table):
+        value.json_parts(parts)
+    elif isinstance(value, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(sorted(value.items())):
+            parts.append(f"{', ' if i else ''}{json.dumps(k)}: ")
+            _json_parts(v, parts)
+        parts.append("}")
+    else:
+        parts.append(json.dumps(value, sort_keys=True, allow_nan=True))
 
 
 def _bool(text: str) -> bool:
@@ -81,7 +173,7 @@ def _mode_of(args) -> Mode:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns the values payload (dict); tables add "rows"
+# handlers: each returns the values payload (dict); tables add _table's fields
 
 
 def _h_sieve_primes(args):
@@ -120,16 +212,15 @@ def _h_sample_signs(args):
 def _h_series_trajectory(args):
     a = sample_signs(args.seed, args.trial, args.nmax, _mode_of(args))
     t = ser.partial_sum_trajectory(a, args.sigma, args.nmax, args.stride)
-    rows = [
-        {"y": y, "value": v, "err_bound": t.summation_error_bound}
-        for y, v in t.checkpoints
-    ]
     return {
         "final_value": float(t.values[-1]),
         "err_bound": t.summation_error_bound,
         "n_checkpoints": int(t.ys.size),
-        "rows": rows,
-        "csv_columns": ["y", "value", "err_bound"],
+        **_table({
+            "y": t.ys,
+            "value": t.values,
+            "err_bound": t.summation_error_bound,
+        }),
     }
 
 
@@ -273,25 +364,19 @@ def _h_nt_primezeta(args):
 
 def _h_nt_fit_lemma31(args):
     c3, c5 = nt.fit_lemma31_constants(args.x_grid, args.m_grid)
-    rows = []
-    for x in args.x_grid:
-        for m in args.m_grid:
-            margin = nt.lemma31_margin(x, m, c3, c5)
-            rows.append(
-                {
-                    "x": x,
-                    "m": m,
-                    "sigma": "",
-                    "lhs": margin.lhs,
-                    "rhs": margin.rhs,
-                    "ratio": margin.ratio,
-                }
-            )
+    grid = [(x, m) for x in args.x_grid for m in args.m_grid]
+    margins = [nt.lemma31_margin(x, m, c3, c5) for x, m in grid]
     return {
         "c3": c3,
         "c5": c5,
-        "rows": rows,
-        "csv_columns": ["x", "m", "sigma", "lhs", "rhs", "ratio"],
+        **_table({
+            "x": [x for x, _ in grid],
+            "m": [m for _, m in grid],
+            "sigma": "",
+            "lhs": [b.lhs for b in margins],
+            "rhs": [b.rhs for b in margins],
+            "ratio": [b.ratio for b in margins],
+        }),
     }
 
 
@@ -397,18 +482,8 @@ def _h_bounds_compare(args):
     rows = bnd.comparison_table(
         args.log_x_grid, args.theta, args.delta, args.beta_prime
     )
-    return {
-        "rows": rows,
-        "csv_columns": [
-            "name",
-            "sigma",
-            "theta",
-            "delta",
-            "log_x",
-            "log_value",
-            "value",
-        ],
-    }
+    names = ("name", "sigma", "theta", "delta", "log_x", "log_value", "value")
+    return _table({c: [row[c] for row in rows] for c in names})
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +692,8 @@ def emit(record: ResultRecord, output_format: str) -> str:
 
     writer = csvmod.writer(buf, lineterminator="\n")
     rows = record.values.get("rows")
-    if rows is not None:
-        columns = record.values.get("csv_columns") or sorted(rows[0])
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
+    if isinstance(rows, Table):
+        rows.write_csv(writer)
     else:
         flat = {"command": record.command, "seed": record.seed}
         flat.update(

@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import NoConvergence
 
-from .accum import power_weights
+from .accum import TERM_ROWS, power_weights
 from .errors import DomainError, FitError
 from .sieve import arith_signature, primes_up_to, sieve_walk
 
@@ -168,17 +168,29 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 
 
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
-    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per block.
+    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per TERM_ROWS.
 
-    DomainError where it is not finite, as when (m-1)^omega = inf meets 0.
+    Each slice of TERM_ROWS integers from lo_n gets one fsum of its
+    squarefree terms alone, as zeros do not move an fsum, with (m-1)^omega
+    read from a table.  DomainError where the sum is not finite, as when
+    (m-1)^omega = inf meets 0 or the terms add up past float64.
     """
     parts: list[float] = []
-    for t in sieve_walk(lo_n, hi_n):
-        n = np.arange(t.lo, t.hi + 1, dtype=np.float64)
+    powers = np.empty(0)
+    try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN end below
-            terms = (m - 1.0) ** t.omega * power_weights(n, 2.0 * sigma)
-        parts.append(math.fsum(np.where(t.squarefree, terms, 0.0).tolist()))
-    total = math.fsum(parts)
+            for t in sieve_walk(lo_n, hi_n):
+                if powers.size <= (top := int(t.omega.max())):
+                    powers = (m - 1.0) ** np.arange(top + 1, dtype=t.omega.dtype)
+                for start in range(0, t.hi - t.lo + 1, TERM_ROWS):
+                    sq = t.squarefree[start : start + TERM_ROWS]
+                    omega = t.omega[start : start + TERM_ROWS][sq]
+                    n = np.flatnonzero(sq) + float(t.lo + start)
+                    terms = powers[omega] * power_weights(n, 2.0 * sigma)
+                    parts.append(math.fsum(terms.tolist()))
+        total = math.fsum(parts)
+    except OverflowError:  # fsum's partial sums passed float64
+        total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"the weighted sum over [{lo_n}, {hi_n}] leaves float64")
     return total

@@ -11,9 +11,9 @@ Ground truths like 7/8 come out as actual fractions.
 
 Monte Carlo estimators share the sign construction of the sampler module,
 and one walk, series.walk_blocks, feeds every scan over n: it sieves each
-2^16 block of [1, n_max] once and hands each trial batch its f there, one
-row per integer and one column per trial, so memory is bounded by sieve
-block x batch whatever n_max is.  Estimators reduce down those rows and
+block of [1, n_max] once and hands each trial batch its f on every 2^16
+row piece of it, one row per integer and one column per trial, so memory
+is bounded by piece x batch whatever n_max is.  Estimators reduce down those rows and
 carry per-trial state (running sum, minimum, last sign and flip count,
 linear sum) between blocks, and batches depend on a cell budget alone, so
 the estimate for a given (seed, trials) is identical for any thread
@@ -418,9 +418,9 @@ def mc_moment(
 
     High moments of heavy-tailed powers make the normal CI optimistic; an
     extreme sample kurtosis (> 50) is flagged on the estimate.  Each sum
-    adds up its sieve blocks' dot products a(lo..hi) . f(lo..hi) in
-    ascending order, so above n_max = 2^16 it can differ within rounding
-    from a single dot product over [1, n_max].
+    adds up the dot products a(lo..hi) . f(lo..hi) of walk_blocks' 2^16-row
+    pieces in ascending order, so above n_max = 2^16 it can differ within
+    rounding from a single dot product over [1, n_max].
     """
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):

@@ -168,6 +168,18 @@ def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
     return value
 
 
+def cofactor_ranks(tables: BlockTables, base: PrimeList) -> np.ndarray:
+    """Rank in base of each row's cofactor prime, -1 where the cofactor is 1.
+
+    base must hold every prime <= tables.hi.  One searchsorted per sieve
+    block: walk_blocks hands the ranks of a block's rows to every batch.
+    """
+    ranks = np.full(tables.cofactor.size, -1)
+    big = tables.cofactor > 1
+    ranks[big] = np.searchsorted(base.primes, tables.cofactor[big])
+    return ranks
+
+
 def batch_f(
     bits: np.ndarray, tables: BlockTables, base: PrimeList, mode: Mode
 ) -> np.ndarray:
@@ -178,34 +190,38 @@ def batch_f(
     row i holds f(tables.lo + i) of every trial.  The sign bits of the ranks
     of primes <= hi are packed eight trials to a byte, one row per rank, and
     the parity of the negative primes dividing n follows the sieve: one
-    gather of packed rows picks up the single cofactor prime above sqrt(hi),
-    then each base prime p <= sqrt(hi) XORs its packed row into the rows of
+    gather of packed rows picks up the single cofactor prime, then each
+    base prime p <= sqrt(tables.bound) XORs its packed row into the rows of
     its multiples, at every power level p, p^2, ... in completely
     multiplicative mode (which leaves v_p(n) mod 2).  One unpack turns the
     parities into signs, and non-squarefree n are zeroed in squarefree mode.
     """
+    return ranked_f(bits, tables, cofactor_ranks(tables, base), base, mode)
+
+
+def ranked_f(bits, tables: BlockTables, ranks, base: PrimeList, mode: Mode):
+    """batch_f on the cofactor_ranks of tables' rows, computed once per block."""
     if base.limit < tables.hi:
         raise SieveBaseError(
             f"f up to {tables.hi} needs all primes <= {tables.hi}, "
             f"base covers {base.limit}"
         )
-    small = _check_base(tables.hi, base).tolist()
     used = int(np.searchsorted(base.primes, tables.hi, side="right"))
+    # primes up to sqrt(bound) were divided out of the cofactors; those past
+    # hi have no multiple in the rows
+    small = _check_base(tables.bound, base)[:used].tolist()
     trials = bits.shape[0]
     # a flat pack of whole bytes: row r, byte j holds rank r of trials 8j..8j+7;
-    # the all-zero row `used` stands for a cofactor of 1
+    # the all-zero last row, rank -1, stands for a cofactor of 1
     rows = np.zeros((used + 1, -(-trials // 8) * 8), dtype=np.uint8)
     rows[:-1, :trials] = bits[:, :used].T
     packed = np.packbits(rows.ravel(), bitorder="little").reshape(used + 1, -1)
     del rows  # eight times the size of packed
-    big = tables.cofactor > 1
-    ranks = np.full(big.size, used)
-    ranks[big] = np.searchsorted(base.primes[:used], tables.cofactor[big])
     parity = packed[ranks]
     for r, p in enumerate(small):
         q = p
         while q <= tables.hi:
-            # (-lo) % q is the offset of the block's first multiple of q
+            # (-lo) % q is the offset of the rows' first multiple of q
             parity[(-tables.lo) % q :: q] ^= packed[r]
             if mode is Mode.SQUAREFREE_MULT:
                 break

@@ -1,14 +1,15 @@
 """Weighted partial sums S_sigma(y) = sum_{n<=y} f(n) n^-sigma and friends.
 
 walk_blocks is the one ascending walk over y: each sieve block of
-[1, n_max] is sieved and weighted once, and every trial batch gets its f
-on the block in turn, trial-minor: one row per integer, one column per
-trial.  Trajectories and every Monte Carlo scan reduce the running sums of
-accum.running_sums down those rows, carried from block to block by
-scanner, so they are bitwise reproducible and carry a certified bound
-on the accumulated rounding error.  The positivity predicate never
-classifies a value inside the +-bound band around zero: such checkpoints
-come back INDETERMINATE instead of silently deciding the central event.
+[1, n_max] is sieved once and cut into pieces of accum.TERM_ROWS rows, each
+weighted once, and every trial batch gets its f on each piece in turn,
+trial-minor: one row per integer, one column per trial.  Trajectories and
+every Monte Carlo scan reduce the running sums of accum.running_sums down
+those rows, carried from piece to piece by scanner, so they are bitwise
+reproducible and carry a certified bound on the accumulated rounding
+error.  The positivity predicate never classifies a value inside the
++-bound band around zero: such checkpoints come back INDETERMINATE instead
+of silently deciding the central event.
 
 Also here: truncated prime sums sum_{p<=P} f(p) p^-sigma, truncated Euler
 products, and the decomposition of log of the truncated product into
@@ -29,10 +30,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import chunk_masses, power_weights, running_sums, series_error_bound
+from .accum import (
+    TERM_ROWS,
+    chunk_masses,
+    power_weights,
+    running_sums,
+    series_error_bound,
+)
 from .errors import DomainError, PoleError, SignRangeError
-from .sampler import Mode, SignAssignment, batch_f
-from .sieve import DEFAULT_BLOCK, sieve_walk
+from .sampler import Mode, SignAssignment, cofactor_ranks, ranked_f
+from .sieve import sieve_walk
 
 #: Most trials in a batch, and its budget of float64 working cells (~64 MB).
 _DEFAULT_BATCH, _BATCH_CELL_BUDGET = 2048, 1 << 23
@@ -123,32 +130,38 @@ def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 
 
 
 def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
-    """Hand f of every trial on each sieve block of [1, n_max] to visit.
+    """Hand f of every trial on each piece of [1, n_max] to visit.
 
-    Each sieve_walk block, in ascending order, is sieved once and
-    weighted once by w = n^-sigma (None if sigma is None).  Each batch of
-    trial_batches then gets its f there from batch_f, against base, on the
-    sign bits(trial_indices, len(base)), an (n, batch) array with one row per
-    integer, and visit(rows, lo, f, w) folds it into per-trial state, rows
-    being slice(start, stop): a batch's working set is min(n_max,
-    DEFAULT_BLOCK) x batch cells.  Returns the band of the running sums of
-    f * w from the masses of w on f's support, or None.
+    Each sieve_walk block, in ascending order, is sieved once and its
+    cofactor_ranks found once, then cut into pieces of TERM_ROWS rows.  Each
+    piece is weighted once by w = n^-sigma (None if sigma is None), and each
+    batch of trial_batches gets its f there from ranked_f, against base, on
+    the sign bits(trial_indices, len(base)), an (n, batch) array with one
+    row per integer; visit(rows, lo, f, w) folds it into per-trial state,
+    rows being slice(start, stop).  So a batch's working set is
+    min(n_max, TERM_ROWS) x batch cells.  Returns the band of the running
+    sums of f * w from the masses of w on f's support, or None.
     """
     masses: list[float] = []
     w = None
-    with trial_batches(trials, min(n_max, DEFAULT_BLOCK), threads) as each_batch:
-        for tables in sieve_walk(1, n_max):
-            lo, hi = tables.lo, tables.hi
-            if sigma is not None:
-                w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
-                support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
-                masses += chunk_masses(np.where(support, w, 0.0))
+    with trial_batches(trials, min(n_max, TERM_ROWS), threads) as each_batch:
+        for block in sieve_walk(1, n_max):
+            ranks = cofactor_ranks(block, base)
+            for lo in range(block.lo, block.hi + 1, TERM_ROWS):
+                hi = min(lo + TERM_ROWS - 1, block.hi)
+                tables = block.rows(lo, hi)
+                piece = ranks[lo - block.lo : hi - block.lo + 1]
+                if sigma is not None:
+                    w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
+                    support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
+                    masses += chunk_masses(np.where(support, w, 0.0))
 
-            def run(batch):
-                f = batch_f(bits(np.arange(*batch), len(base)), tables, base, mode)
-                visit(slice(*batch), lo, f, w)
+                def run(batch):
+                    signs = bits(np.arange(*batch), len(base))
+                    f = ranked_f(signs, tables, piece, base, mode)
+                    visit(slice(*batch), lo, f, w)
 
-            each_batch(run)
+                each_batch(run)
     return None if sigma is None else series_error_bound(masses, sigma, n_max)
 
 

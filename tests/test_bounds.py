@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmflab.bounds
 from rmflab.bounds import (
     ConstantsLedger,
     Provenance,
@@ -27,7 +29,7 @@ from rmflab.bounds import (
     theorem1_lower_bound,
 )
 from rmflab.errors import DivergenceError, DomainError
-from rmflab.sieve import DEFAULT_BLOCK, arith_signature
+from rmflab.sieve import DEFAULT_BLOCK, arith_signature, sieve_block_tables
 
 
 def test_regime_examples():
@@ -199,6 +201,25 @@ def coefficient_maps(draw, values):
 def test_bh_rhs_matches_trial_division_across_blocks(case):
     coeffs, m = case
     assert bh_rhs(coeffs, m) == bh_rhs_by_trial_division(coeffs, m)
+
+
+def test_bh_rhs_sieves_only_the_blocks_holding_an_index(monkeypatch):
+    sieved = []
+
+    def counted(lo, hi, base):
+        sieved.append((lo, hi))
+        return sieve_block_tables(lo, hi, base)
+
+    monkeypatch.setattr(rmflab.bounds, "sieve_block_tables", counted)
+    coeffs = {1: 1.0, 10**7: 1.0}
+    assert bh_rhs(coeffs, 3) == bh_rhs_by_trial_division(coeffs, 3)
+    assert len(sieved) == 2 and sieved[0][0] == 1 and sieved[1][1] == 10**7
+
+
+def test_exact_sums_take_numpy_integer_coefficients():
+    assert bh_rhs({1: np.int64(3), 2: 1}, 2) == 10
+    denom, ints = exact_ints([(1, np.int64(2**62)), (2, Fraction(1, 4))], 2)
+    assert (denom, ints) == (4, [2**64, 1]) and type(ints[0]) is int
 
 
 @pytest.mark.parametrize("coeffs", [{10**30: 1.0}, {1: 1.0, 10**9 + 1: 1.0}])

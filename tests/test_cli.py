@@ -358,6 +358,9 @@ def test_non_finite_input_exit_3(argv, name):
          "--sigma", "600", "--cutoff", "2000"),
         ("nt", "tail", "--x", "10", "--m", "1e300", "--c5", "1e-300",
          "--sigma", "0.75", "--cutoff", "2000"),
+        # finite terms whose fsum overflowed in a traceback
+        ("nt", "tail", "--x", "1", "--m", "1.79e308", "--sigma", "0.51",
+         "--cutoff", "5"),
     ],
 )
 def test_value_beyond_float64_exit_3(argv):

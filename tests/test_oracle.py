@@ -148,6 +148,11 @@ def test_exact_moment_examples():
     assert exact_moment(1, {1: Fraction(7, 2)}, 6) == Fraction(7, 2) ** 6
 
 
+def test_exact_moment_takes_numpy_integer_coefficients():
+    coeffs = {1: np.int64(2**62), 2: Fraction(1, 4)}
+    assert exact_moment(3, coeffs, 2) == 2**124 + Fraction(1, 16)
+
+
 def test_exact_moment_odd_signed_vanishes_by_symmetry():
     # flipping all prime signs sends f(n) to (-1)^omega(n) f(n), so the
     # signed sum is symmetric exactly when every supported n has odd omega

@@ -10,9 +10,11 @@ from rmflab.sampler import (
     Mode,
     batch_f,
     batch_neg_bits,
+    cofactor_ranks,
     f_value,
     mix64,
     mix64_array,
+    ranked_f,
     sample_signs,
     stream_f,
 )
@@ -158,6 +160,27 @@ def test_batch_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
     for t in range(trials):
         a = sample_signs(seed, t, hi + extra, mode)
         assert f[:, t].tolist() == [f_value(a, s.n, s) for s in signatures]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("lo, hi", [(1000, 1100), (2, 5), (39_990, 40_000)])
+def test_f_on_rows_of_a_wider_block_matches_f_value(mode, lo, hi):
+    # the block's cofactors lost every prime <= sqrt(40000) = 200; at
+    # [1000, 1100], sqrt(hi) = 33, so 1003 = 17 * 59 needs the XOR of 59
+    block_hi, limit, seed = 40_000, 40_100, 5
+    base = primes_up_to(limit)
+    block = sieve_block_tables(1, block_hi, base)
+    rows = block.rows(lo, hi)
+    assert rows.bound == block_hi
+    bits = batch_neg_bits(seed, np.arange(3), len(base))
+    ranks = cofactor_ranks(block, base)[lo - 1 : hi]
+    for f in (batch_f(bits, rows, base, mode), ranked_f(bits, rows, ranks, base, mode)):
+        for t in range(3):
+            a = sample_signs(seed, t, limit, mode)
+            expected = [f_value(a, n, arith_signature(n)) for n in range(lo, hi + 1)]
+            assert f[:, t].tolist() == expected
+    with pytest.raises(DomainError):
+        block.rows(block_hi, block_hi + 1)
 
 
 def test_batch_f_needs_primes_up_to_hi():
