@@ -182,10 +182,10 @@ def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> fl
             for t in sieve_walk(lo_n, hi_n):
                 if powers.size <= (top := int(t.omega.max())):
                     powers = (m - 1.0) ** np.arange(top + 1, dtype=t.omega.dtype)
-                for start in range(0, t.hi - t.lo + 1, TERM_ROWS):
-                    sq = t.squarefree[start : start + TERM_ROWS]
-                    omega = t.omega[start : start + TERM_ROWS][sq]
-                    n = np.flatnonzero(sq) + float(t.lo + start)
+                for lo in range(t.lo, t.hi + 1, TERM_ROWS):
+                    piece = t.rows(lo, min(lo + TERM_ROWS - 1, t.hi))
+                    n = np.flatnonzero(piece.squarefree) + float(lo)
+                    omega = piece.omega[piece.squarefree]
                     terms = powers[omega] * power_weights(n, 2.0 * sigma)
                     parts.append(math.fsum(terms.tolist()))
         total = math.fsum(parts)

@@ -150,7 +150,7 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
             for lo in range(block.lo, block.hi + 1, TERM_ROWS):
                 hi = min(lo + TERM_ROWS - 1, block.hi)
                 tables = block.rows(lo, hi)
-                piece = ranks[lo - block.lo : hi - block.lo + 1]
+                piece_ranks = ranks[lo - block.lo : hi - block.lo + 1]
                 if sigma is not None:
                     w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
                     support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
@@ -158,7 +158,7 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
 
                 def run(batch):
                     signs = bits(np.arange(*batch), len(base))
-                    f = ranked_f(signs, tables, piece, base, mode)
+                    f = ranked_f(signs, tables, piece_ranks, base, mode)
                     visit(slice(*batch), lo, f, w)
 
                 each_batch(run)
