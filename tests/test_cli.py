@@ -175,6 +175,46 @@ def test_long_trajectory_output_pinned(nmax, stride, mode, digests):
     assert tuple(got) == digests
 
 
+@pytest.mark.parametrize(
+    "argv, seed, digest",
+    [
+        (("oracle", "moment", "--nmax", "30", "--m", "4"), 1,
+         "368e9d63cac48749dee9f62d8b888ef17411bbc11bb95048b0e0c82ece2d66d4"),
+        (("oracle", "moment", "--nmax", "30", "--m", "4.5", "--exponent", "0.75"), 1,
+         "dea42e8651c8a5c2a9c01844ce1ec126c49833d9e03d801f6915a90ed69389be"),
+        (("oracle", "moment", "--nmax", "40", "--m", "3", "--exponent", "2",
+          "--absolute"), 1,
+         "eb2112a74653ece49437c454875714f36d8a3bfc37831fe73c3c40365ffcf5bf"),
+        (("oracle", "moment", "--nmax", "12", "--m", "4", "--mode", "completely"), 1,
+         "a5f133433e053aa6023c2f32cb9c4a6161ef89513eb35e36bb8cbd21697cf4d3"),
+        # the benchmark's mc moment op at both reference seeds
+        (("mc", "moment", "--nmax", "1000", "--m", "4", "--trials", "200000"), 1,
+         "1e280b35e570e7323ed55a6e03fd4f2d1717a3eb1c6cb2d0e237df6438f05acb"),
+        (("mc", "moment", "--nmax", "1000", "--m", "4", "--trials", "200000"), 2,
+         "2586bab54361c434d9268a704201707f55eb8ddd3ab3709ca4df0f63e0b2fc91"),
+        # past a 2^16 piece boundary
+        (("mc", "moment", "--nmax", "70000", "--m", "4.5", "--exponent", "0.75",
+          "--trials", "100", "--mode", "completely"), 1,
+         "49534f2f621b0c190d4768e34fe8d8fcbf66a974d3189f4d232702a90090ce20"),
+        (("bounds", "bh-rhs", "--nmax", "2000", "--m", "4"), 1,
+         "bbc1c7edc86cf640498c8f26ca23f06e7e16e97a90af878e709867af8a4f8a79"),
+        (("bounds", "bh-rhs", "--nmax", "100000", "--m", "4", "--exponent", "0.75"), 1,
+         "a0a7dbbd2c303c5227ffcae6a676b8f8012da8a972f1b3795125f2c5190b0ce4"),
+        (("bounds", "bh-rhs", "--nmax", "100000", "--m", "3", "--exponent", "1"), 1,
+         "c3e4b287c28d29747f8a92ae47c4145526cba0b376fa9dc1ea60b27a237b53cb"),
+        (("bounds", "bh-rhs", "--nmax", "100000", "--m", "2", "--exponent", "0.5"), 1,
+         "57922911eeb8b2158a0cde48be48d22be316ef385183e716e226674ede21e90a"),
+        (("bounds", "bh-rhs", "--nmax", "100000", "--m", "4", "--exponent", "0"), 1,
+         "d38526073ba2d5ceb7cc18fbb9591a1ff26d0333500ae2eb0a9cdd629ff43cbf"),
+    ],
+)
+def test_coefficient_op_records_pinned(argv, seed, digest):
+    code, out, err = run_cli(*argv, "--seed", str(seed), "--threads", "1")
+    assert code == 0, err
+    record = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', out)
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+
 def test_bound_and_fit_tables_pinned():
     compare = ("bounds", "compare", "--log-x-grid", "100,10000", "--theta", "0.5",
                "--delta", "0.5")
