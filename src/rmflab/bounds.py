@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
+from .accum import TERM_ROWS
 from .errors import DivergenceError, DomainError
 from .explicit import DEFAULT_ENVELOPE, prime_zeta, tail_series
-from .sieve import iter_blocks, sieve_block_tables, walk_base
+from .sieve import sieve_block_tables, walk_base
 
 _LOG2 = math.log(2.0)
 #: exp arguments beyond which float64 overflows, and below which it underflows
@@ -53,7 +52,7 @@ def exact_ints(pairs, power: int) -> tuple[int, list[int]]:
             q = operator.index(a)  # a Python int, from a numpy integer too
         else:
             try:
-                q = a if isinstance(a, Fraction) else Fraction(a)
+                q = a if type(a) is Fraction else Fraction(a)
             except (ValueError, OverflowError):
                 raise DomainError(f"coefficient a({n}) = {a} is not finite") from None
         fractions.append(q)
@@ -248,46 +247,60 @@ def corollary_upper_bound(r: RegimeParams) -> BoundReport:
     return _report("corollary_upper_bound", -exponent, exponent=exponent)
 
 
+def _squarefree_terms(coeffs: Mapping[int, object]):
+    """Per block of TERM_ROWS integers that holds an index, ascending, the
+    [(n, a(n), omega(n))] of its squarefree n.
+
+    Only those blocks of [min index, max index] are sieved, in the term
+    budget of the span.  Each a(n) is read once; DomainError where one is
+    not finite.
+    """
+    first, last = min(coeffs, default=1), max(coeffs, default=0)
+    if first < 1:
+        raise DomainError(f"coefficient index {first} must be >= 1")
+    base = walk_base(first, last)
+    for block in sorted({(n - first) // TERM_ROWS for n in coeffs}):
+        lo = first + block * TERM_ROWS
+        ns, terms = range(lo, min(lo + TERM_ROWS, last + 1)), []
+        t = sieve_block_tables(lo, ns[-1], base)
+        sf, w = t.squarefree.tolist(), t.omega.tolist()
+        for n, a, flag, k in zip(ns, map(coeffs.get, ns), sf, w):
+            if a is None:
+                continue
+            # ints and Fractions are finite; isinstance(a, Fraction) is slow on a float
+            if not (type(a) is Fraction or isinstance(a, int) or math.isfinite(a)):
+                raise DomainError(f"coefficient a({n}) = {a} is not finite")
+            if flag:
+                terms.append((n, a, k))
+        yield terms
+
+
 def bh_rhs(coeffs: Mapping[int, object], m: float):
     """Moment-inequality right side (sum mu^2 |a|^2 (m-1)^omega)^(m/2).
 
     Exact Fraction when the coefficients are rational and m is an even
-    integer, from the ints of exact_ints; float otherwise.  mu^2 and omega
-    come from the blocks of a sieve walk over [min index, max index], in its
-    term budget, that hold an index.
+    integer: each block of _squarefree_terms is summed over the denominator
+    of its exact_ints, within the bit budget.  Float otherwise, by one fsum.
     """
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
-    for n, a in coeffs.items():
-        if n < 1:
-            raise DomainError(f"coefficient index {n} must be >= 1")
-        if not isinstance(a, (int, Fraction)) and not math.isfinite(a):
-            raise DomainError(f"coefficient a({n}) = {a} is not finite")
-    keys = sorted(coeffs)
-    entries = []  # (n, omega(n)) of each squarefree index n
-    if keys:
-        base = walk_base(keys[0], keys[-1])  # the span's budget, checked before int64
-        index = np.array(keys, dtype=np.int64)
-        for lo, hi in iter_blocks(keys[0], keys[-1]):
-            start, stop = np.searchsorted(index, (lo, hi + 1)).tolist()
-            if start == stop:
-                continue  # sieve only the blocks that hold an index
-            t = sieve_block_tables(lo, hi, base)
-            rows = index[start:stop] - lo
-            flags = zip(keys[start:stop], t.squarefree[rows].tolist(), t.omega[rows])
-            entries += [(n, int(w)) for n, sf, w in flags if sf]
     if m % 2 == 0:  # an even integer order: the exact value
+        p, total = int(m), Fraction(0)  # sum of a(n)^2 (m-1)^omega(n) so far
         try:
-            denom, ints = exact_ints(((n, coeffs[n]) for n, _ in entries), int(m))
+            for terms in _squarefree_terms(coeffs):
+                d, ints = exact_ints(((n, a) for n, a, _ in terms), p)
+                part = sum(i * i * (p - 1) ** w for i, (_, _, w) in zip(ints, terms))
+                total += Fraction(part, d * d)
+                check_bits(total.denominator, p // 2, "the common denominator")
         except TypeError:
             pass  # non-rational coefficient type: fall through to floats
         else:
-            base = sum(a * a * (int(m) - 1) ** w for a, (_, w) in zip(ints, entries))
-            check_bits(base, int(m) // 2, "the exact sum")
-            return Fraction(base ** (int(m) // 2), denom ** int(m))
+            check_bits(total.numerator, p // 2, "the exact sum")
+            return total ** (p // 2)
+    terms = (t for block in _squarefree_terms(coeffs) for t in block)
     try:
-        base = math.fsum(float(coeffs[n]) ** 2 * (m - 1.0) ** w for n, w in entries)
-        value = base ** (m / 2.0)
+        value = math.fsum(float(a) ** 2 * (m - 1.0) ** w for _, a, w in terms)
+        value **= m / 2.0
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -268,19 +268,9 @@ def _h_oracle_positivity(args):
 
 
 def _h_oracle_moment(args):
-    orc.enumeration_base(args.nmax)  # refuse before building nmax coefficients
-    coeffs = _exact_power_coeffs(args.nmax, args.exponent)
+    coeffs = orc.power_coeffs(args.nmax, args.exponent, exact=True)
     value = orc.exact_moment(args.nmax, coeffs, args.m, args.absolute, _mode_of(args))
     return _exact_payload(value)
-
-
-def _exact_power_coeffs(n_max: int, exponent: float):
-    if float(exponent).is_integer() and exponent >= 0:
-        e = int(exponent)
-        if e * math.log2(max(n_max, 1)) > bnd.EXACT_BITS_LIMIT:
-            raise DomainError(f"n^{e} needs over {bnd.EXACT_BITS_LIMIT} bits")
-        return {n: Fraction(1, n**e) for n in orc.coefficient_indices(n_max)}
-    return orc.power_coeffs(n_max, exponent)
 
 
 def _mc_payload(estimator, args, *head, **options) -> dict:
@@ -421,7 +411,7 @@ def _h_bounds_hoeffding(args):
 
 
 def _h_bounds_bh_rhs(args):
-    coeffs = _exact_power_coeffs(args.nmax, args.exponent)
+    coeffs = orc.power_coeffs(args.nmax, args.exponent, exact=True)
     return _exact_payload(bnd.bh_rhs(coeffs, args.m))
 
 

@@ -25,19 +25,20 @@ events live, and _mean a normal interval clamped at 0.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, repeat
 from statistics import NormalDist
-from typing import Mapping
 
 import mpmath as mp
 import numpy as np
 
 from .accum import power_weights, signed_sum_error_bound
-from .bounds import check_bits, exact_ints
+from .bounds import EXACT_BITS_LIMIT, check_bits, exact_ints
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_f, batch_neg_bits
 from .series import (
@@ -386,23 +387,47 @@ def mc_positivity(
     return _proportion(passed, trials, master_seed, level, undecided)
 
 
-def coefficient_indices(n_max: int) -> range:
-    """1..n_max, the indices of a coefficient map, within COEFFICIENT_LIMIT."""
-    if n_max > COEFFICIENT_LIMIT:
-        raise DomainError(
-            f"{n_max} coefficients exceed the budget of {COEFFICIENT_LIMIT}"
-        )
-    return range(1, n_max + 1)
+class PowerCoeffs(Mapping):
+    """The read-only map a(n) = n^-exponent over 1..n_max, formed as it is read.
+
+    With exact, an integer exponent e >= 0 gives Fraction(1, n^e), any other
+    float(n) ** -exponent.  Every refusal is made at construction.
+    """
+
+    def __init__(self, n_max: int, exponent: float = 1.0, exact: bool = False):
+        if not 1 <= n_max <= COEFFICIENT_LIMIT:
+            raise DomainError(f"need 1 to {COEFFICIENT_LIMIT} coefficients, got {n_max}")
+        if not math.isfinite(exponent):
+            raise DomainError(f"coefficient exponent must be finite, got {exponent}")
+        self.n_max, self._e, self._neg = n_max, None, -float(exponent)
+        if exact and float(exponent).is_integer() and exponent >= 0:
+            self._e = int(exponent)
+            if self._e * math.log2(n_max) > EXACT_BITS_LIMIT:
+                raise DomainError(f"n^{self._e} needs over {EXACT_BITS_LIMIT} bits")
+        else:
+            try:
+                self.get(n_max)  # the largest a(n)
+            except OverflowError:
+                raise DomainError(f"n^-({exponent}) overflows float64") from None
+
+    def get(self, n, default=None):  # one call per read, where Mapping.get takes two
+        if not (isinstance(n, int) and 0 < n <= self.n_max):
+            return default
+        return float(n) ** self._neg if self._e is None else Fraction(1, n**self._e)
+
+    def __getitem__(self, n):
+        if (a := self.get(n)) is None:
+            raise KeyError(n)
+        return a
+
+    def __iter__(self):
+        return iter(range(1, self.n_max + 1))
+
+    def __len__(self) -> int:
+        return self.n_max
 
 
-def power_coeffs(n_max: int, exponent: float = 1.0) -> dict[int, float]:
-    """Coefficient map a(n) = n^-exponent for n <= n_max."""
-    if not math.isfinite(exponent):
-        raise DomainError(f"coefficient exponent must be finite, got {exponent}")
-    try:
-        return {n: float(n) ** -exponent for n in coefficient_indices(n_max)}
-    except OverflowError:
-        raise DomainError(f"n^-({exponent}) overflows float64") from None
+power_coeffs = PowerCoeffs
 
 
 def mc_moment(
@@ -420,27 +445,31 @@ def mc_moment(
     extreme sample kurtosis (> 50) is flagged on the estimate.  Each sum
     adds up the dot products a(lo..hi) . f(lo..hi) of walk_blocks' 2^16-row
     pieces in ascending order, so above n_max = 2^16 it can differ within
-    rounding from a single dot product over [1, n_max].
+    rounding from a single dot product over [1, n_max].  The a(lo..hi) of a
+    piece, 0 where coeffs has none, are read once and shared by its batches.
     """
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
-    if not coeffs:
-        raise DomainError("need at least one coefficient")
+    if min(coeffs, default=0) < 1:
+        raise DomainError("need at least one coefficient, at indices >= 1")
     n_max = max(coeffs)
     seeded = _seeded(master_seed, n_max)  # refuses n_max past the term budget
-    vec = np.zeros(n_max, dtype=np.float64)
-    for n, v in coeffs.items():
-        if not 1 <= n <= n_max:
-            raise DomainError(f"coefficient index {n} out of range")
-        vec[n - 1] = float(v)
-    if not np.isfinite(vec).all():
-        raise DomainError("coefficients must be finite")
-    sums = np.zeros(trials)
+    sums, lock = np.zeros(trials), threading.Lock()
+
+    @lru_cache(maxsize=1)  # called under lock: one read of a(lo..) per piece
+    def piece(lo, size):
+        a = map(float, map(coeffs.get, range(lo, lo + size), repeat(0)))
+        a = np.fromiter(a, np.float64, size)
+        if not np.isfinite(a).all():
+            raise DomainError("coefficients must be finite")
+        return a
 
     def add(rows, lo, f, _):
+        with lock:
+            a = piece(lo, f.shape[0])
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
-        sums[rows] += vec[lo - 1 : lo - 1 + f.shape[0]] @ f.astype(np.float64)
+        sums[rows] += a @ f.astype(np.float64)
 
     walk_blocks(*seeded, n_max, mode, None, add, trials, threads)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
