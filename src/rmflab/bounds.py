@@ -19,12 +19,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping
 
 from .accum import TERM_ROWS
 from .errors import DivergenceError, DomainError
 from .explicit import DEFAULT_ENVELOPE, prime_zeta, tail_series
-from .sieve import sieve_block_tables, walk_base
+from .sieve import iter_blocks, sieve_block_tables, walk_base
 
 _LOG2 = math.log(2.0)
 #: exp arguments beyond which float64 overflows, and below which it underflows
@@ -248,56 +249,55 @@ def corollary_upper_bound(r: RegimeParams) -> BoundReport:
 
 
 def _squarefree_terms(coeffs: Mapping[int, object]):
-    """Per block of TERM_ROWS integers that holds an index, ascending, the
-    [(n, a(n), omega(n))] of its squarefree n.
+    """Yield (n, a(n), omega(n)) for each squarefree index n, ascending.
 
-    Only those blocks of [min index, max index] are sieved, in the term
-    budget of the span.  Each a(n) is read once; DomainError where one is
-    not finite.
+    Only the TERM_ROWS blocks of [min index, max index] that hold an index
+    are sieved, in the span's term budget.  Each a(n) is read once, as its
+    block is reached; DomainError where one is not finite.
     """
     first, last = min(coeffs, default=1), max(coeffs, default=0)
     if first < 1:
         raise DomainError(f"coefficient index {first} must be >= 1")
+    held = {(n - first) // TERM_ROWS for n in coeffs}
     base = walk_base(first, last)
-    for block in sorted({(n - first) // TERM_ROWS for n in coeffs}):
-        lo = first + block * TERM_ROWS
-        ns, terms = range(lo, min(lo + TERM_ROWS, last + 1)), []
-        t = sieve_block_tables(lo, ns[-1], base)
-        sf, w = t.squarefree.tolist(), t.omega.tolist()
-        for n, a, flag, k in zip(ns, map(coeffs.get, ns), sf, w):
+    for lo, hi in iter_blocks(first, last, TERM_ROWS):
+        if (lo - first) // TERM_ROWS not in held:
+            continue
+        t, ns = sieve_block_tables(lo, hi, base), range(lo, hi + 1)
+        cells = zip(ns, map(coeffs.get, ns), t.squarefree.tolist(), t.omega.tolist())
+        for n, a, squarefree, omega in cells:
             if a is None:
                 continue
             # ints and Fractions are finite; isinstance(a, Fraction) is slow on a float
             if not (type(a) is Fraction or isinstance(a, int) or math.isfinite(a)):
                 raise DomainError(f"coefficient a({n}) = {a} is not finite")
-            if flag:
-                terms.append((n, a, k))
-        yield terms
+            if squarefree:
+                yield n, a, omega
 
 
 def bh_rhs(coeffs: Mapping[int, object], m: float):
     """Moment-inequality right side (sum mu^2 |a|^2 (m-1)^omega)^(m/2).
 
     Exact Fraction when the coefficients are rational and m is an even
-    integer: each block of _squarefree_terms is summed over the denominator
-    of its exact_ints, within the bit budget.  Float otherwise, by one fsum.
+    integer: each run of TERM_ROWS terms is summed over the denominator of
+    its exact_ints, within the bit budget.  Float otherwise, by one fsum.
     """
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
     if m % 2 == 0:  # an even integer order: the exact value
-        p, total = int(m), Fraction(0)  # sum of a(n)^2 (m-1)^omega(n) so far
+        p, total, terms = int(m), Fraction(0), _squarefree_terms(coeffs)
         try:
-            for terms in _squarefree_terms(coeffs):
-                d, ints = exact_ints(((n, a) for n, a, _ in terms), p)
-                part = sum(i * i * (p - 1) ** w for i, (_, _, w) in zip(ints, terms))
-                total += Fraction(part, d * d)
+            while run := list(islice(terms, TERM_ROWS)):
+                d, ints = exact_ints(((n, a) for n, a, _ in run), p)
+                part = sum(i * i * (p - 1) ** w for i, (_, _, w) in zip(ints, run))
+                total += Fraction(part, d * d)  # sum a(n)^2 (m-1)^omega(n) so far
                 check_bits(total.denominator, p // 2, "the common denominator")
         except TypeError:
             pass  # non-rational coefficient type: fall through to floats
         else:
             check_bits(total.numerator, p // 2, "the exact sum")
             return total ** (p // 2)
-    terms = (t for block in _squarefree_terms(coeffs) for t in block)
+    terms = _squarefree_terms(coeffs)
     try:
         value = math.fsum(float(a) ** 2 * (m - 1.0) ** w for _, a, w in terms)
         value **= m / 2.0

@@ -25,12 +25,11 @@ events live, and _mean a normal interval clamped at 0.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, repeat
 from statistics import NormalDist
 
@@ -53,8 +52,9 @@ from .sieve import primes_up_to, sieve_block_tables
 
 ENUMERATION_BIT_LIMIT = 24
 
-#: Most entries of a coefficient map {n: a(n)}: a dict of 10^7 floats takes
-#: about 1 GB, a seventh of a 7 GB machine, so larger maps are refused.
+#: Most coefficients of a power_coeffs map, a time budget: each a(n) is formed
+#: as it is read, so memory stays flat, but at 10^7 `mc moment --trials 10`
+#: took 10 s and `bounds bh-rhs` 25 to 35 s, so larger maps are refused.
 COEFFICIENT_LIMIT = 10**7
 
 _INTERVAL_SHIFT = 128
@@ -396,29 +396,24 @@ class PowerCoeffs(Mapping):
 
     def __init__(self, n_max: int, exponent: float = 1.0, exact: bool = False):
         if not 1 <= n_max <= COEFFICIENT_LIMIT:
-            raise DomainError(f"need 1 to {COEFFICIENT_LIMIT} coefficients, got {n_max}")
+            raise DomainError(f"{n_max} coefficients: need 1 to {COEFFICIENT_LIMIT}")
         if not math.isfinite(exponent):
             raise DomainError(f"coefficient exponent must be finite, got {exponent}")
-        self.n_max, self._e, self._neg = n_max, None, -float(exponent)
+        self.n_max, self._e, self._power = n_max, None, -float(exponent)
         if exact and float(exponent).is_integer() and exponent >= 0:
             self._e = int(exponent)
             if self._e * math.log2(n_max) > EXACT_BITS_LIMIT:
                 raise DomainError(f"n^{self._e} needs over {EXACT_BITS_LIMIT} bits")
         else:
             try:
-                self.get(n_max)  # the largest a(n)
+                self[n_max]  # the largest a(n), if any overflows
             except OverflowError:
                 raise DomainError(f"n^-({exponent}) overflows float64") from None
 
-    def get(self, n, default=None):  # one call per read, where Mapping.get takes two
-        if not (isinstance(n, int) and 0 < n <= self.n_max):
-            return default
-        return float(n) ** self._neg if self._e is None else Fraction(1, n**self._e)
-
     def __getitem__(self, n):
-        if (a := self.get(n)) is None:
+        if not (isinstance(n, int) and 0 < n <= self.n_max):
             raise KeyError(n)
-        return a
+        return float(n) ** self._power if self._e is None else Fraction(1, n**self._e)
 
     def __iter__(self):
         return iter(range(1, self.n_max + 1))
@@ -445,8 +440,8 @@ def mc_moment(
     extreme sample kurtosis (> 50) is flagged on the estimate.  Each sum
     adds up the dot products a(lo..hi) . f(lo..hi) of walk_blocks' 2^16-row
     pieces in ascending order, so above n_max = 2^16 it can differ within
-    rounding from a single dot product over [1, n_max].  The a(lo..hi) of a
-    piece, 0 where coeffs has none, are read once and shared by its batches.
+    rounding from a single dot product over [1, n_max].  walk_blocks reads
+    the a(lo..hi) of a piece once, as its weights, for all its batches.
     """
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):
@@ -455,23 +450,20 @@ def mc_moment(
         raise DomainError("need at least one coefficient, at indices >= 1")
     n_max = max(coeffs)
     seeded = _seeded(master_seed, n_max)  # refuses n_max past the term budget
-    sums, lock = np.zeros(trials), threading.Lock()
+    sums = np.zeros(trials)
 
-    @lru_cache(maxsize=1)  # called under lock: one read of a(lo..) per piece
-    def piece(lo, size):
-        a = map(float, map(coeffs.get, range(lo, lo + size), repeat(0)))
-        a = np.fromiter(a, np.float64, size)
+    def coefficients(lo, hi):  # a(lo..hi), 0 where coeffs has none
+        a = map(float, map(coeffs.get, range(lo, hi + 1), repeat(0)))
+        a = np.fromiter(a, np.float64, hi - lo + 1)
         if not np.isfinite(a).all():
             raise DomainError("coefficients must be finite")
         return a
 
-    def add(rows, lo, f, _):
-        with lock:
-            a = piece(lo, f.shape[0])
+    def add(rows, lo, f, a):
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
         sums[rows] += a @ f.astype(np.float64)
 
-    walk_blocks(*seeded, n_max, mode, None, add, trials, threads)
+    walk_blocks(*seeded, n_max, mode, None, add, trials, threads, coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 

@@ -129,12 +129,13 @@ def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 
         yield lambda fn: list(pool.map(fn, batches))
 
 
-def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
+def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1, weigh=None):
     """Hand f of every trial on each piece of [1, n_max] to visit.
 
     Each sieve_walk block, in ascending order, is sieved once and its
     cofactor_ranks found once, then cut into pieces of TERM_ROWS rows.  Each
-    piece is weighted once by w = n^-sigma (None if sigma is None), and each
+    piece [lo, hi] is weighted once by w = n^-sigma, or if sigma is None by
+    w = weigh(lo, hi) (None if weigh is None too), and each
     batch of trial_batches gets its f there from ranked_f, against base, on
     the sign bits(trial_indices, len(base)), an (n, batch) array with one
     row per integer; visit(rows, lo, f, w) folds it into per-trial state,
@@ -155,6 +156,8 @@ def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1):
                     w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
                     support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
                     masses += chunk_masses(np.where(support, w, 0.0))
+                elif weigh is not None:
+                    w = weigh(lo, hi)
 
                 def run(batch):
                     signs = bits(np.arange(*batch), len(base))

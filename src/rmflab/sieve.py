@@ -72,7 +72,7 @@ class ArithSignature:
 
 
 def primes_up_to(n: int) -> PrimeList:
-    """All primes <= n via a classic odd-only sieve of Eratosthenes."""
+    """All primes <= n via a sieve of Eratosthenes over every integer <= n."""
     if n < 0:
         raise DomainError(f"negative sieve limit {n}")
     if n > SIEVE_TERM_LIMIT:

@@ -556,6 +556,13 @@ def test_enumeration_refusal_exit_3():
         (("bounds", "bh-rhs", "--nmax", "20000000000", "--m", "4"), "DomainError"),
         (("mc", "moment", "--nmax", "1000000000", "--m", "4", "--trials", "10"),
          "DomainError"),
+        # one n_max rule for the three coefficient ops: bh-rhs exited 0 here
+        *[
+            (head + ("--nmax", nmax, "--m", "4"), "DomainError")
+            for head in (("bounds", "bh-rhs"), ("oracle", "moment"),
+                         ("mc", "moment", "--trials", "10"))
+            for nmax in ("0", "-3")
+        ],
     ],
 )
 def test_coefficient_map_refused_before_it_is_built(argv, error):
@@ -565,6 +572,42 @@ def test_coefficient_map_refused_before_it_is_built(argv, error):
     assert (code, out) == (3, "")
     rec = json.loads(err.strip(), parse_constant=_reject_constant)
     assert rec["values"]["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc", "moment", "--nmax", "1000000", "--m", "4", "--trials", "10"),
+        ("bounds", "bh-rhs", "--nmax", "1000000", "--m", "4", "--exponent", "0.75"),
+    ],
+)
+def test_coefficient_ops_memory_bounded(argv):
+    # a dict of every coefficient, and the vectors and lists built over it,
+    # peaked at 163 MB for mc moment and 322 MB for bh-rhs; a fresh
+    # interpreter that imports rmflab.cli takes about 40 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import io, resource\n"
+        "from rmflab.cli import dispatch\n"
+        f"code = dispatch({[*argv, '--seed', '1']!r}, io.StringIO(), io.StringIO())\n"
+        "assert code == 0, code\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # Linux carries a process's peak RSS across exec into the new program, so
+    # the measured interpreter is started from a small one, not from pytest
+    launcher = (
+        "import subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-c', {code!r}], check=True)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", launcher], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert int(result.stdout) < 100 * 1024  # kB
 
 
 def test_overflowing_weights_warn_nothing():
