@@ -33,12 +33,6 @@ TINY = 2.0**-1022
 #: Number of rows of terms that running_sums sums at a time.
 CHUNK = 1024
 
-#: Most rows of terms formed at a time: the f of a trial batch in
-#: series.walk_blocks, and one fsum of explicit's weighted sums.  It divides
-#: sieve.DEFAULT_BLOCK, so the pieces, their CHUNK boundaries and sums do not
-#: depend on the sieve's width.
-TERM_ROWS = 1 << 16
-
 #: Fewest trials for which running_sums adds row by row rather than cumsum:
 #: np.add on rows of 2048 trials is several times faster than a cumsum down
 #: axis 0, but on rows of 128 or fewer the per-call overhead makes it slower.

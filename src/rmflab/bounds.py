@@ -22,10 +22,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Mapping
 
-from .accum import TERM_ROWS
 from .errors import DivergenceError, DomainError
 from .explicit import DEFAULT_ENVELOPE, prime_zeta, tail_series
-from .sieve import iter_blocks, sieve_block_tables, walk_base
+from .sieve import TERM_ROWS, iter_blocks, sieve_block_tables, walk_base
 
 _LOG2 = math.log(2.0)
 #: exp arguments beyond which float64 overflows, and below which it underflows

@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import NoConvergence
 
-from .accum import TERM_ROWS, power_weights
+from .accum import power_weights
 from .errors import DomainError, FitError
 from .sieve import arith_signature, primes_up_to, sieve_walk
 
@@ -168,9 +168,9 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 
 
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
-    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per TERM_ROWS.
+    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per piece.
 
-    Each slice of TERM_ROWS integers from lo_n gets one fsum of its
+    Each sieve_walk piece, TERM_ROWS integers from lo_n, gets one fsum of its
     squarefree terms alone, as zeros do not move an fsum, with (m-1)^omega
     read from a table.  DomainError where the sum is not finite, as when
     (m-1)^omega = inf meets 0 or the terms add up past float64.
@@ -182,12 +182,9 @@ def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> fl
             for t in sieve_walk(lo_n, hi_n):
                 if powers.size <= (top := int(t.omega.max())):
                     powers = (m - 1.0) ** np.arange(top + 1, dtype=t.omega.dtype)
-                for lo in range(t.lo, t.hi + 1, TERM_ROWS):
-                    piece = t.rows(lo, min(lo + TERM_ROWS - 1, t.hi))
-                    n = np.flatnonzero(piece.squarefree) + float(lo)
-                    omega = piece.omega[piece.squarefree]
-                    terms = powers[omega] * power_weights(n, 2.0 * sigma)
-                    parts.append(math.fsum(terms.tolist()))
+                n = np.flatnonzero(t.squarefree) + float(t.lo)
+                terms = powers[t.omega[t.squarefree]] * power_weights(n, 2.0 * sigma)
+                parts.append(math.fsum(terms.tolist()))
         total = math.fsum(parts)
     except OverflowError:  # fsum's partial sums passed float64
         total = math.inf

@@ -10,14 +10,14 @@ exact_moment sums each assignment exactly over one common denominator.
 Ground truths like 7/8 come out as actual fractions.
 
 Monte Carlo estimators share the sign construction of the sampler module,
-and one walk, series.walk_blocks, feeds every scan over n: it sieves each
-block of [1, n_max] once and hands each trial batch its f on every 2^16
-row piece of it, one row per integer and one column per trial, so memory
-is bounded by piece x batch whatever n_max is.  Estimators reduce down those rows and
-carry per-trial state (running sum, minimum, last sign and flip count,
-linear sum) between blocks, and batches depend on a cell budget alone, so
-the estimate for a given (seed, trials) is identical for any thread
-count.  Two reducers build every interval: _proportion gives Wilson score
+and one walk, series.walk_blocks, feeds every scan over n: it hands each
+trial batch its f on every sieve.TERM_ROWS-row piece of the sieve walk of
+[1, n_max], one row per integer and one column per trial, so memory is
+bounded by piece x batch whatever n_max is.  Estimators reduce down those
+rows and carry per-trial state (running sum, minimum, last sign and flip
+count, linear sum) between pieces, and batches depend on a cell budget
+alone, so the estimate for a given (seed, trials) is identical for any
+thread count.  Two reducers build every interval: _proportion gives Wilson score
 intervals, which behave at estimates near 0 and 1 where the interesting
 events live, and _mean a normal interval clamped at 0.
 """
@@ -48,14 +48,21 @@ from .series import (
     trial_batches,
     walk_blocks,
 )
-from .sieve import primes_up_to, sieve_block_tables
+from .sieve import primes_up_to, sieve_walk
 
 ENUMERATION_BIT_LIMIT = 24
+
+#: The first n with pi(n) > ENUMERATION_BIT_LIMIT: no enumeration sieves past it
+_ENUMERATION_SIEVE_LIMIT = 97
 
 #: Most coefficients of a power_coeffs map, a time budget: each a(n) is formed
 #: as it is read, so memory stays flat, but at 10^7 `mc moment --trials 10`
 #: took 10 s and `bounds bh-rhs` 25 to 35 s, so larger maps are refused.
 COEFFICIENT_LIMIT = 10**7
+
+#: Largest P of mc_prime_tail, a memory budget: its _byte_sums table holds
+#: 256 float64 per 8 primes, and `--trials 256` peaked at 2.3 GB at 10^8.
+PRIME_TAIL_LIMIT = 10**8
 
 _INTERVAL_SHIFT = 128
 
@@ -121,12 +128,12 @@ def wilson_interval(
 
 
 def enumeration_base(n_max: int):
-    """The primes <= n_max, refused past the enumeration budget."""
-    base = primes_up_to(n_max)
+    """The primes <= n_max, refused past the enumeration budget before a full sieve."""
+    base = primes_up_to(min(n_max, _ENUMERATION_SIEVE_LIMIT))
     if len(base) > ENUMERATION_BIT_LIMIT:
         raise EnumerationLimitError(
-            f"pi({n_max}) = {len(base)} exceeds the 2^{ENUMERATION_BIT_LIMIT} "
-            "assignment enumeration budget"
+            f"pi({n_max}) > {ENUMERATION_BIT_LIMIT} exceeds the "
+            f"2^{ENUMERATION_BIT_LIMIT} assignment enumeration budget"
         )
     return base
 
@@ -177,7 +184,7 @@ def _certified_positive(f, brackets, x: int, assignment: int) -> bool:
     return True
 
 
-def _outcomes(bits, base, n_max, mode, sigma, x, trials, threads=1):
+def _outcomes(bits, n_max, mode, sigma, x, trials, threads=1):
     """Per trial 1 passed, 0 failed or 2 undecided: S_sigma(y) > 0 on (x, n_max]?
 
     The trials are those of walk_blocks.  One is decided only when its
@@ -192,7 +199,7 @@ def _outcomes(bits, base, n_max, mode, sigma, x, trials, threads=1):
             lowest[rows] = np.minimum(lowest[rows], sums[skip:].min(axis=0))
 
     scan = scanner(trials, scan_min)
-    band = walk_blocks(bits, base, n_max, mode, sigma, scan, trials, threads)
+    band = walk_blocks(bits, n_max, mode, sigma, scan, trials, threads)
     return band_outcomes(lowest, band)
 
 
@@ -219,12 +226,12 @@ def exact_probability(
     base = enumeration_base(n_max)
     trials = 1 << len(base)
     with np.errstate(over="ignore", invalid="ignore"):  # inf weights: undecided
-        outcomes = _outcomes(_index_bits, base, n_max, mode, sigma, x, trials)
+        outcomes = _outcomes(_index_bits, n_max, mode, sigma, x, trials)
     positives = int(np.count_nonzero(outcomes == 1))
     undecided = np.flatnonzero(outcomes == 2)
     if undecided.size:
-        tables = sieve_block_tables(1, n_max, base)
-        f = batch_f(_index_bits(undecided, len(base)), tables, base, mode)
+        bits = _index_bits(undecided, len(base))
+        f = np.vstack([batch_f(bits, t, base, mode) for t in sieve_walk(1, n_max)])
         brackets = _scaled_weights(n_max, sigma)
         for row, i in zip(f.T.tolist(), undecided.tolist()):
             positives += _certified_positive(row, brackets, x, i)
@@ -277,7 +284,7 @@ def exact_moment(
                 total += mp.power(mp.mpf(abs(s) // g) / (denom // g), m)
 
     with mp.workprec(96):
-        walk_blocks(_index_bits, base, n_max, mode, None, add, 1 << len(base))
+        walk_blocks(_index_bits, n_max, mode, None, add, 1 << len(base))
         if integer_order:
             return Fraction(total, denom ** int(m) << len(base))
         value = float(total / (1 << len(base)))
@@ -342,11 +349,6 @@ def _check_run(trials: int, level: float, least: int = 1) -> None:
     _z(level)
 
 
-def _seeded(master_seed: int, n_max: int):
-    """The (bits, base) of walk_blocks for the trials of master_seed."""
-    return partial(batch_neg_bits, master_seed), primes_up_to(n_max)
-
-
 def mc_positivity(
     sigma: float,
     x: int,
@@ -377,8 +379,8 @@ def mc_positivity(
             RuntimeWarning,
             stacklevel=2,
         )
-    seeded = _seeded(master_seed, n_max)
-    outcomes = _outcomes(*seeded, n_max, mode, sigma, x, trials, threads)
+    bits = partial(batch_neg_bits, master_seed)
+    outcomes = _outcomes(bits, n_max, mode, sigma, x, trials, threads)
     if trial_dump is not None:
         trial_dump.write("trial,passed,indeterminate\n")
         for i, o in enumerate(outcomes.tolist()):
@@ -438,8 +440,8 @@ def mc_moment(
 
     High moments of heavy-tailed powers make the normal CI optimistic; an
     extreme sample kurtosis (> 50) is flagged on the estimate.  Each sum
-    adds up the dot products a(lo..hi) . f(lo..hi) of walk_blocks' 2^16-row
-    pieces in ascending order, so above n_max = 2^16 it can differ within
+    adds up the dot products a(lo..hi) . f(lo..hi) of walk_blocks' pieces in
+    ascending order, so above n_max = sieve.TERM_ROWS it can differ within
     rounding from a single dot product over [1, n_max].  walk_blocks reads
     the a(lo..hi) of a piece once, as its weights, for all its batches.
     """
@@ -449,7 +451,6 @@ def mc_moment(
     if min(coeffs, default=0) < 1:
         raise DomainError("need at least one coefficient, at indices >= 1")
     n_max = max(coeffs)
-    seeded = _seeded(master_seed, n_max)  # refuses n_max past the term budget
     sums = np.zeros(trials)
 
     def coefficients(lo, hi):  # a(lo..hi), 0 where coeffs has none
@@ -463,7 +464,8 @@ def mc_moment(
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
         sums[rows] += a @ f.astype(np.float64)
 
-    walk_blocks(*seeded, n_max, mode, None, add, trials, threads, coefficients)
+    bits = partial(batch_neg_bits, master_seed)
+    walk_blocks(bits, n_max, mode, None, add, trials, threads, coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
 
@@ -510,6 +512,8 @@ def mc_prime_tail(
     _check_run(trials, level)
     if p_max < 2:
         raise DomainError(f"P must be >= 2, got {p_max}")
+    if p_max > PRIME_TAIL_LIMIT:
+        raise DomainError(f"P = {p_max} exceeds the term budget of {PRIME_TAIL_LIMIT}")
     check_sigma(sigma)
     if math.isnan(threshold):
         raise DomainError("threshold lambda must not be NaN")
@@ -596,5 +600,6 @@ def mc_sign_changes(
         flips[rows] += counted
 
     scan = scanner(trials, count)
-    walk_blocks(*_seeded(master_seed, n_max), n_max, mode, sigma, scan, trials, threads)
+    bits = partial(batch_neg_bits, master_seed)
+    walk_blocks(bits, n_max, mode, sigma, scan, trials, threads)
     return _mean(flips, master_seed, level)

@@ -40,7 +40,7 @@ from .sieve import (
     PrimeList,
     _check_base,
     primes_up_to,
-    sieve_block_tables,
+    sieve_walk,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -171,8 +171,8 @@ def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
 def cofactor_ranks(tables: BlockTables, base: PrimeList) -> np.ndarray:
     """Rank in base of each row's cofactor prime, -1 where the cofactor is 1.
 
-    base must hold every prime <= tables.hi.  One searchsorted per sieve
-    block: walk_blocks hands the ranks of a block's rows to every batch.
+    base must hold every prime <= tables.hi.  One searchsorted per sieve_walk
+    piece: walk_blocks hands the ranks of a piece's rows to every batch.
     """
     ranks = np.full(tables.cofactor.size, -1)
     big = tables.cofactor > 1
@@ -236,7 +236,7 @@ def ranked_f(bits, tables: BlockTables, ranks, base: PrimeList, mode: Mode):
 
 
 def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
-    """f(n) for every n in [lo, hi] as an int8 vector.
+    """f(n) for every n in [lo, hi] as an int8 vector, from sieve_walk's pieces.
 
     Every prime factor occurring in the block must be <= a.limit; the
     whole-range use case is lo=1, hi=a.limit.
@@ -247,6 +247,8 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
         raise SignRangeError(
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
-    tables = sieve_block_tables(lo, hi, a.primes)
-    f = batch_f(a.neg_bits[None, :], tables, a.primes, a.mode)
-    return np.ascontiguousarray(f[:, 0])  # one byte per n, not a row of eight
+    bits = a.neg_bits[None, :]
+    # a contiguous copy of each piece: one byte per n, not a row of eight
+    return np.concatenate(
+        [batch_f(bits, t, a.primes, a.mode)[:, 0].copy() for t in sieve_walk(lo, hi)]
+    )

@@ -1,15 +1,15 @@
 """Weighted partial sums S_sigma(y) = sum_{n<=y} f(n) n^-sigma and friends.
 
-walk_blocks is the one ascending walk over y: each sieve block of
-[1, n_max] is sieved once and cut into pieces of accum.TERM_ROWS rows, each
-weighted once, and every trial batch gets its f on each piece in turn,
-trial-minor: one row per integer, one column per trial.  Trajectories and
-every Monte Carlo scan reduce the running sums of accum.running_sums down
-those rows, carried from piece to piece by scanner, so they are bitwise
-reproducible and carry a certified bound on the accumulated rounding
-error.  The positivity predicate never classifies a value inside the
-+-bound band around zero: such checkpoints come back INDETERMINATE instead
-of silently deciding the central event.
+walk_blocks is the one ascending walk over y: it takes the pieces of
+sieve.TERM_ROWS rows of [1, n_max] from sieve.sieve_walk, weighs each once,
+and every trial batch gets its f on each piece in turn, trial-minor: one
+row per integer, one column per trial.  Trajectories and every Monte Carlo
+scan reduce the running sums of accum.running_sums down those rows,
+carried from piece to piece by scanner, so they are bitwise reproducible
+and carry a certified bound on the accumulated rounding error.  The
+positivity predicate never classifies a value inside the +-bound band
+around zero: such checkpoints come back INDETERMINATE instead of silently
+deciding the central event.
 
 Also here: truncated prime sums sum_{p<=P} f(p) p^-sigma, truncated Euler
 products, and the decomposition of log of the truncated product into
@@ -30,16 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import (
-    TERM_ROWS,
-    chunk_masses,
-    power_weights,
-    running_sums,
-    series_error_bound,
-)
+from .accum import chunk_masses, power_weights, running_sums, series_error_bound
 from .errors import DomainError, PoleError, SignRangeError
 from .sampler import Mode, SignAssignment, cofactor_ranks, ranked_f
-from .sieve import sieve_walk
+from .sieve import TERM_ROWS, primes_up_to, sieve_walk
 
 #: Most trials in a batch, and its budget of float64 working cells (~64 MB).
 _DEFAULT_BATCH, _BATCH_CELL_BUDGET = 2048, 1 << 23
@@ -129,42 +123,38 @@ def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 
         yield lambda fn: list(pool.map(fn, batches))
 
 
-def walk_blocks(bits, base, n_max, mode, sigma, visit, trials=1, threads=1, weigh=None):
+def walk_blocks(bits, n_max, mode, sigma, visit, trials=1, threads=1, weigh=None):
     """Hand f of every trial on each piece of [1, n_max] to visit.
 
-    Each sieve_walk block, in ascending order, is sieved once and its
-    cofactor_ranks found once, then cut into pieces of TERM_ROWS rows.  Each
-    piece [lo, hi] is weighted once by w = n^-sigma, or if sigma is None by
-    w = weigh(lo, hi) (None if weigh is None too), and each
-    batch of trial_batches gets its f there from ranked_f, against base, on
-    the sign bits(trial_indices, len(base)), an (n, batch) array with one
-    row per integer; visit(rows, lo, f, w) folds it into per-trial state,
-    rows being slice(start, stop).  So a batch's working set is
+    Each sieve_walk piece [lo, hi], in ascending order, gets its
+    cofactor_ranks in base = primes_up_to(n_max) once, and is weighted once
+    by w = n^-sigma, or if sigma is None by w = weigh(lo, hi) (None if weigh
+    is None too).  Each batch of trial_batches gets its f there from
+    ranked_f on the sign bits(trial_indices, len(base)), an (n, batch) array
+    with one row per integer; visit(rows, lo, f, w) folds it into per-trial
+    state, rows being slice(start, stop).  So a batch's working set is
     min(n_max, TERM_ROWS) x batch cells.  Returns the band of the running
     sums of f * w from the masses of w on f's support, or None.
     """
+    base = primes_up_to(n_max)
     masses: list[float] = []
     w = None
     with trial_batches(trials, min(n_max, TERM_ROWS), threads) as each_batch:
-        for block in sieve_walk(1, n_max):
-            ranks = cofactor_ranks(block, base)
-            for lo in range(block.lo, block.hi + 1, TERM_ROWS):
-                hi = min(lo + TERM_ROWS - 1, block.hi)
-                tables = block.rows(lo, hi)
-                piece_ranks = ranks[lo - block.lo : hi - block.lo + 1]
-                if sigma is not None:
-                    w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
-                    support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
-                    masses += chunk_masses(np.where(support, w, 0.0))
-                elif weigh is not None:
-                    w = weigh(lo, hi)
+        for tables in sieve_walk(1, n_max):
+            lo, hi = tables.lo, tables.hi
+            ranks = cofactor_ranks(tables, base)
+            if sigma is not None:
+                w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
+                support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
+                masses += chunk_masses(np.where(support, w, 0.0))
+            elif weigh is not None:
+                w = weigh(lo, hi)
 
-                def run(batch):
-                    signs = bits(np.arange(*batch), len(base))
-                    f = ranked_f(signs, tables, piece_ranks, base, mode)
-                    visit(slice(*batch), lo, f, w)
+            def run(batch):
+                signs = bits(np.arange(*batch), len(base))
+                visit(slice(*batch), lo, ranked_f(signs, tables, ranks, base, mode), w)
 
-                each_batch(run)
+            each_batch(run)
     return None if sigma is None else series_error_bound(masses, sigma, n_max)
 
 
@@ -213,7 +203,7 @@ def partial_sum_trajectory(
         val_parts.append(sums[kept, 0])
 
     bits = a.neg_bits[None, :]
-    band = walk_blocks(lambda *_: bits, a.primes, n_max, a.mode, sigma, scanner(1, add))
+    band = walk_blocks(lambda *_: bits, n_max, a.mode, sigma, scanner(1, add))
     return Trajectory(
         sigma=sigma,
         assignment_key=a.key,

@@ -1,12 +1,13 @@
 """Segmented sieve for primes and per-integer arithmetic data.
 
-sieve_walk sieves a range of integers in blocks of DEFAULT_BLOCK; each
-gives, for every n in it, the squarefree indicator mu^2(n), the count
-omega(n) of distinct prime divisors, and the cofactor left after the small
-primes.  Blocks are pure functions of (lo, hi, base): they can be sieved in
-any order, cached, and merged freely, and BlockTables.rows cuts a block
-into narrower pieces that keep the block's bound.  Single integers are
-factored by trial division, within the same term budget.
+sieve_walk sieves a range of integers in blocks of DEFAULT_BLOCK and hands
+them out in pieces of TERM_ROWS rows; each gives, for every n in it, the
+squarefree indicator mu^2(n), the count omega(n) of distinct prime
+divisors, and the cofactor left after the small primes.  Blocks are pure
+functions of (lo, hi, base): they can be sieved in any order, cached, and
+merged freely, and BlockTables.rows cuts a block into the pieces, which
+keep the block's bound.  Single integers are factored by trial division,
+within the same term budget.
 
 The block strategy: mark multiples of every base prime p <= sqrt(hi),
 dividing p out of a running cofactor (one division per power level
@@ -27,9 +28,14 @@ PRIME_CACHE_MAGIC = b"RMFPRIM1"
 
 #: Segment width of sieve_walk; working memory is O(sqrt(N) + block).  A
 #: block's cost is nearly all per-prime numpy calls, so wider blocks walk
-#: faster: [1, 10^7] took 0.47 s at 2^16 and 0.28 s at 2^18.  Consumers that
-#: form terms in narrower pieces take them with BlockTables.rows.
+#: faster: [1, 10^7] took 0.47 s at 2^16 and 0.28 s at 2^18.
 DEFAULT_BLOCK = 1 << 18
+
+#: Rows of each piece of sieve_walk, and so most rows of terms formed at a
+#: time: the f of a trial batch in series.walk_blocks, and one fsum of
+#: explicit's weighted sums.  It divides DEFAULT_BLOCK, so the pieces, their
+#: accum.CHUNK boundaries and sums do not depend on the sieve's width.
+TERM_ROWS = 1 << 16
 
 #: Most integers one sieve may cover (a few minutes at about 2 s per 10^7
 #: for a block walk, 1 GB of flags for primes_up_to); like the oracle's
@@ -210,12 +216,15 @@ def walk_base(lo_n: int, hi_n: int) -> PrimeList:
 
 
 def sieve_walk(lo_n: int, hi_n: int):
-    """BlockTables of each iter_blocks block of [lo_n, hi_n], ascending.
+    """BlockTables of [lo_n, hi_n] in pieces of TERM_ROWS rows, ascending.
 
-    The term budget is checked at the call, before any block is sieved.
+    Each iter_blocks block is sieved once and cut by BlockTables.rows, so
+    piece k starts at lo_n + k TERM_ROWS and keeps its block's bound.  The
+    term budget is checked at the call, before any block is sieved.
     """
     base = walk_base(lo_n, hi_n)
-    return (sieve_block_tables(lo, hi, base) for lo, hi in iter_blocks(lo_n, hi_n))
+    blocks = (sieve_block_tables(lo, hi, base) for lo, hi in iter_blocks(lo_n, hi_n))
+    return (t.rows(a, b) for t in blocks for a, b in iter_blocks(t.lo, t.hi, TERM_ROWS))
 
 
 def save_prime_cache(path, plist: PrimeList) -> None:

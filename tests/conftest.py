@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,3 +29,31 @@ def assignment_factory():
 @pytest.fixture(scope="session")
 def primes_ten_million():
     return primes_up_to(10_000_000)
+
+
+@pytest.fixture
+def run_fresh():
+    """Run Python code in a fresh interpreter with src on the path; its stdout.
+
+    Linux carries a process's peak RSS across exec into the new program, so
+    the interpreter is started from a small one, not from pytest, and its
+    ru_maxrss is its own.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+
+    def run(code):
+        launcher = (
+            "import subprocess, sys\n"
+            f"subprocess.run([sys.executable, '-c', {code!r}], check=True)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", launcher], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        return result.stdout
+
+    return run

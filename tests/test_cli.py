@@ -610,6 +610,32 @@ def test_coefficient_ops_memory_bounded(argv):
     assert int(result.stdout) < 100 * 1024  # kB
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("oracle", "positivity", "--nmax", "100000000", "--sigma", "1"),
+         "EnumerationLimitError"),
+        (("mc", "prime-tail", "--sigma", "0.6", "--lambda", "1", "--pmax",
+          "100000001", "--trials", "10"), "DomainError"),
+    ],
+)
+def test_budget_refusals_come_before_the_work(argv, error, run_fresh):
+    # the enumeration sieved every prime <= n_max before it counted them (222
+    # MB here), and prime-tail ran to a 2.3 GB table at P = 10^8, trials 256
+    code = (
+        "import io, json, resource\n"
+        "from rmflab.cli import dispatch\n"
+        "err = io.StringIO()\n"
+        f"code = dispatch({[*argv, '--seed', '1']!r}, io.StringIO(), err)\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([code, json.loads(err.getvalue())['values'], rss]))\n"
+    )
+    code, values, rss = json.loads(run_fresh(code))
+    assert (code, values["error"]) == (3, error)
+    assert "budget" in values["message"]
+    assert rss < 100 * 1024  # kB
+
+
 def test_overflowing_weights_warn_nothing():
     # sigma = 1e308 overflows sigma log p; the band and the undecided rule
     # handle the inf and 0 weights, so no bare warning may reach stderr

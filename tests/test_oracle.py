@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from rmflab.bounds import bh_rhs
 from rmflab.errors import DomainError, EnumerationLimitError
 from rmflab.oracle import (
+    _ENUMERATION_SIEVE_LIMIT,
+    ENUMERATION_BIT_LIMIT,
     CertifiedValue,
     EstimateWithCI,
     _byte_sums,
@@ -26,6 +28,7 @@ from rmflab.oracle import (
     _index_bits,
     _outcomes,
     _scaled_weights,
+    enumeration_base,
     exact_moment,
     exact_probability,
     mc_moment,
@@ -53,6 +56,14 @@ def test_exact_probability_ground_truths():
 def test_exact_probability_denominator_divides_universe():
     res = exact_probability(12, 1.0, 1)
     assert (1 << res.universe_bits) % res.value.denominator == 0
+
+
+def test_enumeration_sieves_no_further_than_the_first_n_past_the_budget():
+    assert len(primes_up_to(_ENUMERATION_SIEVE_LIMIT - 1)) == ENUMERATION_BIT_LIMIT
+    assert len(primes_up_to(_ENUMERATION_SIEVE_LIMIT)) == ENUMERATION_BIT_LIMIT + 1
+    assert enumeration_base(_ENUMERATION_SIEVE_LIMIT - 1).limit == 96
+    with pytest.raises(EnumerationLimitError, match=r"pi\(1000000000\) > 24"):
+        enumeration_base(10**9)
 
 
 def test_exact_probability_refuses_large_universe():
@@ -103,7 +114,7 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
     base = primes_up_to(n_max)
     trials = 1 << len(base)
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = _outcomes(_index_bits, base, n_max, mode, sigma, x, trials)
+        outcomes = _outcomes(_index_bits, n_max, mode, sigma, x, trials)
     tables = sieve_block_tables(1, n_max, base)
     f = batch_f(_index_bits(np.arange(trials), len(base)), tables, base, mode)
     brackets = _scaled_weights(n_max, sigma)

@@ -101,6 +101,30 @@ def test_stream_f_trivial_cases(assignment_factory):
     assert stream_f(plus, 1, 10).tolist() == [1, 1, 1, 0, 1, 1, 1, 0, 0, 1]
 
 
+def test_stream_f_memory_bounded(run_fresh):
+    # stream_f sieved and built f on its whole range at once: 4 * 10^6 integers
+    # added 111 MB to the peak after sample_signs, and 10^7 added 278 MB
+    code = (
+        "import resource\n"
+        "from rmflab.sampler import sample_signs, stream_f\n"
+        "a = sample_signs(1, 0, 4_000_000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert stream_f(a, 1, 4_000_000).size == 4_000_000\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < 32 * 1024  # kB
+
+
+@pytest.mark.parametrize("mode", [Mode.SQUAREFREE_MULT, Mode.COMPLETELY_MULT])
+def test_stream_f_across_sieve_blocks_matches_one_whole_range_table(mode):
+    # lo > 1 and two 2^18 block boundaries: the pieces keep their blocks' bounds
+    a = sample_signs(5, 2, 600_000, mode)
+    lo, hi = 12345, 12345 + 2**19 + 7
+    tables = sieve_block_tables(lo, hi, a.primes)
+    expected = batch_f(a.neg_bits[None, :], tables, a.primes, mode)[:, 0]
+    assert np.array_equal(stream_f(a, lo, hi), expected)
+
+
 def test_stream_f_matches_f_value_pointwise():
     a = sample_signs(31337, 2, 10_000)
     values = stream_f(a, 1, 10_000)

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from rmflab.errors import DomainError, SieveBaseError
 from rmflab.sieve import (
+    DEFAULT_BLOCK,
+    TERM_ROWS,
     arith_signature,
     iter_blocks,
     load_prime_cache,
     primes_up_to,
     save_prime_cache,
     sieve_block_tables,
+    sieve_walk,
 )
 
 
@@ -150,6 +153,20 @@ def test_blocks_are_pure_and_order_free():
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.squarefree, b.squarefree)
     assert np.array_equal(a.cofactor, b.cofactor)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 3 * 2**18 + 5), (12345, 12345 + 2**19)])
+def test_sieve_walk_hands_out_term_rows_pieces(lo, hi):
+    pieces = list(sieve_walk(lo, hi))
+    assert [t.lo for t in pieces] == list(range(lo, hi + 1, TERM_ROWS))
+    assert [t.hi + 1 for t in pieces] == [t.lo for t in pieces[1:]] + [hi + 1]
+    assert all(t.hi - t.lo < TERM_ROWS for t in pieces)
+    for t in pieces:  # the hi of the DEFAULT_BLOCK block the piece was cut from
+        assert t.bound == min(hi, t.lo + DEFAULT_BLOCK - 1 - (t.lo - lo) % DEFAULT_BLOCK)
+    whole = sieve_block_tables(lo, hi, primes_up_to(math.isqrt(hi)))
+    for name in ("omega", "squarefree"):
+        joined = np.concatenate([getattr(t, name) for t in pieces])
+        assert np.array_equal(joined, getattr(whole, name))
 
 
 def test_prime_cache_round_trip(tmp_path):
