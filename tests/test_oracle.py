@@ -559,24 +559,34 @@ def test_bonami_moment_inequality_exact_random_vectors():
 SF, CM = Mode.SQUAREFREE_MULT, Mode.COMPLETELY_MULT
 
 GOLDEN_POSITIVITY = [
-    # (sigma, x, n_max, trials, seed, mode), estimate, n_indeterminate, dump
-    ((0.6, 1, 50_000, 400, 7, SF), 0.36, 0,
+    # (sigma, x, n_max, trials, seed, mode, threads), estimate,
+    # n_indeterminate, dump
+    ((0.6, 1, 50_000, 400, 7, SF, 1), 0.36, 0,
      "a9354b617047cad426458cdc9babfbe4a53030ad6235e70584ebf7f726257a78"),
-    ((0.75, 3, 1000, 3000, 11, SF), 0.6546666666666666, 0,
+    ((0.75, 3, 1000, 3000, 11, SF, 1), 0.6546666666666666, 0,
      "b0959150bd2a8f2e49e42a347898446e0682535378d6a5578b26c147aa0b7046"),
-    ((0.52, 10, 3000, 2500, 5, SF), 0.2972, 0,
+    ((0.52, 10, 3000, 2500, 5, SF, 1), 0.2972, 0,
      "3569cb4fb59a1f4f331ae7963f0661bdba2a2284669075250281014eec8308ba"),
-    ((0.6, 1, 50_000, 400, 7, CM), 0.6, 0,
+    ((0.6, 1, 50_000, 400, 7, CM, 1), 0.6, 0,
      "05a375275f2c5d9b7b728162c6ec1539f96b51e7cd5f31cc319728207621e59b"),
-    ((0.75, 3, 1000, 3000, 11, CM), 0.886, 0,
+    ((0.75, 3, 1000, 3000, 11, CM, 1), 0.886, 0,
      "d260455b8335dff188ff3eb96415dcf6508eff6ffb8bb612eaf123ad49a893e9"),
-    ((0.52, 10, 3000, 2500, 5, CM), 0.6664, 0,
+    ((0.52, 10, 3000, 2500, 5, CM, 1), 0.6664, 0,
      "f569039b36e8b56d7e43dc57c22f0a31a629745ad57c2c72268bab53ce8743c3"),
     # 70000 crosses the first 2^16 sieve block
-    ((0.58, 5, 70_000, 300, 17, SF), 0.36, 0,
+    ((0.58, 5, 70_000, 300, 17, SF, 1), 0.36, 0,
      "16eef64c0d3f73ec2fd3283243002f86eda92cbde7aea794f931cbb061111b35"),
-    ((0.58, 5, 70_000, 300, 17, CM), 0.72, 0,
+    ((0.58, 5, 70_000, 300, 17, CM, 1), 0.72, 0,
      "c18d1a8cc1120bdff5b7688a0a9349c6bd94bae5ab832cf090a68b50930fecd7"),
+    # 10^5 with 1000 trials: above 2^16 rows, wide enough for one batch
+    ((0.6, 1, 100_000, 1000, 1, CM, 1), 0.647, 0,
+     "53f961af4ba6bd32dfb4eed0de293f4f865a236f15667978d1d209d0d1b6a7d6"),
+    ((0.6, 1, 100_000, 1000, 2, SF, 1), 0.391, 0,
+     "bfccf559d3b4d219e8e9979068908d923f02533f89fcf30f5fe9523ccd93e2a5"),
+    ((0.55, 7, 100_000, 1000, 3, CM, 2), 0.667, 0,
+     "992dc4404a7c8f64356a7c9ae22569e8d580368031fdd3f9a86528a0961bf440"),
+    ((0.65, 4, 100_000, 1000, 4, SF, 2), 0.478, 0,
+     "af3a660bd6f10385f072235b68f64856d8e81440984e8a99f64961f2f67dd999"),
 ]
 
 SPARSE_COEFFS = {2: 0.5, 6: 1.25, 30: -0.75, 97: 2.0}
@@ -601,6 +611,9 @@ GOLDEN_SIGN_CHANGES = [
     ((0.8, 1000, 2500, 4, CM), (0.3816, 0.2890581968667127, 0.4741418031332873)),
     ((0.6, 70_000, 200, 23, SF), (90.93, 67.99935692084856, 113.86064307915146)),
     ((0.6, 70_000, 200, 23, CM), (32.11, 13.092600717569727, 51.127399282430275)),
+    ((0.6, 100_000, 250, 1, SF), (102.748, 78.95655627020002, 126.53944372979998)),
+    ((0.6, 100_000, 1000, 5, CM), (21.512, 15.644994833121196, 27.379005166878805)),
+    ((0.7, 100_000, 1000, 6, SF), (18.123, 14.111078459759284, 22.13492154024072)),
 ]
 
 GOLDEN_PRIME_TAIL = [
@@ -630,10 +643,10 @@ GOLDEN_STREAM_F = {
 
 @pytest.mark.parametrize("args, estimate, indeterminate, dump_sha", GOLDEN_POSITIVITY)
 def test_golden_mc_positivity(args, estimate, indeterminate, dump_sha):
-    sigma, x, n_max, trials, seed, mode = args
+    sigma, x, n_max, trials, seed, mode, threads = args
     dump = io.StringIO()
     est = mc_positivity(
-        sigma, x, n_max, trials, master_seed=seed, mode=mode, trial_dump=dump
+        sigma, x, n_max, trials, seed, mode, threads=threads, trial_dump=dump
     )
     assert est.estimate == estimate
     assert est.n_indeterminate == indeterminate
