@@ -39,17 +39,21 @@ CHUNK = 1024
 WIDE = 256
 
 
-def running_sums(f, weights, base=0.0):
+def running_sums(f, weights, base=0.0, out=None):
     """Yield (c, S) for each CHUNK-row block c of f * weights[:, None].
 
     f is (n, trials), one row per term.  S holds the running sums
     sum_{i<=j} f[i] weights[i] for the rows j of the block: the block's
     terms summed in order down axis 0, s_j = s_{j-1} + t_j, plus the last
     running sums before the block (base for the first block).  Callers may
-    overwrite S; the carry is copied before it is yielded.
+    overwrite S; the carry is copied before it is yielded.  With out, a
+    (CHUNK, trials) float64 array, every block is formed in it, so S is
+    valid only until the next block is asked for, and no block allocates.
     """
     for c in range(0, f.shape[0], CHUNK):
-        s = f[c : c + CHUNK] * weights[c : c + CHUNK, None]
+        terms = f[c : c + CHUNK]
+        s = None if out is None else out[: terms.shape[0]]
+        s = np.multiply(terms, weights[c : c + CHUNK, None], out=s)
         if s.shape[1] >= WIDE:
             for prev, row in zip(s, s[1:]):
                 np.add(prev, row, out=row)
@@ -117,5 +121,38 @@ def series_error_bound(masses, sigma: float, n_max: int) -> float:
     order, and its error is at most that times the total mass.  8 more
     EPS units cover the second-order terms and the rounding of the masses.
     """
+    return _mass_error(math.fsum(masses), len(masses), sigma, n_max)
+
+
+def series_error_ceiling(sigma: float, n_max: int) -> float:
+    """A bound >= series_error_bound of the terms on [1, n_max], before any is formed.
+
+    The masses of the pieces of [1, n_max] come in ceil(n_max / CHUNK)
+    chunks, and their fsum is at most that of all the power_weights n^-sigma,
+    n <= n_max, each off by its allowance, in chunk sums of positive terms
+    off by gamma_CHUNK and one more rounding.  That exact sum is at most 1 +
+    int_1^N t^-sigma dt for sigma > 0 and N^(1 - sigma) otherwise, evaluated
+    with a relative slack of 2^-30 for the libm rounding of a finite result
+    (whose exponent is then below 710), plus N TINY for weights below the
+    normal range.  series_error_bound's formula is monotone in the fsum, so
+    it gives a ceiling on the same chunk count; an overflow gives inf.
+    """
+    n = float(n_max)
+    log_n = math.log(n)
+    try:
+        if sigma > 0.0:
+            z = (1.0 - sigma) * log_n
+            integral = log_n if z == 0.0 else math.expm1(z) / (1.0 - sigma)
+            exact = min(n, 1.0 + integral)
+        else:
+            exact = math.exp((1.0 - sigma) * log_n)
+    except OverflowError:
+        return math.inf
+    slack = 1.0 + (weight_allowance(sigma, n_max) + CHUNK + 16.0) * EPS
+    fsum = (exact * (1.0 + 2.0**-30) + n * TINY) * slack
+    return _mass_error(fsum, -(-n_max // CHUNK), sigma, n_max)
+
+
+def _mass_error(fsum: float, chunks: int, sigma: float, n_max: int) -> float:
     weight = weight_allowance(sigma, n_max)
-    return EPS * (weight + 8.0 + CHUNK + len(masses)) * math.fsum(masses)
+    return EPS * (weight + 8.0 + CHUNK + chunks) * fsum

@@ -3,7 +3,7 @@
 The exact oracles enumerate all 2^pi(N) equiprobable sign assignments on
 the primes <= N, and share the sign kernel of Monte Carlo: assignment i
 gives the prime of rank r the sign bit r of i, and series.walk_blocks
-builds its f with sampler.batch_f.  exact_probability decides each
+builds its f with sampler.table_f.  exact_probability decides each
 assignment outside the certified band on the float scan of mc_positivity
 and certifies every in-band one exactly on integer-bracketed weights;
 exact_moment sums each assignment exactly over one common denominator.
@@ -11,13 +11,13 @@ Ground truths like 7/8 come out as actual fractions.
 
 Monte Carlo estimators share the sign construction of the sampler module,
 and one walk, series.walk_blocks, feeds every scan over n: it hands each
-trial batch its f on every sieve.TERM_ROWS-row piece of the sieve walk of
-[1, n_max], one row per integer and one column per trial, so memory is
-bounded by piece x batch whatever n_max is.  Estimators reduce down those
-rows and carry per-trial state (running sum, minimum, last sign and flip
-count, linear sum) between pieces, and batches depend on a cell budget
-alone, so the estimate for a given (seed, trials) is identical for any
-thread count.  Two reducers build every interval: _proportion gives Wilson score
+trial batch its f on every sub-piece of the sieve.TERM_ROWS-row pieces of
+the sieve walk of [1, n_max], one row per integer and one column per
+trial, so memory is bounded by a cell budget whatever n_max is.
+Estimators reduce down those rows and carry per-trial state (running sum,
+minimum, last sign and flip count, linear sum) between sub-pieces, and
+batches and sub-pieces depend on that budget alone, so the estimate for a
+given (seed, trials) is identical for any thread count.  Two reducers build every interval: _proportion gives Wilson score
 intervals, which behave at estimates near 0 and 1 where the interesting
 events live, and _mean a normal interval clamped at 0.
 """
@@ -36,10 +36,10 @@ from statistics import NormalDist
 import mpmath as mp
 import numpy as np
 
-from .accum import power_weights, signed_sum_error_bound
+from .accum import power_weights, series_error_ceiling, signed_sum_error_bound
 from .bounds import EXACT_BITS_LIMIT, check_bits, exact_ints
 from .errors import CertificationError, DomainError, EnumerationLimitError
-from .sampler import Mode, batch_f, batch_neg_bits
+from .sampler import Mode, batch_neg_bits
 from .series import (
     Trajectory,
     band_outcomes,
@@ -48,7 +48,7 @@ from .series import (
     trial_batches,
     walk_blocks,
 )
-from .sieve import primes_up_to, sieve_walk
+from .sieve import primes_up_to
 
 ENUMERATION_BIT_LIMIT = 24
 
@@ -139,8 +139,13 @@ def enumeration_base(n_max: int):
 
 
 def _index_bits(idx: np.ndarray, ranks: int) -> np.ndarray:
-    """Sign bits of assignments idx: bit r set gives the prime of rank r -1."""
-    return ((idx[:, None] >> np.arange(ranks)) & 1).astype(np.uint8)
+    """Sign bits of assignments idx, packed as batch_neg_bits(..., packed=True).
+
+    Bit r of i set gives the prime of rank r sign -1, so the bytes are those
+    of i, little-endian; ranks <= ENUMERATION_BIT_LIMIT fit in three.
+    """
+    raw = np.asarray(idx).astype("<u4").view(np.uint8).reshape(-1, 4)
+    return raw[:, : (ranks + 7) // 8]
 
 
 def _scaled_weights(n_max: int, sigma: float):
@@ -189,18 +194,29 @@ def _outcomes(bits, n_max, mode, sigma, x, trials, threads=1):
 
     The trials are those of walk_blocks.  One is decided only when its
     lowest sum past x lies outside the band, so a NaN or inf minimum or
-    band leaves it undecided.
+    band leaves it undecided.  A trial whose minimum is already below
+    -series_error_ceiling, which no band of the walk exceeds, has failed
+    whatever its later sums, and walk_blocks retires it.
     """
     lowest = np.full(trials, np.inf)
+    cut = series_error_ceiling(sigma, n_max)
 
     def scan_min(rows, y, sums):
         skip = max(0, x + 1 - y)  # row j holds S_sigma(y + j)
         if skip < sums.shape[0]:
             lowest[rows] = np.minimum(lowest[rows], sums[skip:].min(axis=0))
 
+    def failed(rows):
+        return _failed(lowest[rows], cut)
+
     scan = scanner(trials, scan_min)
-    band = walk_blocks(bits, n_max, mode, sigma, scan, trials, threads)
+    band = walk_blocks(bits, n_max, mode, sigma, scan, trials, threads, retired=failed)
     return band_outcomes(lowest, band)
+
+
+def _failed(lowest, cut: float) -> np.ndarray:
+    """Which finite minima lie below -cut: a NaN or inf one never does."""
+    return np.isfinite(lowest) & (lowest < -cut)
 
 
 def exact_probability(
@@ -230,8 +246,15 @@ def exact_probability(
     positives = int(np.count_nonzero(outcomes == 1))
     undecided = np.flatnonzero(outcomes == 2)
     if undecided.size:
-        bits = _index_bits(undecided, len(base))
-        f = np.vstack([batch_f(bits, t, base, mode) for t in sieve_walk(1, n_max)])
+        f = np.empty((n_max, undecided.size), dtype=np.int8)
+
+        def keep(rows, lo, piece, _):
+            f[lo - 1 : lo - 1 + piece.shape[0], rows] = piece
+
+        def bits(i, ranks):
+            return _index_bits(undecided[i], ranks)
+
+        walk_blocks(bits, n_max, mode, None, keep, undecided.size)
         brackets = _scaled_weights(n_max, sigma)
         for row, i in zip(f.T.tolist(), undecided.tolist()):
             positives += _certified_positive(row, brackets, x, i)
@@ -379,7 +402,7 @@ def mc_positivity(
             RuntimeWarning,
             stacklevel=2,
         )
-    bits = partial(batch_neg_bits, master_seed)
+    bits = partial(batch_neg_bits, master_seed, packed=True)
     outcomes = _outcomes(bits, n_max, mode, sigma, x, trials, threads)
     if trial_dump is not None:
         trial_dump.write("trial,passed,indeterminate\n")
@@ -464,7 +487,7 @@ def mc_moment(
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
         sums[rows] += a @ f.astype(np.float64)
 
-    bits = partial(batch_neg_bits, master_seed)
+    bits = partial(batch_neg_bits, master_seed, packed=True)
     walk_blocks(bits, n_max, mode, None, add, trials, threads, coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
@@ -600,6 +623,6 @@ def mc_sign_changes(
         flips[rows] += counted
 
     scan = scanner(trials, count)
-    bits = partial(batch_neg_bits, master_seed)
+    bits = partial(batch_neg_bits, master_seed, packed=True)
     walk_blocks(bits, n_max, mode, sigma, scan, trials, threads)
     return _mean(flips, master_seed, level)

@@ -187,42 +187,100 @@ def batch_f(
 
     bits is (trials, len(base)) as from batch_neg_bits, and base must hold
     every prime <= tables.hi.  Returns int8 of shape (n, trials), trial-minor:
-    row i holds f(tables.lo + i) of every trial.  The sign bits of the ranks
-    of primes <= hi are packed eight trials to a byte, one row per rank, and
-    the parity of the negative primes dividing n follows the sieve: one
-    gather of packed rows picks up the single cofactor prime, then each
-    base prime p <= sqrt(tables.bound) XORs its packed row into the rows of
-    its multiples, at every power level p, p^2, ... in completely
-    multiplicative mode (which leaves v_p(n) mod 2).  One unpack turns the
-    parities into signs, and non-squarefree n are zeroed in squarefree mode.
+    row i holds f(tables.lo + i) of every trial.  It is ranked_f on the
+    cofactor_ranks of the rows.
     """
     return ranked_f(bits, tables, cofactor_ranks(tables, base), base, mode)
 
 
 def ranked_f(bits, tables: BlockTables, ranks, base: PrimeList, mode: Mode):
-    """batch_f on the cofactor_ranks of tables' rows, computed once per block."""
+    """batch_f on the cofactor_ranks of tables' rows: pack, then build.
+
+    The sign bits of the ranks of primes <= hi are packed eight ranks to a
+    byte, as batch_neg_bits(..., packed=True) draws them, turned rank-major
+    by sign_table and handed to table_f.
+    """
+    used = _ranks_read(tables, base)
+    packed = np.packbits(bits[:, :used], axis=1, bitorder="little")
+    return table_f(sign_table(packed, used), tables, ranks, base, mode, bits.shape[0])
+
+
+def _ranks_read(tables: BlockTables, base: PrimeList) -> int:
+    """pi(tables.hi), the ranks whose signs f reads on the rows of tables."""
     if base.limit < tables.hi:
         raise SieveBaseError(
             f"f up to {tables.hi} needs all primes <= {tables.hi}, "
             f"base covers {base.limit}"
         )
-    used = int(np.searchsorted(base.primes, tables.hi, side="right"))
+    return int(np.searchsorted(base.primes, tables.hi, side="right"))
+
+
+#: Masks of the three delta swaps that transpose the 8 x 8 bit matrix held
+#: in a uint64, bit 8 i + j to bit 8 j + i (Warren, Hacker's Delight, 7-3).
+_TRANSPOSE8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0))
+)
+
+
+def sign_table(packed: np.ndarray, used: int) -> np.ndarray:
+    """Sign bits of ranks 0..used-1 turned rank-major, eight trials to a byte.
+
+    packed is (trials, k) uint8, bit r mod 8 of byte r >> 3 of row t being
+    rank r of trial t, as from batch_neg_bits(..., packed=True), with 8 k >=
+    used.  Returns (used + 1, ceil(trials / 8)): bit i of byte j of row r is
+    rank r of trial 8 j + i, and the last row, rank -1, is all zero for a
+    cofactor of 1.  The bytes of eight trials at one byte offset form one
+    uint64, an 8 x 8 bit matrix that three delta swaps transpose in place,
+    so no array larger than packed is formed.
+    """
+    trials = packed.shape[0]
+    k, groups = (used + 7) // 8, -(-trials // 8)
+    # word (g, j): byte j of trials 8g..8g+7, trial 8g+i in byte i
+    words = np.zeros((groups, k, 8), dtype=np.uint8)
+    by_trial = words.transpose(0, 2, 1)
+    full = trials // 8
+    by_trial[:full] = packed[: 8 * full, :k].reshape(full, 8, k)
+    if full < groups:
+        by_trial[full, : trials - 8 * full] = packed[8 * full :, :k]
+    words = words.view("<u8")[..., 0]
+    for shift, mask in _TRANSPOSE8:
+        t = words >> shift
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+    table = np.empty((used + 1, groups), dtype=np.uint8)
+    # byte i of word (g, j) now holds rank 8j + i of trials 8g..8g+7
+    table[:used] = words.view(np.uint8).reshape(groups, 8 * k).T[:used]
+    table[used] = 0
+    return table
+
+
+def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, trials):
+    """f of the first trials columns of a sign_table on the rows of tables.
+
+    ranks are the cofactor_ranks of the rows, and table must hold the ranks
+    of the primes <= tables.hi.  The parity of the negative primes dividing n
+    follows the sieve: one gather of table rows picks up the single cofactor
+    prime, then each base prime p <= sqrt(tables.bound) XORs its row into
+    the rows of its multiples, at every power level p, p^2, ... in
+    completely multiplicative mode (which leaves v_p(n) mod 2).  One unpack
+    turns the parities into signs, and non-squarefree n are zeroed in
+    squarefree mode.
+    """
+    used = _ranks_read(tables, base)
     # primes up to sqrt(bound) were divided out of the cofactors; those past
     # hi have no multiple in the rows
     small = _check_base(tables.bound, base)[:used].tolist()
-    trials = bits.shape[0]
-    # a flat pack of whole bytes: row r, byte j holds rank r of trials 8j..8j+7;
-    # the all-zero last row, rank -1, stands for a cofactor of 1
-    rows = np.zeros((used + 1, -(-trials // 8) * 8), dtype=np.uint8)
-    rows[:-1, :trials] = bits[:, :used].T
-    packed = np.packbits(rows.ravel(), bitorder="little").reshape(used + 1, -1)
-    del rows  # eight times the size of packed
-    parity = packed[ranks]
+    parity = table[ranks]
     for r, p in enumerate(small):
         q = p
         while q <= tables.hi:
             # (-lo) % q is the offset of the rows' first multiple of q
-            parity[(-tables.lo) % q :: q] ^= packed[r]
+            parity[(-tables.lo) % q :: q] ^= table[r]
             if mode is Mode.SQUAREFREE_MULT:
                 break
             q *= p

@@ -2,11 +2,12 @@
 
 walk_blocks is the one ascending walk over y: it takes the pieces of
 sieve.TERM_ROWS rows of [1, n_max] from sieve.sieve_walk, weighs each once,
-and every trial batch gets its f on each piece in turn, trial-minor: one
-row per integer, one column per trial.  Trajectories and every Monte Carlo
-scan reduce the running sums of accum.running_sums down those rows,
-carried from piece to piece by scanner, so they are bitwise reproducible
-and carry a certified bound on the accumulated rounding error.  The
+and every trial batch draws its sign bits for a piece once and gets its f
+on the piece's sub-pieces in turn, trial-minor: one row per integer, one
+column per trial.  Trajectories and every Monte Carlo scan reduce the
+running sums of accum.running_sums down those rows, carried from
+sub-piece to sub-piece by scanner, so they are bitwise reproducible and
+carry a certified bound on the accumulated rounding error.  The
 positivity predicate never classifies a value inside the +-bound band
 around zero: such checkpoints come back INDETERMINATE instead of silently
 deciding the central event.
@@ -30,9 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import chunk_masses, power_weights, running_sums, series_error_bound
+from .accum import (
+    CHUNK,
+    chunk_masses,
+    power_weights,
+    running_sums,
+    series_error_bound,
+)
 from .errors import DomainError, PoleError, SignRangeError
-from .sampler import Mode, SignAssignment, cofactor_ranks, ranked_f
+from .sampler import Mode, SignAssignment, cofactor_ranks, sign_table, table_f
 from .sieve import TERM_ROWS, primes_up_to, sieve_walk
 
 #: Most trials in a batch, and its budget of float64 working cells (~64 MB).
@@ -109,9 +116,10 @@ def check_sigma(sigma: float) -> None:
 def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 64):
     """Yield each_batch(fn), which calls fn((start, stop)) for every batch.
 
-    A batch holds about _BATCH_CELL_BUDGET cells, and at least `floor` and
-    at most _DEFAULT_BATCH trials, whatever the thread count.  Batches run
-    on min(threads, batches, cpus) threads of one pool.
+    A batch holds about _BATCH_CELL_BUDGET cells, cells_per_trial for each
+    of its trials, and at least `floor` and at most _DEFAULT_BATCH trials,
+    whatever the thread count.  Batches run on min(threads, batches, cpus)
+    threads of one pool.
     """
     size = max(floor, min(_DEFAULT_BATCH, _BATCH_CELL_BUDGET // cells_per_trial))
     batches = [(s, min(s + size, trials)) for s in range(0, trials, size)]
@@ -123,26 +131,54 @@ def trial_batches(trials: int, cells_per_trial: int, threads: int, floor: int = 
         yield lambda fn: list(pool.map(fn, batches))
 
 
-def walk_blocks(bits, n_max, mode, sigma, visit, trials=1, threads=1, weigh=None):
-    """Hand f of every trial on each piece of [1, n_max] to visit.
+def sub_piece_rows(width: int) -> int:
+    """Rows of f that a batch of width trials builds at a time.
+
+    The tallest power-of-two cut of a TERM_ROWS piece, down to CHUNK rows,
+    whose width x rows cells fit _BATCH_CELL_BUDGET: a whole piece up to 128
+    trials, 4096 rows at 2048.
+    """
+    rows = TERM_ROWS
+    while rows > CHUNK and rows * width > _BATCH_CELL_BUDGET:
+        rows //= 2
+    return rows
+
+
+def walk_blocks(
+    bits, n_max, mode, sigma, visit, trials=1, threads=1, weigh=None, retired=None
+):
+    """Hand f of every trial on each sub-piece of [1, n_max] to visit.
 
     Each sieve_walk piece [lo, hi], in ascending order, gets its
     cofactor_ranks in base = primes_up_to(n_max) once, and is weighted once
     by w = n^-sigma, or if sigma is None by w = weigh(lo, hi) (None if weigh
-    is None too).  Each batch of trial_batches gets its f there from
-    ranked_f on the sign bits(trial_indices, len(base)), an (n, batch) array
-    with one row per integer; visit(rows, lo, f, w) folds it into per-trial
-    state, rows being slice(start, stop).  So a batch's working set is
-    min(n_max, TERM_ROWS) x batch cells.  Returns the band of the running
-    sums of f * w from the masses of w on f's support, or None.
+    is None too).  A trial_batches batch holds, per trial, CHUNK running
+    sums, the f of a CHUNK-row sub-piece at least and the packed sign bits
+    of pi(n_max) ranks.  On each piece a batch draws the bits(trial_indices,
+    pi(hi)) of the ranks the piece reads once, packed as from
+    batch_neg_bits(..., packed=True), turns them into a sampler.sign_table
+    and builds its f from that table on sub-pieces of sub_piece_rows(width)
+    rows, multiples of CHUNK, so a whole piece for batches of up to 128
+    trials.  visit(rows, lo, f, w) folds each (n, trials) f, one row per
+    integer, into per-trial state, rows being slice(start, stop).
+
+    retired(rows), if given, is asked after each sub-piece that has a
+    successor which of the trials in rows are decided; those are walked no
+    further, and from then on rows is the index array of the batch's other
+    trials, whose sign bits are drawn again for the next sub-piece.
+    Returns the band of the running sums of f * w from the masses of w on
+    f's support, or None.
     """
     base = primes_up_to(n_max)
     masses: list[float] = []
     w = None
-    with trial_batches(trials, min(n_max, TERM_ROWS), threads) as each_batch:
+    walked = {}  # batch -> its rows still walked, once a trial has retired
+    cells = 2 * CHUNK + (len(base) + 7) // 8
+    with trial_batches(trials, cells, threads) as each_batch:
         for tables in sieve_walk(1, n_max):
             lo, hi = tables.lo, tables.hi
             ranks = cofactor_ranks(tables, base)
+            used = int(np.searchsorted(base.primes, hi, side="right"))
             if sigma is not None:
                 w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
                 support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
@@ -151,8 +187,25 @@ def walk_blocks(bits, n_max, mode, sigma, visit, trials=1, threads=1, weigh=None
                 w = weigh(lo, hi)
 
             def run(batch):
-                signs = bits(np.arange(*batch), len(base))
-                visit(slice(*batch), lo, ranked_f(signs, tables, ranks, base, mode), w)
+                rows = walked.get(batch, slice(*batch))
+                table = None
+                step = sub_piece_rows(batch[1] - batch[0])
+                for a in range(lo, hi + 1, step):
+                    if table is None:  # the piece's draw, or one after a retirement
+                        chosen = np.arange(*batch) if isinstance(rows, slice) else rows
+                        if not chosen.size:
+                            return
+                        table = sign_table(bits(chosen, used), used)
+                    b = min(a + step - 1, hi)
+                    cut = slice(a - lo, b - lo + 1)
+                    sub = tables.rows(a, b)
+                    f = table_f(table, sub, ranks[cut], base, mode, chosen.size)
+                    visit(rows, a, f, None if w is None else w[cut])
+                    if retired is not None and b < n_max:
+                        done = retired(rows)
+                        if done.any():
+                            rows = walked[batch] = chosen[~done]
+                            table = None
 
             each_batch(run)
     return None if sigma is None else series_error_bound(masses, sigma, n_max)
@@ -167,7 +220,9 @@ def scanner(trials: int, reduce):
     carry = np.zeros((1, trials))
 
     def visit(rows, lo, f, w):
-        for c, sums in running_sums(f, w, carry[:, rows]):
+        # one block buffer per visit: fresh CHUNK-row blocks grow the heap
+        out = np.empty((min(CHUNK, f.shape[0]), f.shape[1]))
+        for c, sums in running_sums(f, w, carry[:, rows], out):
             carry[:, rows] = sums[-1:]
             reduce(rows, lo + c, sums)
 
@@ -198,11 +253,12 @@ def partial_sum_trajectory(
 
     def add(rows, y, sums):
         ys = np.arange(y, y + sums.shape[0], dtype=np.int64)
-        kept = (ys % checkpoint_stride == 0) | (ys == 1) | (ys == n_max)
+        # past n_max a stride keeps the same rows, and may not fit int64
+        kept = (ys % min(checkpoint_stride, n_max) == 0) | (ys == 1) | (ys == n_max)
         ys_parts.append(ys[kept])
         val_parts.append(sums[kept, 0])
 
-    bits = a.neg_bits[None, :]
+    bits = np.packbits(a.neg_bits, bitorder="little")[None, :]
     band = walk_blocks(lambda *_: bits, n_max, a.mode, sigma, scanner(1, add))
     return Trajectory(
         sigma=sigma,

@@ -175,6 +175,19 @@ def test_long_trajectory_output_pinned(nmax, stride, mode, digests):
     assert tuple(got) == digests
 
 
+@pytest.mark.parametrize("mode", ["squarefree", "completely"])
+def test_trajectory_stride_past_int64_keeps_the_rows_of_stride_nmax(mode):
+    # ys % 10^30 on an int64 array raised OverflowError out of dispatch
+    argv = ("series", "trajectory", "--sigma", "0.6", "--nmax", "5000", "--mode", mode)
+    rows = []
+    for stride in ("5000", str(10**30)):
+        code, out, err = run_cli(*argv, "--stride", stride, "--seed", "3")
+        assert code == 0, err
+        rows.append(record_of(out).values["rows"])
+    assert rows[0] == rows[1]
+    assert [r["y"] for r in rows[0]] == [1, 5000]
+
+
 @pytest.mark.parametrize(
     "argv, seed, digest",
     [

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -25,6 +26,7 @@ from rmflab.oracle import (
     _byte_sums,
     _certified_positive,
     _count_flips,
+    _failed,
     _index_bits,
     _outcomes,
     _scaled_weights,
@@ -40,7 +42,14 @@ from rmflab.oracle import (
     wilson_interval,
 )
 from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
-from rmflab.series import Trajectory, partial_sum_trajectory, positivity_check
+from rmflab.series import (
+    Trajectory,
+    band_outcomes,
+    partial_sum_trajectory,
+    positivity_check,
+    scanner,
+    walk_blocks,
+)
 from rmflab.sieve import primes_up_to, sieve_block_tables
 
 COEFF_13 = {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3)}
@@ -116,7 +125,9 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = _outcomes(_index_bits, n_max, mode, sigma, x, trials)
     tables = sieve_block_tables(1, n_max, base)
-    f = batch_f(_index_bits(np.arange(trials), len(base)), tables, base, mode)
+    packed = _index_bits(np.arange(trials), len(base))
+    bits = np.unpackbits(packed, axis=1, count=len(base), bitorder="little")
+    f = batch_f(bits, tables, base, mode)
     brackets = _scaled_weights(n_max, sigma)
     exact = np.array(
         [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.T.tolist())]
@@ -475,6 +486,55 @@ def test_cross_block_scans_thread_invariant_under_fast_switching():
             assert run(1) == run(4)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_nan_or_inf_minimum_never_retires_a_trial():
+    lowest = np.array([np.nan, np.inf, -np.inf, -1.0, -0.5, 0.0, 2.0])
+    assert _failed(lowest, 0.5).tolist() == [0, 0, 0, 1, 0, 0, 0]
+    for cut in (np.nan, np.inf):
+        assert not _failed(lowest, cut).any()
+
+
+@pytest.mark.parametrize("mode", [Mode.SQUAREFREE_MULT, Mode.COMPLETELY_MULT])
+@pytest.mark.parametrize("sigma, x", [(0.0, 1), (0.6, 1), (0.52, 40)])
+def test_retiring_failed_trials_keeps_every_outcome_of_a_full_scan(mode, sigma, x):
+    # at sigma = 0 every sum is an integer, so many minima are exactly 0 and
+    # stay undecided in the band; 300 trials take 4 sub-pieces of each of the
+    # three pieces of [1, 140000], so trials retire inside a piece and between
+    n_max, trials, seed = 140_000, 300, 9
+    drawn = []
+
+    def bits(idx, ranks):
+        drawn.append(len(idx))
+        return batch_neg_bits(seed, idx, ranks, packed=True)
+
+    got = _outcomes(bits, n_max, mode, sigma, x, trials)
+    lowest = np.full(trials, np.inf)
+
+    def scan_min(rows, y, sums):
+        skip = max(0, x + 1 - y)
+        if skip < sums.shape[0]:
+            lowest[rows] = np.minimum(lowest[rows], sums[skip:].min(axis=0))
+
+    full = partial(batch_neg_bits, seed, packed=True)
+    band = walk_blocks(full, n_max, mode, sigma, scanner(trials, scan_min), trials)
+    assert got.tolist() == band_outcomes(lowest, band).tolist()
+    assert min(drawn) < trials  # some trials were retired
+    if sigma == 0.0:
+        assert (got == 2).any() and (got == 0).any()
+
+
+def test_mc_positivity_memory_bounded_with_wide_batches(run_fresh):
+    # 1000 trials make one batch above 2^16 rows; its f is built on
+    # sub-pieces and its sign bits drawn packed, pi(hi) ranks per piece
+    code = (
+        "import resource\n"
+        "from rmflab.oracle import mc_positivity\n"
+        "from rmflab.sampler import Mode\n"
+        "mc_positivity(0.6, 1, 300_000, 1000, 1, Mode.COMPLETELY_MULT)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    assert int(run_fresh(code)) < 80 * 1024  # kB
 
 
 def test_mc_sign_changes_memory_bounded_at_many_threads():

@@ -16,6 +16,7 @@ from rmflab.sampler import (
     mix64_array,
     ranked_f,
     sample_signs,
+    sign_table,
     stream_f,
 )
 from rmflab.sieve import arith_signature, primes_up_to, sieve_block_tables
@@ -236,3 +237,20 @@ def test_zero_exactly_on_non_squarefree():
     values = stream_f(a, 1, 2000)
     for n in range(1, 2001):
         assert (values[n - 1] == 0) == (not arith_signature(n).is_squarefree)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8, 13, 1000])
+@pytest.mark.parametrize("n_ranks", [1, 7, 8, 9, 130])
+def test_sign_table_is_the_rank_major_pack_of_the_bits(trials, n_ranks):
+    # the table walk_blocks builds from one packed draw: rank r's row holds
+    # bit i of byte j for trial 8 j + i, zero past the last trial, and a zero
+    # row for rank -1; ranks past used, and their bytes, are left out
+    packed = batch_neg_bits(5, np.arange(trials), n_ranks, packed=True)
+    bits = batch_neg_bits(5, np.arange(trials), n_ranks)
+    for used in sorted({1, (n_ranks + 1) // 2, n_ranks}):
+        cells = np.zeros((used + 1, -(-trials // 8) * 8), np.uint8)
+        cells[:-1, :trials] = bits[:, :used].T
+        expected = np.packbits(cells, axis=1, bitorder="little")
+        got = sign_table(packed, used)
+        assert got.shape == expected.shape
+        assert (got == expected).all()

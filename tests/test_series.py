@@ -13,6 +13,7 @@ from rmflab.accum import (
     WIDE,
     power_weights,
     running_sums,
+    series_error_ceiling,
     weight_allowance,
 )
 from rmflab.errors import DomainError
@@ -26,8 +27,10 @@ from rmflab.series import (
     positivity_check,
     prime_sum,
     rademacher_menshov_check,
+    sub_piece_rows,
+    walk_blocks,
 )
-from rmflab.sieve import primes_up_to, sieve_block_tables
+from rmflab.sieve import DEFAULT_BLOCK, TERM_ROWS, primes_up_to, sieve_block_tables
 
 
 def test_all_plus_harmonic_values(assignment_factory):
@@ -286,3 +289,37 @@ def test_trajectory_csv_round_trip(assignment_factory):
     assert float(first[1]) == t.value_at(1)
     y10 = lines[10].split(",")
     assert float(y10[1]) == t.value_at(10)
+
+
+# The pieces of [1, n_max] are cut at every multiple of TERM_ROWS, their
+# chunks at every multiple of CHUNK, and the sieve's blocks at DEFAULT_BLOCK.
+PIECE_GRID = [
+    1, 2, CHUNK - 1, CHUNK, CHUNK + 1, TERM_ROWS - 1, TERM_ROWS, TERM_ROWS + 1,
+    DEFAULT_BLOCK, DEFAULT_BLOCK + 1, 300_000,
+]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize(
+    "sigma", [-300.0, -1.0, 0.0, 1e-9, 0.25, 0.5, 0.6, 1 - 1e-12, 1.0, 1.5, 3.0, 1e300]
+)
+def test_error_ceiling_bounds_the_band_of_every_walk(mode, sigma):
+    # _outcomes retires a trial below -series_error_ceiling before the walk
+    # has formed any mass: the ceiling must hold the final band, from the
+    # exact oracle's sigma = -300 re-check path to weights underflowing to 0
+    def ignore(rows, lo, f, w):
+        pass
+
+    bits = np.zeros((1, 1), np.uint8)
+    for n_max in PIECE_GRID:
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = walk_blocks(lambda *_: bits, n_max, mode, sigma, ignore)
+        assert series_error_ceiling(sigma, n_max) >= band, n_max
+
+
+def test_sub_pieces_keep_whole_pieces_up_to_128_trials():
+    assert [sub_piece_rows(w) for w in (1, 128)] == [TERM_ROWS, TERM_ROWS]
+    assert [sub_piece_rows(w) for w in (129, 1000, 2048)] == [1 << 15, 1 << 13, 1 << 12]
+    assert sub_piece_rows(1 << 30) == CHUNK
+    for w in range(1, 2049):
+        assert TERM_ROWS % sub_piece_rows(w) == 0 and sub_piece_rows(w) % CHUNK == 0
