@@ -200,19 +200,14 @@ def ranked_f(bits, tables: BlockTables, ranks, base: PrimeList, mode: Mode):
     byte, as batch_neg_bits(..., packed=True) draws them, turned rank-major
     by sign_table and handed to table_f.
     """
-    used = _ranks_read(tables, base)
-    packed = np.packbits(bits[:, :used], axis=1, bitorder="little")
-    return table_f(sign_table(packed, used), tables, ranks, base, mode, bits.shape[0])
-
-
-def _ranks_read(tables: BlockTables, base: PrimeList) -> int:
-    """pi(tables.hi), the ranks whose signs f reads on the rows of tables."""
     if base.limit < tables.hi:
         raise SieveBaseError(
             f"f up to {tables.hi} needs all primes <= {tables.hi}, "
             f"base covers {base.limit}"
         )
-    return int(np.searchsorted(base.primes, tables.hi, side="right"))
+    used = int(np.searchsorted(base.primes, tables.hi, side="right"))
+    packed = np.packbits(bits[:, :used], axis=1, bitorder="little")
+    return table_f(sign_table(packed, used), tables, ranks, base, mode, bits.shape[0])
 
 
 #: Masks of the three delta swaps that transpose the 8 x 8 bit matrix held
@@ -238,11 +233,12 @@ def sign_table(packed: np.ndarray, used: int) -> np.ndarray:
     trials = packed.shape[0]
     k, groups = (used + 7) // 8, -(-trials // 8)
     # word (g, j): byte j of trials 8g..8g+7, trial 8g+i in byte i
-    words = np.zeros((groups, k, 8), dtype=np.uint8)
+    words = np.empty((groups, k, 8), dtype=np.uint8)
     by_trial = words.transpose(0, 2, 1)
     full = trials // 8
     by_trial[:full] = packed[: 8 * full, :k].reshape(full, 8, k)
-    if full < groups:
+    if full < groups:  # the last group's missing trials read as zero bits
+        by_trial[full] = 0
         by_trial[full, : trials - 8 * full] = packed[8 * full :, :k]
     words = words.view("<u8")[..., 0]
     for shift, mask in _TRANSPOSE8:
@@ -271,11 +267,10 @@ def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, tria
     turns the parities into signs, and non-squarefree n are zeroed in
     squarefree mode.
     """
-    used = _ranks_read(tables, base)
-    # primes up to sqrt(bound) were divided out of the cofactors; those past
-    # hi have no multiple in the rows
-    small = _check_base(tables.bound, base)[:used].tolist()
     parity = table[ranks]
+    # primes up to sqrt(bound) were divided out of the cofactors; those past
+    # hi have no multiple in the rows, and no row in the table
+    small = _check_base(tables.bound, base).tolist()
     for r, p in enumerate(small):
         q = p
         while q <= tables.hi:
