@@ -212,6 +212,14 @@ def test_mertens_sum_at_scale_brackets_constant():
     assert loglog + 0.26 <= value <= loglog + 0.27
 
 
+def test_prime_sums_pinned():
+    # exactly rounded sums over the 78498 primes to 10^6, and a few more
+    assert repr(mertens_sum(10**6)) == "2.887328099567673"
+    assert repr(mertens_sum(10**6 + 12345)) == "2.888239531475763"
+    margin = chebyshev_sum(10**6, 3.0)
+    assert (repr(margin.lhs), repr(margin.rhs)) == ("1996968.3500512685", "2080000.0")
+
+
 def test_chebyshev_sum_examples():
     m10 = chebyshev_sum(10, 3.0, c2=1.0)
     assert m10.lhs == pytest.approx(2.0 * math.log(210), rel=1e-12)

@@ -28,6 +28,7 @@ from rmflab.oracle import (
     _count_flips,
     _failed,
     _index_bits,
+    _mean,
     _outcomes,
     _scaled_weights,
     enumeration_base,
@@ -568,6 +569,22 @@ def test_mean_estimators_clamp_ci_low_at_zero():
     # both normal intervals reach below 0 unclamped: -149.3 and -9.45
     assert mc_moment(power_coeffs(100, 1.0), 6, 5, master_seed=1).ci_low == 0.0
     assert mc_sign_changes(0.6, 2000, 3, master_seed=4).ci_low == 0.0
+
+
+def test_mean_pinned():
+    # the mean, variance and fourth-moment sums are exactly rounded, so each
+    # field is pinned bitwise, one heavy-tailed sample and one plain one
+    n = np.arange(1, 5001)
+    heavy = 1.0 / (n % 89 + 1.5)
+    heavy[::1000] *= 1e5
+    e = _mean(heavy, 1, 0.99, flag_kurtosis=True)
+    assert (repr(e.estimate), repr(e.ci_low), repr(e.ci_high), e.heavy_tail) == (
+        "9.887387752663821", "0.0", "30.665001872035596", True
+    )
+    e = _mean(np.abs((n % 7 - 3) * 0.1 + 1e-3 * n), 2, 0.95)
+    assert (repr(e.estimate), repr(e.ci_low), repr(e.ci_high), e.heavy_tail) == (
+        "2.5044172000000002", "2.464214112822264", "2.5446202871777364", False
+    )
 
 
 def test_mc_moment_rejects_overflow_and_empty_coefficients():

@@ -212,6 +212,15 @@ def test_prime_sum_examples(assignment_factory):
     assert abs(prime_sum(flipped, 1.0, 10) - (247.0 / 210.0 - 1.0)) < 1e-14
 
 
+def test_prime_sum_pinned():
+    # one exactly rounded sum of ~10^4 signed weights, in both modes
+    for mode in Mode:
+        a = sample_signs(1, 0, 10**5, mode)
+        assert repr(prime_sum(a, 0.6, 10**5)) == "-0.13134182745571357"
+    a = sample_signs(1, 0, 10**5)
+    assert repr(prime_sum(a, 0.5001, 99991)) == "0.11540367473987762"
+
+
 def test_euler_product_examples(assignment_factory):
     plus = assignment_factory(10)
     assert abs(euler_product_partial(plus, 1.0, 3) - 2.0) < 1e-14
