@@ -16,6 +16,10 @@ sigma log n is then rounded twice, in log and in the multiply, and exp
 turns that absolute error in its argument into a relative one, so a
 weight is off by at most about (2 |sigma| log n + 2) EPS relative.
 weight_allowance rounds this up to 2 |sigma| log N + 3 for n <= N.
+
+exact_sum is the one correctly rounded sum of an array: the value of
+math.fsum, formed in numpy from exponent bins without a Python float per
+term.
 """
 
 from __future__ import annotations
@@ -37,6 +41,54 @@ CHUNK = 1024
 #: np.add on rows of 2048 trials is several times faster than a cumsum down
 #: axis 0, but on rows of 128 or fewer the per-call overhead makes it slower.
 WIDE = 256
+
+#: Most terms exact_sum bins at a time: each bin then sums at most 2^26
+#: integers below 2^27 in magnitude, so every partial sum is exact.
+EXACT_SLICE = 1 << 26
+
+#: Adding and subtracting it rounds a float below 2^51 in magnitude to an
+#: integer: the sum lies in [2^52, 2^53), where the spacing is 1.
+_ROUNDER = 1.5 * 2.0**52
+
+
+def exact_sum(x) -> float:
+    """The correctly rounded sum of the float64 array x: math.fsum(x.tolist()).
+
+    Exponent-binned summation (Demmel and Hida, SIAM J. Sci. Comput. 25,
+    2003): np.frexp writes each term as M 2^(e - 53) with M an integer,
+    |M| < 2^53, and M splits exactly into 2^26 h + l with |h| <= 2^27 and
+    |l| <= 2^25.  np.bincount sums the h and the l of each exponent exactly
+    in float64, EXACT_SLICE terms at a time, and the few bin sums combine
+    as one Python int, which one int / int true division rounds correctly.
+    A sum beyond float64 raises OverflowError, as fsum's does, but a finite
+    sum is returned even where fsum's own partial sums would overflow.  An
+    inf or NaN term sends the whole array to math.fsum, and so does an
+    exact zero of zero terms alone, to keep fsum's sign of zero.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    parts = []  # (integer sum, power of two it counts in) of each slice
+    for s in range(0, x.size, EXACT_SLICE):
+        m, e = np.frexp(x[s : s + EXACT_SLICE])
+        low = int(e.min())
+        e = np.subtract(e, low, dtype=np.intp)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and ends below
+            m *= 2.0**27
+            high = m + _ROUNDER
+            high -= _ROUNDER
+            m -= high
+            m *= 2.0**26  # 2^53 m - 2^26 high, exactly
+        bins = np.bincount(e, weights=high), np.bincount(e, weights=m)
+        if not (np.isfinite(bins[0]).all() and np.isfinite(bins[1]).all()):
+            return math.fsum(x.tolist())
+        held = np.flatnonzero((bins[0] != 0.0) | (bins[1] != 0.0))
+        sums = zip(held.tolist(), bins[0][held].tolist(), bins[1][held].tolist())
+        part = sum(((int(h) << 26) + int(l)) << k for k, h, l in sums)
+        parts.append((part, low - 53))
+    scale = min((p for _, p in parts), default=0)
+    total = sum(n << (p - scale) for n, p in parts)
+    if not total:
+        return 0.0 if x.any() else math.fsum(x.tolist())
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 def running_sums(f, weights, base=0.0, out=None):
@@ -90,14 +142,14 @@ def weight_allowance(sigma: float, n_max: int) -> float:
 def signed_sum_error_bound(k: int, total: float, sigma: float, n_max: int) -> float:
     """Certified bound on |computed - exact| of total - 2 neg, in any order.
 
-    total is the fsum W of k power_weights n^-sigma, n <= n_max, and neg
+    total is the exact_sum W of k power_weights n^-sigma, n <= n_max, and neg
     the sum of some subset of them, formed in any order.  Every partial
     sum of neg is a sum of positive weights, so whatever the order its
     rounding is at most gamma_k W with gamma_k = k EPS / (1 - k EPS)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     sec. 3.1), and doubling neg doubles it.  Each weight is off by its
     weight_allowance relative, which moves total - 2 neg by at most that
-    times W.  8 more EPS units of W cover the fsum, the subtraction and
+    times W.  8 more EPS units of W cover its rounding, the subtraction and
     the second-order terms.  A weight below the normal range can lose all
     its relative accuracy, so each one adds TINY; an allowance too large
     for float64 arises only when every weight underflows to 0, and then

@@ -247,6 +247,20 @@ def corollary_upper_bound(r: RegimeParams) -> BoundReport:
     return _report("corollary_upper_bound", -exponent, exponent=exponent)
 
 
+def index_span(coeffs: Mapping[int, object]) -> tuple[int, int, bool]:
+    """The least and greatest index of coeffs, and whether it holds all between.
+
+    A map whose indices are a range(first, last + 1), as oracle.PowerCoeffs'
+    are, is read from it without a scan; the keys of any other map are
+    scanned, and it is not taken to hold every index.  A map with no index
+    gives (1, 0).
+    """
+    indices = getattr(coeffs, "indices", None)
+    if isinstance(indices, range):
+        return indices.start, indices.stop - 1, True
+    return min(coeffs, default=1), max(coeffs, default=0), False
+
+
 def _squarefree_terms(coeffs: Mapping[int, object]):
     """Yield (n, a(n), omega(n)) for each squarefree index n, ascending.
 
@@ -254,13 +268,13 @@ def _squarefree_terms(coeffs: Mapping[int, object]):
     are sieved, in the span's term budget.  Each a(n) is read once, as its
     block is reached; DomainError where one is not finite.
     """
-    first, last = min(coeffs, default=1), max(coeffs, default=0)
+    first, last, whole = index_span(coeffs)
     if first < 1:
         raise DomainError(f"coefficient index {first} must be >= 1")
-    held = {(n - first) // TERM_ROWS for n in coeffs}
+    held = None if whole else {(n - first) // TERM_ROWS for n in coeffs}
     base = walk_base(first, last)
     for lo, hi in iter_blocks(first, last, TERM_ROWS):
-        if (lo - first) // TERM_ROWS not in held:
+        if held is not None and (lo - first) // TERM_ROWS not in held:
             continue
         t, ns = sieve_block_tables(lo, hi, base), range(lo, hi + 1)
         cells = zip(ns, map(coeffs.get, ns), t.squarefree.tolist(), t.omega.tolist())

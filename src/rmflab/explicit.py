@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import NoConvergence
 
-from .accum import power_weights
+from .accum import exact_sum, power_weights
 from .errors import DomainError, FitError
 from .sieve import arith_signature, primes_up_to, sieve_walk
 
@@ -80,14 +79,43 @@ class TailSeries:
         return self.head + self.remainder_low
 
 
-@lru_cache(maxsize=32)
+#: Most omega histograms kept by _omega_histograms; each is 20 ints
+HISTOGRAM_CACHE = 32
+
+_histograms: dict[int, tuple[int, ...]] = {}
+
+
+def _omega_histograms(xs) -> list[tuple[int, ...]]:
+    """Counts of squarefree n <= x by omega(n) for each x of xs.
+
+    histogram[k] = #{n <= x: omega(n) = k}.  The x not cached yet share one
+    sieve_walk to the largest of them, whose pieces are cut at each, and
+    fill the cache, which is emptied first where it would pass
+    HISTOGRAM_CACHE entries.
+    """
+    xs = [int(x) for x in xs]
+    if len(_histograms.keys() | xs) > HISTOGRAM_CACHE:
+        _histograms.clear()
+    todo = sorted(set(xs).difference(_histograms))
+    hist = np.zeros(20, dtype=np.int64)
+    stops = iter(todo)
+    stop = next(stops, None)
+    for t in sieve_walk(1, todo[-1]) if todo else ():
+        lo = t.lo
+        while lo <= t.hi:
+            cut = t.rows(lo, min(stop, t.hi))
+            counts = np.bincount(cut.omega[cut.squarefree], minlength=20)
+            hist[: counts.size] += counts
+            if cut.hi == stop:
+                _histograms[stop] = tuple(int(c) for c in hist)
+                stop = next(stops, None)
+            lo = cut.hi + 1
+    return [_histograms[x] for x in xs]
+
+
 def _omega_histogram(x: int) -> tuple[int, ...]:
     """Counts of squarefree n <= x by omega(n); histogram[k] = #{n: omega=k}."""
-    hist = np.zeros(20, dtype=np.int64)
-    for t in sieve_walk(1, x):
-        counts = np.bincount(t.omega[t.squarefree], minlength=20)
-        hist[: counts.size] += counts
-    return tuple(int(c) for c in hist)
+    return _omega_histograms([x])[0]
 
 
 def t_sum(x: float, m: float) -> SumRecord:
@@ -142,6 +170,7 @@ def fit_lemma31_constants(
         raise DomainError("fit needs x >= 2 and m > 2")
     if c5_grid is None:
         c5_grid = np.geomspace(0.05, 5.0, 80)
+    _omega_histograms(x for x in xs if math.isfinite(x))  # one walk for all of xs
     lhs = {(x, m): float(t_sum(x, m).value) for x in xs for m in ms}
     best_c3 = math.inf
     for c5 in sorted(float(c) for c in c5_grid):
@@ -159,7 +188,7 @@ def fit_lemma31_constants(
 
 
 def weighted_head(x: float, m: float, sigma: float) -> float:
-    """sum_{n<=x} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per sieve block."""
+    """sum_{n<=x} mu^2(n) (m-1)^omega(n) n^-2sigma, one exact sum per sieve piece."""
     if not (math.isfinite(x) and x >= 1):
         raise DomainError(f"x must be finite and >= 1, got {x}")
     if not (m >= 1 and sigma > 0.5 and math.isfinite(m) and math.isfinite(sigma)):
@@ -168,12 +197,13 @@ def weighted_head(x: float, m: float, sigma: float) -> float:
 
 
 def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> float:
-    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, fsum per piece.
+    """sum_{lo_n<=n<=hi_n} mu^2(n) (m-1)^omega(n) n^-2sigma, exact per piece.
 
-    Each sieve_walk piece, TERM_ROWS integers from lo_n, gets one fsum of its
-    squarefree terms alone, as zeros do not move an fsum, with (m-1)^omega
-    read from a table.  DomainError where the sum is not finite, as when
-    (m-1)^omega = inf meets 0 or the terms add up past float64.
+    Each sieve_walk piece, TERM_ROWS integers from lo_n, gets one correctly
+    rounded accum.exact_sum of its squarefree terms alone, as zeros do not
+    move it, with (m-1)^omega read from a table, and the pieces' sums are
+    fsummed.  DomainError where the sum is not finite, as when (m-1)^omega
+    = inf meets 0 or the terms add up past float64.
     """
     parts: list[float] = []
     powers = np.empty(0)
@@ -184,9 +214,9 @@ def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> fl
                     powers = (m - 1.0) ** np.arange(top + 1, dtype=t.omega.dtype)
                 n = np.flatnonzero(t.squarefree) + float(t.lo)
                 terms = powers[t.omega[t.squarefree]] * power_weights(n, 2.0 * sigma)
-                parts.append(math.fsum(terms.tolist()))
+                parts.append(exact_sum(terms))
         total = math.fsum(parts)
-    except OverflowError:  # fsum's partial sums passed float64
+    except OverflowError:  # a piece's sum or the fsum of them passed float64
         total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"the weighted sum over [{lo_n}, {hi_n}] leaves float64")
@@ -285,11 +315,11 @@ def lemma32_bound(
 
 
 def mertens_sum(x: float) -> float:
-    """sum_{p<=x} 1/p, exactly-rounded accumulation over sieved primes."""
+    """sum_{p<=x} 1/p, correctly rounded (accum.exact_sum) over sieved primes."""
     if not (math.isfinite(x) and x >= 2):
         raise DomainError(f"x must be finite and >= 2, got {x}")
     primes = primes_up_to(int(x)).primes.astype(np.float64)
-    return math.fsum((1.0 / primes).tolist())
+    return exact_sum(1.0 / primes)
 
 
 def mertens_sum_exact(x: float) -> Fraction:
@@ -310,9 +340,7 @@ def chebyshev_sum(
         raise DomainError(f"x must be finite and >= 2, got {x}")
     if not (m > 1 and math.isfinite(m) and math.isfinite(c2)):
         raise DomainError(f"need finite m > 1 and c2, got m={m}, c2={c2}")
-    theta = math.fsum(
-        np.log(primes_up_to(int(x)).primes.astype(np.float64)).tolist()
-    )
+    theta = exact_sum(np.log(primes_up_to(int(x)).primes.astype(np.float64)))
     return BoundMargin((m - 1.0) * theta, c2 * (m - 1.0) * x)
 
 

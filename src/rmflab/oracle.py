@@ -36,8 +36,13 @@ from statistics import NormalDist
 import mpmath as mp
 import numpy as np
 
-from .accum import power_weights, series_error_ceiling, signed_sum_error_bound
-from .bounds import EXACT_BITS_LIMIT, check_bits, exact_ints
+from .accum import (
+    exact_sum,
+    power_weights,
+    series_error_ceiling,
+    signed_sum_error_bound,
+)
+from .bounds import EXACT_BITS_LIMIT, check_bits, exact_ints, index_span
 from .errors import CertificationError, DomainError, EnumerationLimitError
 from .sampler import Mode, batch_neg_bits
 from .series import (
@@ -346,15 +351,15 @@ def _mean(
     makes the normal interval optimistic, sets heavy_tail.
     """
     trials = values.size
-    mean = math.fsum(values.tolist()) / trials
+    mean = exact_sum(values) / trials
     half = 0.0
     heavy = False
     if trials > 1:
         centered = values - mean
-        var = math.fsum((centered**2).tolist()) / (trials - 1)
+        var = exact_sum(centered**2) / (trials - 1)
         half = _z(level) * math.sqrt(var / trials)
         if flag_kurtosis and var > 0:
-            m4 = math.fsum((centered**4).tolist()) / trials
+            m4 = exact_sum(centered**4) / trials
             kurtosis_excess = m4 / (var * var) - 3.0
             heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
     if not math.isfinite(mean + half):
@@ -416,7 +421,8 @@ class PowerCoeffs(Mapping):
     """The read-only map a(n) = n^-exponent over 1..n_max, formed as it is read.
 
     With exact, an integer exponent e >= 0 gives Fraction(1, n^e), any other
-    float(n) ** -exponent.  Every refusal is made at construction.
+    float(n) ** -exponent.  Every refusal is made at construction.  Its
+    indices are the range 1..n_max, which bounds.index_span reads unscanned.
     """
 
     def __init__(self, n_max: int, exponent: float = 1.0, exact: bool = False):
@@ -425,6 +431,7 @@ class PowerCoeffs(Mapping):
         if not math.isfinite(exponent):
             raise DomainError(f"coefficient exponent must be finite, got {exponent}")
         self.n_max, self._e, self._power = n_max, None, -float(exponent)
+        self.indices = range(1, n_max + 1)
         if exact and float(exponent).is_integer() and exponent >= 0:
             self._e = int(exponent)
             if self._e * math.log2(n_max) > EXACT_BITS_LIMIT:
@@ -441,7 +448,7 @@ class PowerCoeffs(Mapping):
         return float(n) ** self._power if self._e is None else Fraction(1, n**self._e)
 
     def __iter__(self):
-        return iter(range(1, self.n_max + 1))
+        return iter(self.indices)
 
     def __len__(self) -> int:
         return self.n_max
@@ -471,9 +478,9 @@ def mc_moment(
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):
         raise DomainError(f"moment order must be finite and >= 2, got {m}")
-    if min(coeffs, default=0) < 1:
+    first, n_max, _ = index_span(coeffs)
+    if not 1 <= first <= n_max:
         raise DomainError("need at least one coefficient, at indices >= 1")
-    n_max = max(coeffs)
     sums = np.zeros(trials)
 
     def coefficients(lo, hi):  # a(lo..hi), 0 where coeffs has none
@@ -519,7 +526,7 @@ def mc_prime_tail(
 ) -> EstimateWithCI:
     """Empirical P(sum_{p<=P} f(p) p^-sigma >= threshold).
 
-    With W the fsum of the k = pi(P) weights p^-sigma and neg the sum of
+    With W the exact_sum of the k = pi(P) weights p^-sigma and neg the sum of
     those of the primes with sign -1, a trial's sum is v = W - 2 neg.  neg
     comes from table lookups: each byte of the sign words holds eight
     ranks, picks from its row of the _byte_sums table the sum of its
@@ -543,7 +550,7 @@ def mc_prime_tail(
     plist = primes_up_to(p_max)
     k = len(plist)
     w = power_weights(plist.primes, sigma)
-    total = math.fsum(w.tolist())
+    total = exact_sum(w)
     band = signed_sum_error_bound(k, total, sigma, p_max)
     table = _byte_sums(w).ravel()
     offsets = 256 * np.arange(table.size // 256)[:, None]

@@ -34,6 +34,7 @@ import numpy as np
 from .accum import (
     CHUNK,
     chunk_masses,
+    exact_sum,
     power_weights,
     running_sums,
     series_error_bound,
@@ -314,8 +315,8 @@ def _prime_terms(a: SignAssignment, sigma: float, p_max: int) -> np.ndarray:
 
 
 def prime_sum(a: SignAssignment, sigma: float, p_max: int) -> float:
-    """sum_{p<=P} f(p) p^-sigma, exactly-rounded accumulation."""
-    return math.fsum(_prime_terms(a, sigma, p_max).tolist())
+    """sum_{p<=P} f(p) p^-sigma, correctly rounded (accum.exact_sum)."""
+    return exact_sum(_prime_terms(a, sigma, p_max))
 
 
 def euler_product_partial(a: SignAssignment, sigma: float, p_max: int) -> float:

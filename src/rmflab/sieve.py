@@ -32,7 +32,7 @@ PRIME_CACHE_MAGIC = b"RMFPRIM1"
 DEFAULT_BLOCK = 1 << 18
 
 #: Rows of each piece of sieve_walk, and so most rows of terms formed at a
-#: time: the f of a trial batch in series.walk_blocks, and one fsum of
+#: time: the f of a trial batch in series.walk_blocks, and one exact sum of
 #: explicit's weighted sums.  It divides DEFAULT_BLOCK, so the pieces, their
 #: accum.CHUNK boundaries and sums do not depend on the sieve's width.
 TERM_ROWS = 1 << 16
@@ -143,9 +143,9 @@ class BlockTables:
 
     lo: int
     hi: int
-    omega: np.ndarray  # int16
+    omega: np.ndarray  # int8: n < 10^18 has at most 15 distinct primes
     squarefree: np.ndarray  # bool
-    cofactor: np.ndarray  # int64
+    cofactor: np.ndarray  # int32 where bound < 2^31, int64 above
     bound: int
 
     def rows(self, lo: int, hi: int) -> "BlockTables":
@@ -173,9 +173,9 @@ def sieve_block_tables(lo: int, hi: int, base: PrimeList) -> BlockTables:
     if not 1 <= lo <= hi:
         raise DomainError(f"invalid block [{lo}, {hi}]")
     size = hi - lo + 1
-    omega = np.zeros(size, dtype=np.int16)
+    omega = np.zeros(size, dtype=np.int8)
     squarefree = np.ones(size, dtype=bool)
-    cofactor = np.arange(lo, hi + 1, dtype=np.int64)
+    cofactor = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
     primes = _check_base(hi, base)
     first = -lo % primes  # offset of each prime's first multiple in the block
     within = first < size  # a narrow block misses most primes, and their powers

@@ -19,6 +19,7 @@ from rmflab.bounds import (
     corollary_upper_bound,
     exact_ints,
     hoeffding_bound,
+    index_span,
     lambda_threshold,
     lemma41_bound,
     maximal_bound,
@@ -214,6 +215,13 @@ def test_bh_rhs_sieves_only_the_blocks_holding_an_index(monkeypatch):
     coeffs = {1: 1.0, 10**7: 1.0}
     assert bh_rhs(coeffs, 3) == bh_rhs_by_trial_division(coeffs, 3)
     assert len(sieved) == 2 and sieved[0][0] == 1 and sieved[1][1] == 10**7
+
+
+def test_index_span_scans_the_keys_of_a_plain_map():
+    assert index_span({5: 1.0, 2: 1.0, 70000: 2.0}) == (2, 70000, False)
+    assert index_span({}) == (1, 0, False)
+    with pytest.raises(DomainError, match="must be >= 1"):
+        bh_rhs({0: 1.0, 3: 1.0}, 3)
 
 
 def test_exact_sums_take_numpy_integer_coefficients():

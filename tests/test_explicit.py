@@ -5,9 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rmflab import explicit
 from rmflab.errors import DomainError, FitError
 from rmflab.explicit import (
     _omega_histogram,
+    _omega_histograms,
     chebyshev_sum,
     fit_lemma31_constants,
     lemma31_margin,
@@ -21,7 +23,14 @@ from rmflab.explicit import (
     weighted_head,
     zeta,
 )
-from rmflab.sieve import iter_blocks, primes_up_to, sieve_block_tables
+from rmflab.sieve import (
+    DEFAULT_BLOCK,
+    TERM_ROWS,
+    arith_signature,
+    iter_blocks,
+    primes_up_to,
+    sieve_block_tables,
+)
 
 
 def brute_t_sum(x, m):
@@ -64,6 +73,49 @@ def test_t_sum_squarefree_count_cross_check():
     for lo, hi in iter_blocks(1, 1_000_000):
         count += int(sieve_block_tables(lo, hi, base).squarefree.sum())
     assert t_sum(1_000_000, 2).value == count
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The (lo, hi) of each sieve_walk explicit starts, from an empty cache."""
+    started = []
+    walk = explicit.sieve_walk
+    monkeypatch.setattr(explicit, "_histograms", {})
+    monkeypatch.setattr(
+        explicit, "sieve_walk", lambda lo, hi: started.append((lo, hi)) or walk(lo, hi)
+    )
+    return started
+
+
+def test_omega_histograms_cut_one_walk_at_every_x(walks):
+    xs = [300_001, 1, 2, TERM_ROWS - 1, TERM_ROWS, TERM_ROWS + 1, DEFAULT_BLOCK]
+    xs += [DEFAULT_BLOCK + 1, 300_001]
+    got = _omega_histograms(xs)
+    assert walks == [(1, 300_001)]
+    base = primes_up_to(math.isqrt(300_001))
+    for x, hist in zip(xs, got):
+        t = sieve_block_tables(1, x, base)
+        assert hist == tuple(np.bincount(t.omega[t.squarefree], minlength=20).tolist())
+    assert _omega_histograms(xs[::-1]) == got[::-1] and len(walks) == 1
+
+
+def test_omega_histogram_cache_is_emptied_past_its_size(walks, monkeypatch):
+    monkeypatch.setattr(explicit, "HISTOGRAM_CACHE", 2)
+    first = [_omega_histogram(x) for x in (10, 20, 30, 10)]
+    assert walks == [(1, 10), (1, 20), (1, 30), (1, 10)]
+    assert sorted(explicit._histograms) == [10, 30]
+    hist = [0] * 20
+    for n in range(1, 11):
+        sig = arith_signature(n)
+        hist[sig.omega] += sig.is_squarefree
+    assert first[0] == first[3] == tuple(hist)
+
+
+def test_fit_walks_once_for_its_whole_grid(walks):
+    fit = fit_lemma31_constants([100, 1000, 10_000, 100_000], [3, 5])
+    assert walks == [(1, 100_000)]
+    explicit._histograms.clear()
+    assert fit_lemma31_constants([100_000, 10_000, 1000, 100], [5, 3]) == fit
 
 
 def test_t_sum_monotone_in_x_and_m():

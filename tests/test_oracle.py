@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab.bounds import bh_rhs
+from rmflab.bounds import bh_rhs, index_span
 from rmflab.errors import DomainError, EnumerationLimitError
 from rmflab.oracle import (
     _ENUMERATION_SIEVE_LIMIT,
     ENUMERATION_BIT_LIMIT,
     CertifiedValue,
     EstimateWithCI,
+    PowerCoeffs,
     _byte_sums,
     _certified_positive,
     _count_flips,
@@ -593,6 +594,17 @@ def test_mc_moment_rejects_overflow_and_empty_coefficients():
         mc_moment(power_coeffs(10, 1.0), 2000, 10, master_seed=1)
     with pytest.raises(DomainError, match="coefficient"):
         mc_moment(power_coeffs(0, 1.0), 4, 10, master_seed=1)
+
+
+def test_power_maps_are_read_without_scanning_their_keys(monkeypatch):
+    # the same records as from a plain dict of the same a(n), which is scanned
+    n_max = 70000
+    coeffs = power_coeffs(n_max, 0.75)
+    plain = {n: coeffs[n] for n in range(1, n_max + 1)}
+    expected = bh_rhs(plain, 3), mc_moment(plain, 4, 40, master_seed=1)
+    monkeypatch.setattr(PowerCoeffs, "__iter__", lambda self: pytest.fail("scanned"))
+    assert index_span(coeffs) == (1, n_max, True)
+    assert (bh_rhs(coeffs, 3), mc_moment(coeffs, 4, 40, master_seed=1)) == expected
 
 
 def test_mc_moment_refuses_a_huge_index_before_allocating():

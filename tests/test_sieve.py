@@ -185,3 +185,17 @@ def test_prime_cache_bad_magic(tmp_path):
     path.write_bytes(b"NOTPRIME" + b"\x00" * 16)
     with pytest.raises(DomainError):
         load_prime_cache(path)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cofactor_dtype",
+    [
+        (2**31 - 400, 2**31 - 1, np.int32),  # the widest block of int32 cofactors
+        (2**31 - 200, 2**31 + 199, np.int64),
+        (10**12 - 100, 10**12 + 99, np.int64),
+    ],
+)
+def test_block_tables_narrow_below_two_to_the_31(lo, hi, cofactor_dtype):
+    assert_tables_match_trial_division(lo, hi)
+    t = sieve_block_tables(lo, hi, primes_up_to(math.isqrt(hi)))
+    assert (t.omega.dtype, t.cofactor.dtype) == (np.int8, cofactor_dtype)
