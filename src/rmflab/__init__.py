@@ -6,8 +6,6 @@ for the positivity regime sigma -> 1/2+.
 
 from .bounds import (
     BoundReport,
-    ConstantsLedger,
-    Provenance,
     RegimeParams,
     VarianceMode,
     angelo_xu_bound,
@@ -60,7 +58,6 @@ from .series import (
     partial_sum_trajectory,
     positivity_check,
     prime_sum,
-    rademacher_menshov_check,
 )
 from .sieve import ArithSignature, PrimeList, arith_signature, primes_up_to
 

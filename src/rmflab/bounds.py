@@ -6,10 +6,10 @@ large (e^10000 and beyond).  Every evaluator therefore works in log
 space, materializes a linear value only when representable, and raises
 explicit overflow/underflow flags instead of silently saturating.
 
-Existential constants (the c_j family, kappa, epsilon, beta) live in a
-ConstantsLedger carrying value + provenance (FITTED / DEFAULT / USER).
-An evaluator given a ledger reads its constants there and records the
-ones it fits; a BoundReport carries values only.
+The paper's constants (the c_j family, kappa, epsilon, beta) are
+existential, so each evaluator takes them as keyword arguments: kappa
+defaults to optimize_kappa(m), and lemma41_bound's epsilon and beta to
+optimize_epsilon at c9 = c10 = c11 = 1.  A BoundReport carries values only.
 """
 
 from __future__ import annotations
@@ -71,64 +71,6 @@ def _linear(log_value: float) -> float:
     if log_value < _EXP_MIN:
         return 0.0
     return math.exp(log_value)
-
-
-class Provenance(enum.Enum):
-    FITTED = "fitted"
-    DEFAULT = "default"
-    USER = "user"
-
-
-@dataclass(frozen=True)
-class ConstantEntry:
-    value: float
-    provenance: Provenance
-    grid: str | None = None
-
-
-_LEDGER_NAMES = tuple(f"c{i}" for i in range(1, 13)) + (
-    "kappa",
-    "beta",
-    "epsilon",
-    "theta_star",
-    "c2_chebyshev",
-)
-
-
-@dataclass
-class ConstantsLedger:
-    """Named registry of auxiliary constants, all positive, with provenance."""
-
-    entries: dict[str, ConstantEntry] = field(default_factory=dict)
-
-    @classmethod
-    def default(cls) -> "ConstantsLedger":
-        ledger = cls()
-        for name in (f"c{i}" for i in range(1, 13)):
-            ledger.set(name, 1.0, Provenance.DEFAULT)
-        ledger.set("c2_chebyshev", 1.04, Provenance.DEFAULT)
-        return ledger
-
-    def set(
-        self,
-        name: str,
-        value: float,
-        provenance: Provenance,
-        grid: str | None = None,
-    ) -> None:
-        if name not in _LEDGER_NAMES:
-            raise DomainError(f"unknown constant name {name!r}")
-        if not value > 0:
-            raise DomainError(f"constant {name} must be positive, got {value}")
-        self.entries[name] = ConstantEntry(value, provenance, grid)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def value(self, name: str) -> float:
-        if name not in self.entries:
-            raise DomainError(f"constant {name!r} has no value in the ledger")
-        return self.entries[name].value
 
 
 @dataclass(frozen=True)
@@ -327,7 +269,6 @@ def maximal_bound(
     x: float,
     sigma: float,
     kappa: float | None = None,
-    ledger: ConstantsLedger | None = None,
     cutoff: float | None = None,
     envelope: tuple[float, float] = DEFAULT_ENVELOPE,
 ) -> BoundReport:
@@ -341,12 +282,7 @@ def maximal_bound(
     if not (finite and threshold > 0 and m > 2 and sigma > 0.5 and x >= 2):
         raise DomainError("need finite lambda > 0, m > 2, sigma > 1/2, x >= 2")
     if kappa is None:
-        if ledger is not None and "kappa" in ledger:
-            kappa = ledger.value("kappa")
-        else:
-            _, kappa = optimize_kappa(m)
-            if ledger is not None:
-                ledger.set("kappa", kappa, Provenance.FITTED, grid=f"m={m}")
+        _, kappa = optimize_kappa(m)
     if not (math.isfinite(kappa) and kappa > 0):
         raise DomainError(f"kappa must be finite and > 0, got {kappa}")
     if cutoff is None:
@@ -473,7 +409,6 @@ def optimize_epsilon(
 def lemma41_bound(
     r: RegimeParams,
     threshold: float | None = None,
-    ledger: ConstantsLedger | None = None,
     log_threshold: float | None = None,
     epsilon: float | None = None,
     beta: float | None = None,
@@ -491,16 +426,7 @@ def lemma41_bound(
             raise DomainError("need lambda > 0 (or log_threshold)")
         log_threshold = math.log(threshold)
     if epsilon is None or beta is None:
-        if ledger is None:
-            ledger = ConstantsLedger.default()
-        if "epsilon" in ledger and "beta" in ledger:
-            eps0, beta0 = ledger.value("epsilon"), ledger.value("beta")
-        else:
-            eps0, beta0 = optimize_epsilon(
-                ledger.value("c9"), ledger.value("c10"), ledger.value("c11"), r.theta
-            )
-            ledger.set("epsilon", eps0, Provenance.FITTED)
-            ledger.set("beta", beta0, Provenance.FITTED)
+        eps0, beta0 = optimize_epsilon(1.0, 1.0, 1.0, r.theta)
         epsilon = eps0 if epsilon is None else epsilon
         beta = beta0 if beta is None else beta
     if not all(map(math.isfinite, (log_threshold, epsilon, beta))):

@@ -235,14 +235,18 @@ def _integral_envelope_tail(
     a = c5 * m
     if not abs(a) <= ENVELOPE_EXPONENT_LIMIT:
         raise DomainError(f"c5 m = {a:.6g} exceeds {ENVELOPE_EXPONENT_LIMIT}")
-    b = 2.0 * sigma - 1.0
-    big_l = math.log(cutoff)
+    two_sigma, big_l = 2.0 * sigma, math.log(cutoff)
     with mp.workdps(40):
+        scale = two_sigma * c3 * m
+        if not scale < math.inf:  # 2 sigma or the product left float64, not mpmath
+            two_sigma = 2 * mp.mpf(sigma)
+            scale = two_sigma * c3 * m
+        b = two_sigma - 1.0
         try:
             integral = mp.gammainc(a + 1.0, b * big_l) / mp.power(b, a + 1.0)
         except NoConvergence:
             raise DomainError(f"incomplete gamma failed at c5 m = {a:.6g}") from None
-        value = float(2.0 * sigma * c3 * m * integral)
+        value = float(scale * integral)
     if not math.isfinite(value):
         raise DomainError("the envelope remainder is too large for float64")
     return value

@@ -17,9 +17,10 @@ trial, so memory is bounded by a cell budget whatever n_max is.
 Estimators reduce down those rows and carry per-trial state (running sum,
 minimum, last sign and flip count, linear sum) between sub-pieces, and
 batches and sub-pieces depend on that budget alone, so the estimate for a
-given (seed, trials) is identical for any thread count.  Two reducers build every interval: _proportion gives Wilson score
-intervals, which behave at estimates near 0 and 1 where the interesting
-events live, and _mean a normal interval clamped at 0.
+given (seed, trials) is identical for any thread count.  Two reducers
+build every interval: _proportion gives Wilson score intervals, which
+behave at estimates near 0 and 1 where the interesting events live, and
+_mean a normal interval clamped at 0.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SieveBaseError, SignRangeError
+from .errors import DomainError, SignRangeError
 from .sieve import (
     ArithSignature,
     BlockTables,
@@ -180,36 +180,6 @@ def cofactor_ranks(tables: BlockTables, base: PrimeList) -> np.ndarray:
     return ranks
 
 
-def batch_f(
-    bits: np.ndarray, tables: BlockTables, base: PrimeList, mode: Mode
-) -> np.ndarray:
-    """f(n) for every n in [tables.lo, tables.hi] under each row of sign bits.
-
-    bits is (trials, len(base)) as from batch_neg_bits, and base must hold
-    every prime <= tables.hi.  Returns int8 of shape (n, trials), trial-minor:
-    row i holds f(tables.lo + i) of every trial.  It is ranked_f on the
-    cofactor_ranks of the rows.
-    """
-    return ranked_f(bits, tables, cofactor_ranks(tables, base), base, mode)
-
-
-def ranked_f(bits, tables: BlockTables, ranks, base: PrimeList, mode: Mode):
-    """batch_f on the cofactor_ranks of tables' rows: pack, then build.
-
-    The sign bits of the ranks of primes <= hi are packed eight ranks to a
-    byte, as batch_neg_bits(..., packed=True) draws them, turned rank-major
-    by sign_table and handed to table_f.
-    """
-    if base.limit < tables.hi:
-        raise SieveBaseError(
-            f"f up to {tables.hi} needs all primes <= {tables.hi}, "
-            f"base covers {base.limit}"
-        )
-    used = int(np.searchsorted(base.primes, tables.hi, side="right"))
-    packed = np.packbits(bits[:, :used], axis=1, bitorder="little")
-    return table_f(sign_table(packed, used), tables, ranks, base, mode, bits.shape[0])
-
-
 #: Masks of the three delta swaps that transpose the 8 x 8 bit matrix held
 #: in a uint64, bit 8 i + j to bit 8 j + i (Warren, Hacker's Delight, 7-3).
 _TRANSPOSE8 = tuple(
@@ -258,14 +228,16 @@ def sign_table(packed: np.ndarray, used: int) -> np.ndarray:
 def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, trials):
     """f of the first trials columns of a sign_table on the rows of tables.
 
-    ranks are the cofactor_ranks of the rows, and table must hold the ranks
-    of the primes <= tables.hi.  The parity of the negative primes dividing n
-    follows the sieve: one gather of table rows picks up the single cofactor
-    prime, then each base prime p <= sqrt(tables.bound) XORs its row into
-    the rows of its multiples, at every power level p, p^2, ... in
-    completely multiplicative mode (which leaves v_p(n) mod 2).  One unpack
-    turns the parities into signs, and non-squarefree n are zeroed in
-    squarefree mode.
+    The one kernel that builds f: series.walk_blocks calls it per trial
+    batch, and stream_f for its one trial.  ranks are the cofactor_ranks of
+    the rows, and table must hold the ranks of the primes <= tables.hi; rows
+    of larger ranks are never read.  The parity of the negative primes
+    dividing n follows the sieve: one gather of table rows picks up the
+    single cofactor prime, then each base prime p <= sqrt(tables.bound)
+    XORs its row into the rows of its multiples, at every power level p,
+    p^2, ... in completely multiplicative mode (which leaves v_p(n) mod 2).
+    One unpack turns the parities into signs, and non-squarefree n are
+    zeroed in squarefree mode.
     """
     parity = table[ranks]
     # primes up to sqrt(bound) were divided out of the cofactors; those past
@@ -292,7 +264,8 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
     """f(n) for every n in [lo, hi] as an int8 vector, from sieve_walk's pieces.
 
     Every prime factor occurring in the block must be <= a.limit; the
-    whole-range use case is lo=1, hi=a.limit.
+    whole-range use case is lo=1, hi=a.limit.  One sign_table of the
+    assignment's bits serves table_f on every piece.
     """
     if not 1 <= lo <= hi:
         raise DomainError(f"invalid range [{lo}, {hi}]")
@@ -300,8 +273,12 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
         raise SignRangeError(
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
-    bits = a.neg_bits[None, :]
+    packed = np.packbits(a.neg_bits[None, :], axis=1, bitorder="little")
+    table, base = sign_table(packed, len(a.primes)), a.primes
     # a contiguous copy of each piece: one byte per n, not a row of eight
     return np.concatenate(
-        [batch_f(bits, t, a.primes, a.mode)[:, 0].copy() for t in sieve_walk(lo, hi)]
+        [
+            table_f(table, t, cofactor_ranks(t, base), base, a.mode, 1)[:, 0].copy()
+            for t in sieve_walk(lo, hi)
+        ]
     )

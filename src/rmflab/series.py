@@ -20,7 +20,6 @@ remainder is reported, never assumed.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import os
@@ -78,17 +77,6 @@ class Trajectory:
             raise DomainError(f"no checkpoint at y={y}")
         return float(self.values[i])
 
-    def to_csv(self, file) -> None:
-        """Write `y,value,err_bound` rows with round-trip-safe precision."""
-        if isinstance(file, str):
-            with open(file, "w", newline="") as fh:
-                self.to_csv(fh)
-            return
-        writer = csv.writer(file)
-        writer.writerow(["y", "value", "err_bound"])
-        for y, v in self.checkpoints:
-            writer.writerow([y, repr(v), repr(self.summation_error_bound)])
-
 
 class LogDecomposition(NamedTuple):
     """log(truncated Euler product) split into its three pieces.
@@ -100,11 +88,6 @@ class LogDecomposition(NamedTuple):
     prime_sum: float
     half_log_term: float
     remainder: float
-
-
-class MenshovCheck(NamedTuple):
-    converges: bool
-    margin: float
 
 
 def check_sigma(sigma: float) -> None:
@@ -356,8 +339,3 @@ def log_decomposition(
     half_log_term = 0.5 * math.log(1.0 / (sigma - 0.5))
     remainder = math.log(product) - ps + half_log_term
     return LogDecomposition(ps, half_log_term, remainder)
-
-
-def rademacher_menshov_check(sigma: float) -> MenshovCheck:
-    """Does sum n^-2sigma (log n)^2 converge, i.e. sigma > 1/2?"""
-    return MenshovCheck(sigma > 0.5, 2.0 * sigma - 1.0)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 import rmflab.bounds
 from rmflab.bounds import (
-    ConstantsLedger,
-    Provenance,
     VarianceMode,
     angelo_xu_bound,
     bh_rhs,
@@ -269,13 +267,6 @@ def test_maximal_bound_two_path_agreement():
     assert math.exp(report.log_value) == pytest.approx(report.value, rel=1e-12)
 
 
-def test_maximal_bound_uses_ledger_kappa():
-    ledger = ConstantsLedger.default()
-    ledger.set("kappa", 7.0, Provenance.USER)
-    report = maximal_bound(0.1, 4.0, 100.0, 0.75, ledger=ledger, cutoff=10_000.0)
-    assert report.extras["kappa"] == 7.0
-
-
 def test_hoeffding_examples():
     report = hoeffding_bound(1.0, 0.51, VarianceMode.ASYMPTOTIC)
     assert report.value == pytest.approx(math.exp(-1.0 / (2.0 * math.log(100.0))), rel=1e-9)
@@ -442,12 +433,12 @@ def test_lemma41_beta_term_dominates_toward_half():
     assert ratios == sorted(ratios, reverse=True)
 
 
-def test_lemma41_default_constants_recorded_in_ledger():
-    ledger = ConstantsLedger.default()
+def test_lemma41_defaults_to_unit_c9_c10_c11():
+    # theta = 1/2: c12 = 1/2 + 1 + 1/2 = 2, so epsilon = 1/4 and beta = 1/8
     r = regime_from_sigma(0.6, 0.5, 0.5)
-    lemma41_bound(r, log_threshold=-1.0, ledger=ledger)
-    assert ledger.entries["epsilon"].provenance is Provenance.FITTED
-    assert ledger.entries["beta"].value == 0.125
+    assert optimize_epsilon(1.0, 1.0, 1.0, 0.5) == (0.25, 0.125)
+    default = lemma41_bound(r, log_threshold=-1.0)
+    assert default == lemma41_bound(r, log_threshold=-1.0, epsilon=0.25, beta=0.125)
 
 
 def test_angelo_xu_worked_example():
@@ -490,18 +481,6 @@ def test_comparison_table_shape():
         assert set(row) == {
             "name", "sigma", "theta", "delta", "log_x", "log_value", "value",
         }
-
-
-def test_ledger_validation():
-    ledger = ConstantsLedger.default()
-    assert ledger.value("c2_chebyshev") == 1.04
-    assert ledger.entries["c9"].provenance is Provenance.DEFAULT
-    with pytest.raises(DomainError):
-        ledger.set("c9", -1.0, Provenance.USER)
-    with pytest.raises(DomainError):
-        ledger.set("nonsense", 1.0, Provenance.USER)
-    with pytest.raises(DomainError):
-        ledger.value("kappa")
 
 
 def test_two_path_value_log_consistency():

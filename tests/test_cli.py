@@ -757,6 +757,9 @@ def _reject_nan(token):
 )
 # -4 beta log theta = inf and (1 - 2 alpha) log 2 = -inf: a NaN log ratio
 @example(("billingsley", {"--alpha": 1e308, "--beta": 1e308, "--theta-param": 0.5}))
+# 2 sigma - 1 overflowed to inf, and the envelope integral divided by inf^-2 = 0
+@example(("maximal", {"--x": 2.0, "--lambda": 1.0, "--m": 3.0, "--c5": -1.0,
+                      "--sigma": 1.7976931348623157e308}))
 def test_bounds_argv_ends_in_a_record_without_nan(op_flags):
     op, flags = op_flags
     argv = ["bounds", op, "--seed", "7"]
@@ -802,6 +805,11 @@ def test_bounds_argv_ends_in_a_record_without_nan(op_flags):
           "0.5", "--beta", "1", "--epsilon", "1e308", "--log-lambda", "-1"), 0),
         # the golden-section search stepped outside the admissible interval
         (("bounds", "kappa", "--m", "2.0000000001"), 0),
+        # 2 sigma - 1 overflowed to inf: the envelope integral divided by 0
+        (("bounds", "maximal", "--x", "2", "--lambda", "1", "--m", "3", "--c5", "-1",
+          "--sigma", "1.7976931348623157e+308"), 0),
+        (("nt", "tail", "--x", "2", "--m", "3", "--c5", "-1", "--sigma", "1e308",
+          "--cutoff", "100"), 0),
     ],
 )
 def test_float_extremes_end_in_a_record_without_nan(argv, code):

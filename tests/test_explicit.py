@@ -177,6 +177,14 @@ def test_tail_series_squarefree_zeta_ratio():
     assert t.remainder_low == 0.0
 
 
+@pytest.mark.parametrize("sigma", [8e307, 1e308, 1.7976931348623157e308])
+def test_tail_remainder_where_two_sigma_overflows(sigma):
+    # 2 sigma - 1 is inf from 2^1023 on, and 2 sigma c3 m already at 8e307:
+    # both are then taken in mpmath, and the remainder underflows to 0.0
+    t = tail_series(2, 3, sigma, 100, (10.0, -1.0))
+    assert (t.head, t.remainder_low, t.remainder_high) == (0.0, 0.0, 0.0)
+
+
 def test_tail_series_positive_and_decreasing_in_x():
     ts = [tail_series(x, 3, 0.75, 100_000).head for x in (10, 100, 1000)]
     assert all(v >= 0 for v in ts)

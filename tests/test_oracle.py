@@ -43,7 +43,15 @@ from rmflab.oracle import (
     sign_changes,
     wilson_interval,
 )
-from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
+from rmflab.sampler import (
+    Mode,
+    batch_neg_bits,
+    cofactor_ranks,
+    sample_signs,
+    sign_table,
+    stream_f,
+    table_f,
+)
 from rmflab.series import (
     Trajectory,
     band_outcomes,
@@ -128,8 +136,8 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
         outcomes = _outcomes(_index_bits, n_max, mode, sigma, x, trials)
     tables = sieve_block_tables(1, n_max, base)
     packed = _index_bits(np.arange(trials), len(base))
-    bits = np.unpackbits(packed, axis=1, count=len(base), bitorder="little")
-    f = batch_f(bits, tables, base, mode)
+    table = sign_table(packed, len(base))
+    f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials)
     brackets = _scaled_weights(n_max, sigma)
     exact = np.array(
         [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.T.tolist())]

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab.errors import DomainError, SieveBaseError, SignRangeError
+from rmflab.errors import DomainError, SignRangeError
 from rmflab.sampler import (
     Mode,
-    batch_f,
     batch_neg_bits,
     cofactor_ranks,
     f_value,
     mix64,
     mix64_array,
-    ranked_f,
     sample_signs,
     sign_table,
     stream_f,
+    table_f,
 )
 from rmflab.sieve import arith_signature, primes_up_to, sieve_block_tables
 
@@ -122,7 +121,9 @@ def test_stream_f_across_sieve_blocks_matches_one_whole_range_table(mode):
     a = sample_signs(5, 2, 600_000, mode)
     lo, hi = 12345, 12345 + 2**19 + 7
     tables = sieve_block_tables(lo, hi, a.primes)
-    expected = batch_f(a.neg_bits[None, :], tables, a.primes, mode)[:, 0]
+    packed = batch_neg_bits(5, [2], len(a.primes), packed=True)
+    table, ranks = sign_table(packed, len(a.primes)), cofactor_ranks(tables, a.primes)
+    expected = table_f(table, tables, ranks, a.primes, mode, 1)[:, 0]
     assert np.array_equal(stream_f(a, lo, hi), expected)
 
 
@@ -147,12 +148,9 @@ def test_batch_f_rows_match_f_value_on_inner_block(mode):
     lo, hi, limit, seed = 4000, 6000, 6100, 77
     base = primes_up_to(limit)
     trials = np.arange(10, 15)
-    f = batch_f(
-        batch_neg_bits(seed, trials, len(base)),
-        sieve_block_tables(lo, hi, base),
-        base,
-        mode,
-    )
+    tables = sieve_block_tables(lo, hi, base)
+    table = sign_table(batch_neg_bits(seed, trials, len(base), packed=True), len(base))
+    f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials.size)
     assert f.T.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
     for row, trial in zip(f.T, trials.tolist()):
         a = sample_signs(seed, trial, limit, mode)
@@ -171,15 +169,13 @@ def test_batch_f_rows_match_f_value_on_inner_block(mode):
 )
 def test_batch_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
     # blocks away from 1 reach p^2..2^12 and cofactor primes; extra puts
-    # ranks above hi into bits, which the kernel must ignore
+    # ranks above hi into the table, which the kernel must ignore
     hi = lo + width - 1
     base = primes_up_to(hi + extra)
-    f = batch_f(
-        batch_neg_bits(seed, np.arange(trials), len(base)),
-        sieve_block_tables(lo, hi, base),
-        base,
-        mode,
-    )
+    tables = sieve_block_tables(lo, hi, base)
+    packed = batch_neg_bits(seed, np.arange(trials), len(base), packed=True)
+    table = sign_table(packed, len(base))
+    f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials)
     assert f.shape == (width, trials) and f.dtype == np.int8
     signatures = [arith_signature(n) for n in range(lo, hi + 1)]
     for t in range(trials):
@@ -197,22 +193,16 @@ def test_f_on_rows_of_a_wider_block_matches_f_value(mode, lo, hi):
     block = sieve_block_tables(1, block_hi, base)
     rows = block.rows(lo, hi)
     assert rows.bound == block_hi
-    bits = batch_neg_bits(seed, np.arange(3), len(base))
-    ranks = cofactor_ranks(block, base)[lo - 1 : hi]
-    for f in (batch_f(bits, rows, base, mode), ranked_f(bits, rows, ranks, base, mode)):
+    packed = batch_neg_bits(seed, range(3), len(base), packed=True)
+    table = sign_table(packed, len(base))
+    for ranks in (cofactor_ranks(rows, base), cofactor_ranks(block, base)[lo - 1 : hi]):
+        f = table_f(table, rows, ranks, base, mode, 3)
         for t in range(3):
             a = sample_signs(seed, t, limit, mode)
             expected = [f_value(a, n, arith_signature(n)) for n in range(lo, hi + 1)]
             assert f[:, t].tolist() == expected
     with pytest.raises(DomainError):
         block.rows(block_hi, block_hi + 1)
-
-
-def test_batch_f_needs_primes_up_to_hi():
-    base = primes_up_to(100)
-    bits = batch_neg_bits(1, np.arange(2), len(base))
-    with pytest.raises(SieveBaseError):
-        batch_f(bits, sieve_block_tables(90, 120, base), base, Mode.SQUAREFREE_MULT)
 
 
 def test_stream_beyond_limit_rejected():

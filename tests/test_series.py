@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -17,7 +16,15 @@ from rmflab.accum import (
     weight_allowance,
 )
 from rmflab.errors import DomainError
-from rmflab.sampler import Mode, batch_f, batch_neg_bits, sample_signs, stream_f
+from rmflab.sampler import (
+    Mode,
+    batch_neg_bits,
+    cofactor_ranks,
+    sample_signs,
+    sign_table,
+    stream_f,
+    table_f,
+)
 from rmflab.series import (
     Positivity,
     band_outcomes,
@@ -26,7 +33,6 @@ from rmflab.series import (
     partial_sum_trajectory,
     positivity_check,
     prime_sum,
-    rademacher_menshov_check,
     sub_piece_rows,
     walk_blocks,
 )
@@ -124,8 +130,10 @@ def test_trajectory_is_one_row_of_the_batch_scan(mode):
     n, sigma, seed, trial = 70_000, 0.6, 5, 3
     t = partial_sum_trajectory(sample_signs(seed, trial, n, mode), sigma, n)
     base = primes_up_to(n)
-    bits = batch_neg_bits(seed, np.arange(trial + 1), len(base))
-    f = batch_f(bits, sieve_block_tables(1, n, base), base, mode)
+    packed = batch_neg_bits(seed, np.arange(trial + 1), len(base), packed=True)
+    tables = sieve_block_tables(1, n, base)
+    ranks = cofactor_ranks(tables, base)
+    f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trial + 1)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
     row = np.concatenate([s.T[trial] for _, s in running_sums(f, weights)])
     assert t.values.tobytes() == row.tobytes()
@@ -262,14 +270,6 @@ def test_log_decomposition_domain(assignment_factory):
         log_decomposition(a, 1.5, 10)
 
 
-def test_rademacher_menshov_check():
-    ok = rademacher_menshov_check(0.75)
-    assert ok.converges and abs(ok.margin - 0.5) < 1e-15
-    assert not rademacher_menshov_check(0.5).converges
-    near = rademacher_menshov_check(0.51)
-    assert near.converges and abs(near.margin - 0.02) < 1e-12
-
-
 def test_truncated_product_converges_toward_series():
     # both S(N) and the truncated product converge a.s. to the same limit;
     # ask only for a majority improvement from N=10^2 to N=10^5
@@ -284,20 +284,6 @@ def test_truncated_product_converges_toward_series():
         if abs(s_large - e_large) < abs(s_small - e_small):
             wins += 1
     assert wins >= 80
-
-
-def test_trajectory_csv_round_trip(assignment_factory):
-    a = assignment_factory(10, {3: -1})
-    t = partial_sum_trajectory(a, 1.0, 10)
-    buf = io.StringIO()
-    t.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "y,value,err_bound"
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == t.value_at(1)
-    y10 = lines[10].split(",")
-    assert float(y10[1]) == t.value_at(10)
 
 
 # The pieces of [1, n_max] are cut at every multiple of TERM_ROWS, their
