@@ -4,6 +4,8 @@ Carlo, explicit squarefree-weighted sums, and closed-form bound calculators
 for the positivity regime sigma -> 1/2+.
 """
 
+from types import ModuleType as _Module
+
 from .bounds import (
     BoundReport,
     RegimeParams,
@@ -63,4 +65,5 @@ from .sieve import ArithSignature, PrimeList, arith_signature, primes_up_to
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name above but the submodules, which the imports also bind
+__all__ = [k for k, v in globals().items() if k[0] != "_" and type(v) is not _Module]

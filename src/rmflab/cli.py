@@ -11,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -34,9 +35,6 @@ from .errors import DomainError, RmfLabError
 from .sampler import Mode, sample_signs
 
 SCHEMA_VERSION = "1"
-
-_MODES = {"squarefree": Mode.SQUAREFREE_MULT, "completely": Mode.COMPLETELY_MULT}
-
 
 @dataclass
 class ResultRecord:
@@ -168,10 +166,6 @@ def _json_param(value):
     return value
 
 
-def _mode_of(args) -> Mode:
-    return _MODES[getattr(args, "mode", "squarefree")]
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns the values payload (dict); tables add _table's fields
 
@@ -200,7 +194,7 @@ def _h_sieve_signature(args):
 
 
 def _h_sample_signs(args):
-    a = sample_signs(args.seed, args.trial, args.nmax, _mode_of(args))
+    a = sample_signs(args.seed, args.trial, args.nmax, Mode(args.mode))
     signs = a.signs()
     return {
         "n_primes": len(a.primes),
@@ -210,7 +204,7 @@ def _h_sample_signs(args):
 
 
 def _h_series_trajectory(args):
-    a = sample_signs(args.seed, args.trial, args.nmax, _mode_of(args))
+    a = sample_signs(args.seed, args.trial, args.nmax, Mode(args.mode))
     t = ser.partial_sum_trajectory(a, args.sigma, args.nmax, args.stride)
     return {
         "final_value": float(t.values[-1]),
@@ -225,13 +219,13 @@ def _h_series_trajectory(args):
 
 
 def _h_series_euler(args):
-    a = sample_signs(args.seed, args.trial, args.pmax, _mode_of(args))
+    a = sample_signs(args.seed, args.trial, args.pmax, Mode(args.mode))
     value = ser.euler_product_partial(a, args.sigma, args.pmax)
     return {"product": value, "log_product": math.log(value) if value > 0 else None}
 
 
 def _h_series_logdecomp(args):
-    a = sample_signs(args.seed, args.trial, args.pmax, _mode_of(args))
+    a = sample_signs(args.seed, args.trial, args.pmax, Mode(args.mode))
     d = ser.log_decomposition(a, args.sigma, args.pmax)
     return {
         "prime_sum": d.prime_sum,
@@ -263,13 +257,13 @@ def _exact_payload(value) -> dict:
 
 
 def _h_oracle_positivity(args):
-    result = orc.exact_probability(args.nmax, args.sigma, args.x, _mode_of(args))
+    result = orc.exact_probability(args.nmax, args.sigma, args.x, Mode(args.mode))
     return {**_exact_payload(result.value), "universe_bits": result.universe_bits}
 
 
 def _h_oracle_moment(args):
     coeffs = orc.power_coeffs(args.nmax, args.exponent, exact=True)
-    value = orc.exact_moment(args.nmax, coeffs, args.m, args.absolute, _mode_of(args))
+    value = orc.exact_moment(args.nmax, coeffs, args.m, args.absolute, Mode(args.mode))
     return _exact_payload(value)
 
 
@@ -294,13 +288,13 @@ def _h_mc_positivity(args):
     with open(args.dump_trials, "w") if args.dump_trials else nullcontext() as dump:
         return _mc_payload(
             orc.mc_positivity, args, args.sigma, args.x, args.nmax,
-            mode=_mode_of(args), trial_dump=dump,
+            mode=Mode(args.mode), trial_dump=dump,
         )
 
 
 def _h_mc_moment(args):
     coeffs = orc.power_coeffs(args.nmax, args.exponent)
-    return _mc_payload(orc.mc_moment, args, coeffs, args.m, mode=_mode_of(args))
+    return _mc_payload(orc.mc_moment, args, coeffs, args.m, mode=Mode(args.mode))
 
 
 def _h_mc_prime_tail(args):
@@ -310,7 +304,7 @@ def _h_mc_prime_tail(args):
 
 def _h_mc_sign_changes(args):
     return _mc_payload(
-        orc.mc_sign_changes, args, args.sigma, args.nmax, mode=_mode_of(args)
+        orc.mc_sign_changes, args, args.sigma, args.nmax, mode=Mode(args.mode)
     )
 
 
@@ -519,7 +513,7 @@ _EXPONENT = _optional("--exponent", 1.0)
 _BETA_PRIME = _optional("--beta-prime", 1.0)
 _THETA = _required("--theta")
 _DELTA = _required("--delta")
-_MODE = _choice("--mode", list(_MODES), "squarefree")
+_MODE = _choice("--mode", [m.value for m in Mode], "squarefree")
 _MC = (_required("--trials", int), _optional("--level", 0.99))
 _ENVELOPE = (
     _optional("--c3", nt.DEFAULT_ENVELOPE[0]),
@@ -678,9 +672,7 @@ def emit(record: ResultRecord, output_format: str) -> str:
     if output_format != "csv":
         raise RmfLabError(f"unknown output format {output_format!r}")
     buf = StringIO()
-    import csv as csvmod
-
-    writer = csvmod.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     rows = record.values.get("rows")
     if isinstance(rows, Table):
         rows.write_csv(writer)

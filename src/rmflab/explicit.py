@@ -138,15 +138,29 @@ def t_sum(x: float, m: float) -> SumRecord:
     return SumRecord(x, m, value, terms)
 
 
+def _t_float(x: float, m: float) -> float:
+    """T(x, m) as a float; DomainError where it passes float64."""
+    try:
+        return float(t_sum(x, m).value)
+    except OverflowError:
+        raise DomainError(f"T({x:g}, {m:g}) is too large for float64") from None
+
+
+def _log_power(x: float, e: float) -> float:
+    """(log x)^e, inf where it passes float64."""
+    try:
+        return math.log(x) ** e
+    except OverflowError:
+        return math.inf
+
+
 def lemma31_margin(x: float, m: float, c3: float, c5: float) -> BoundMargin:
     """Margin of T(x, m) against the envelope c3 * m * x * (log x)^(c5 m)."""
     if x < 2:
         raise DomainError(f"envelope needs x >= 2, got {x}")
     if m <= 2 or c3 <= 0 or c5 <= 0:
         raise DomainError("need m > 2 and positive constants")
-    lhs = float(t_sum(x, m).value)
-    rhs = c3 * m * x * math.log(x) ** (c5 * m)
-    return BoundMargin(lhs, rhs)
+    return BoundMargin(_t_float(x, m), c3 * m * x * _log_power(x, c5 * m))
 
 
 def fit_lemma31_constants(
@@ -160,7 +174,7 @@ def fit_lemma31_constants(
     Walks a logarithmic c5 grid from below and returns the first c5 whose
     minimal admissible c3 = max lhs/(m x (log x)^(c5 m)) stays <= c3_cap;
     that c3 makes the worst grid point tight.  Witnesses on a finite grid,
-    nothing more.
+    nothing more: a c3 that underflowed to 0 is none.
     """
     xs = [float(x) for x in x_grid]
     ms = [float(m) for m in m_grid]
@@ -171,20 +185,21 @@ def fit_lemma31_constants(
     if c5_grid is None:
         c5_grid = np.geomspace(0.05, 5.0, 80)
     _omega_histograms(x for x in xs if math.isfinite(x))  # one walk for all of xs
-    lhs = {(x, m): float(t_sum(x, m).value) for x in xs for m in ms}
+    lhs = {(x, m): _t_float(x, m) for x in xs for m in ms}
     best_c3 = math.inf
     for c5 in sorted(float(c) for c in c5_grid):
-        needed = max(
-            lhs[x, m] / (m * x * math.log(x) ** (c5 * m)) for x in xs for m in ms
-        )
-        best_c3 = min(best_c3, needed)
-        if needed <= c3_cap:
+        envelopes = [(lhs[x, m], m * x * _log_power(x, c5 * m)) for x in xs for m in ms]
+        needed = max(t / e if e else math.inf for t, e in envelopes)
+        if 0.0 < needed <= c3_cap:
             return needed, c5
-    raise FitError(
-        f"no (c3 <= {c3_cap}, c5) witness on the grid; smallest c3 seen "
-        f"{best_c3:.3g}; this indicates an implementation bug, not a failure "
-        "of the envelope shape"
-    )
+        best_c3 = min(best_c3, needed)
+    why = "this indicates an implementation bug, not a failure of the envelope shape"
+    if min(xs) < math.e:
+        why = "for x < e, (log x)^(c5 m) falls as c5 grows"
+    elif best_c3 == 0.0:
+        why = "a c3 of 0 underflowed where every (log x)^(c5 m) passed float64"
+    seen = f"smallest c3 seen {best_c3:.3g}"
+    raise FitError(f"no (c3 <= {c3_cap}, c5) witness on the grid; {seen}; {why}")
 
 
 def weighted_head(x: float, m: float, sigma: float) -> float:
@@ -345,7 +360,9 @@ def chebyshev_sum(
     if not (m > 1 and math.isfinite(m) and math.isfinite(c2)):
         raise DomainError(f"need finite m > 1 and c2, got m={m}, c2={c2}")
     theta = exact_sum(np.log(primes_up_to(int(x)).primes.astype(np.float64)))
-    return BoundMargin((m - 1.0) * theta, c2 * (m - 1.0) * x)
+    if not math.isfinite(lhs := (m - 1.0) * theta):
+        raise DomainError(f"(m - 1) theta(x) is too large for float64 at m={m}")
+    return BoundMargin(lhs, c2 * (m - 1.0) * x)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def enumeration_base(n_max: int):
 
 
 def _index_bits(idx: np.ndarray, ranks: int) -> np.ndarray:
-    """Sign bits of assignments idx, packed as batch_neg_bits(..., packed=True).
+    """Sign bits of assignments idx, packed as batch_neg_bits.
 
     Bit r of i set gives the prime of rank r sign -1, so the bytes are those
     of i, little-endian; ranks <= ENUMERATION_BIT_LIMIT fit in three.
@@ -408,7 +408,7 @@ def mc_positivity(
             RuntimeWarning,
             stacklevel=2,
         )
-    bits = partial(batch_neg_bits, master_seed, packed=True)
+    bits = partial(batch_neg_bits, master_seed)
     outcomes = _outcomes(bits, n_max, mode, sigma, x, trials, threads)
     if trial_dump is not None:
         trial_dump.write("trial,passed,indeterminate\n")
@@ -495,7 +495,7 @@ def mc_moment(
         # a @ (n, B) C-order keeps the BLAS summation order of each trial
         sums[rows] += a @ f.astype(np.float64)
 
-    bits = partial(batch_neg_bits, master_seed, packed=True)
+    bits = partial(batch_neg_bits, master_seed)
     walk_blocks(bits, n_max, mode, None, add, trials, threads, coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
         return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
@@ -561,7 +561,7 @@ def mc_prime_tail(
         # byte-major: row j holds byte j of every trial.  Bits past rank k in
         # the last byte pick the zero-padded weights of _byte_sums, and every
         # such entry is t + 0.0 == t, so neg is that of the k sign bits alone
-        packed = batch_neg_bits(master_seed, np.arange(*batch), k, packed=True).T.copy()
+        packed = batch_neg_bits(master_seed, np.arange(*batch), k).T.copy()
         neg = np.zeros(packed.shape[1])
         # 64 table rows (128 KB) and their lookups at a time stay in cache
         for j in range(0, packed.shape[0], 64):
@@ -631,6 +631,6 @@ def mc_sign_changes(
         flips[rows] += counted
 
     scan = scanner(trials, count)
-    bits = partial(batch_neg_bits, master_seed, packed=True)
+    bits = partial(batch_neg_bits, master_seed)
     walk_blocks(bits, n_max, mode, sigma, scan, trials, threads)
     return _mean(flips, master_seed, level)

@@ -20,10 +20,9 @@ with bits counted from the least significant end, for trials t in
 [0, 2^64).  This construction is part of the package contract: it is
 fixed and will not change between versions, so archived seeds replay
 bitwise.  Any (trial, rank) cell is computable independently, which makes
-trials embarrassingly parallel with deterministic merges.  neg_words is
-the one place that computes the words, and batch_neg_bits the one reader
-of their bytes: it takes them little-endian, so bit r of a trial's bytes
-is rank r on any host.
+trials embarrassingly parallel with deterministic merges.  batch_neg_bits
+alone computes the words, and returns their bytes little-endian: bit r mod
+8 of byte r >> 3 of a trial's row is rank r on any host.
 """
 
 from __future__ import annotations
@@ -65,31 +64,18 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def neg_words(master_seed: int, trial_indices, n_ranks: int) -> np.ndarray:
-    """The sign words of many trials, shape (trials, ceil(n_ranks / 64)).
+def batch_neg_bits(master_seed: int, trial_indices, n_ranks: int) -> np.ndarray:
+    """Packed negative-sign bits of many trials, shape (trials, ceil(n_ranks / 8)).
 
-    Row i is word(0), word(1), ... of trial trial_indices[i]; bit r mod 64
-    of word r >> 6 is 1 when the prime of rank r gets sign -1.
+    Row i holds word(0), word(1), ... of trial trial_indices[i] as uint8,
+    little-endian, so rank r is bit r mod 8 of byte r >> 3, set when the
+    prime of rank r gets sign -1; bits past the last rank are arbitrary.
     """
-    seed_mix = mix64(master_seed & _MASK64)
-    keys = mix64_array(
-        np.uint64(seed_mix) ^ np.asarray(trial_indices, dtype=np.uint64)
-    )
+    seed_mix = np.uint64(mix64(master_seed & _MASK64))
+    keys = mix64_array(seed_mix ^ np.asarray(trial_indices, dtype=np.uint64))
     counters = np.arange((n_ranks + 63) // 64, dtype=np.uint64)
-    return mix64_array(keys[:, None] ^ counters[None, :])
-
-
-def batch_neg_bits(master_seed: int, trial_indices, n_ranks: int, packed=False):
-    """Negative-sign bits for many trials at once, shape (trials, ranks).
-
-    packed keeps them eight to a byte, rank r at bit r mod 8 of byte r >> 3,
-    shape (trials, ceil(ranks / 8)); bits past the last rank are arbitrary.
-    """
-    words = neg_words(master_seed, trial_indices, n_ranks).astype("<u8", copy=False)
-    raw = words.view(np.uint8)  # little-endian: bit r of a row is rank r on any host
-    if packed:
-        return raw[:, : (n_ranks + 7) // 8]
-    return np.unpackbits(raw, axis=1, count=n_ranks, bitorder="little")
+    words = mix64_array(keys[:, None] ^ counters[None, :]).astype("<u8", copy=False)
+    return words.view(np.uint8)[:, : (n_ranks + 7) // 8]
 
 
 class Mode(enum.Enum):
@@ -101,9 +87,9 @@ class Mode(enum.Enum):
 class SignAssignment:
     """Signs of all primes <= limit for one (master_seed, trial_index).
 
-    neg_bits is the trial's row of batch_neg_bits: one uint8 per prime
-    rank, 1 where the prime gets sign -1.  Immutable and safe to share
-    across threads.
+    neg_bits is the trial's row of batch_neg_bits: ceil(pi(limit) / 8)
+    bytes, bit r mod 8 of byte r >> 3 set where the prime of rank r gets
+    sign -1.  Immutable and safe to share across threads.
     """
 
     master_seed: int
@@ -119,11 +105,13 @@ class SignAssignment:
 
     def signs(self) -> np.ndarray:
         """Vector of +-1 (int8) over prime ranks."""
-        return (1 - 2 * self.neg_bits.astype(np.int8)).astype(np.int8)
+        bits = np.unpackbits(self.neg_bits, count=len(self.primes), bitorder="little")
+        return 1 - 2 * bits.view(np.int8)
 
     def sign_of(self, p: int) -> int:
         """Sign of a single prime p <= limit."""
-        return -1 if self.neg_bits[self.primes.rank_of(p)] else 1
+        r = self.primes.rank_of(p)
+        return -1 if self.neg_bits[r >> 3] >> (r & 7) & 1 else 1
 
 
 def sample_signs(
@@ -193,12 +181,12 @@ def sign_table(packed: np.ndarray, used: int) -> np.ndarray:
     """Sign bits of ranks 0..used-1 turned rank-major, eight trials to a byte.
 
     packed is (trials, k) uint8, bit r mod 8 of byte r >> 3 of row t being
-    rank r of trial t, as from batch_neg_bits(..., packed=True), with 8 k >=
-    used.  Returns (used + 1, ceil(trials / 8)): bit i of byte j of row r is
-    rank r of trial 8 j + i, and the last row, rank -1, is all zero for a
-    cofactor of 1.  The bytes of eight trials at one byte offset form one
-    uint64, an 8 x 8 bit matrix that three delta swaps transpose in place,
-    so no array larger than packed is formed.
+    rank r of trial t, as from batch_neg_bits, with 8 k >= used.  Returns
+    (used + 1, ceil(trials / 8)): bit i of byte j of row r is rank r of
+    trial 8 j + i, and the last row, rank -1, is all zero for a cofactor of
+    1.  The bytes of eight trials at one byte offset form one uint64, an
+    8 x 8 bit matrix that three delta swaps transpose in place, so no array
+    larger than packed is formed.
     """
     trials = packed.shape[0]
     k, groups = (used + 7) // 8, -(-trials // 8)
@@ -265,7 +253,7 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
 
     Every prime factor occurring in the block must be <= a.limit; the
     whole-range use case is lo=1, hi=a.limit.  One sign_table of the
-    assignment's bits serves table_f on every piece.
+    assignment's packed row serves table_f on every piece.
     """
     if not 1 <= lo <= hi:
         raise DomainError(f"invalid range [{lo}, {hi}]")
@@ -273,8 +261,7 @@ def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
         raise SignRangeError(
             f"range up to {hi} needs prime signs beyond limit {a.limit}"
         )
-    packed = np.packbits(a.neg_bits[None, :], axis=1, bitorder="little")
-    table, base = sign_table(packed, len(a.primes)), a.primes
+    table, base = sign_table(a.neg_bits[None, :], len(a.primes)), a.primes
     # a contiguous copy of each piece: one byte per n, not a row of eight
     return np.concatenate(
         [

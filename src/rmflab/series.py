@@ -139,12 +139,12 @@ def walk_blocks(
     is None too).  A trial_batches batch holds, per trial, CHUNK running
     sums, the f of a CHUNK-row sub-piece at least and the packed sign bits
     of pi(n_max) ranks.  On each piece a batch draws the bits(trial_indices,
-    pi(hi)) of the ranks the piece reads once, packed as from
-    batch_neg_bits(..., packed=True), turns them into a sampler.sign_table
-    and builds its f from that table on sub-pieces of sub_piece_rows(width)
-    rows, multiples of CHUNK, so a whole piece for batches of up to 128
-    trials.  visit(rows, lo, f, w) folds each (n, trials) f, one row per
-    integer, into per-trial state, rows being slice(start, stop).
+    pi(hi)) of the ranks the piece reads once, in batch_neg_bits' packed
+    rows, turns them into a sampler.sign_table and builds its f from that
+    table on sub-pieces of sub_piece_rows(width) rows, multiples of CHUNK,
+    so a whole piece for batches of up to 128 trials.  visit(rows, lo, f, w)
+    folds each (n, trials) f, one row per integer, into per-trial state,
+    rows being slice(start, stop).
 
     retired(rows), if given, is asked after each sub-piece that has a
     successor which of the trials in rows are decided; those are walked no
@@ -242,7 +242,7 @@ def partial_sum_trajectory(
         ys_parts.append(ys[kept])
         val_parts.append(sums[kept, 0])
 
-    bits = np.packbits(a.neg_bits, bitorder="little")[None, :]
+    bits = a.neg_bits[None, :]  # every batch is this one trial
     band = walk_blocks(lambda *_: bits, n_max, a.mode, sigma, scanner(1, add))
     return Trajectory(
         sigma=sigma,

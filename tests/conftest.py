@@ -21,6 +21,7 @@ def assignment_factory():
             [1 if sign_map.get(int(p), 1) < 0 else 0 for p in plist.primes],
             dtype=np.uint8,
         )
+        bits = np.packbits(bits, bitorder="little")
         return SignAssignment(seed, trial, limit, mode, plist, bits)
 
     return make

@@ -761,9 +761,15 @@ def _reject_nan(token):
 @example(("maximal", {"--x": 2.0, "--lambda": 1.0, "--m": 3.0, "--c5": -1.0,
                       "--sigma": 1.7976931348623157e308}))
 def test_bounds_argv_ends_in_a_record_without_nan(op_flags):
-    op, flags = op_flags
-    argv = ["bounds", op, "--seed", "7"]
+    _assert_ends_in_a_record_without_nan("bounds", *op_flags)
+
+
+def _assert_ends_in_a_record_without_nan(group, op, flags):
+    argv = [group, op, "--seed", "7"]
     for flag, value in flags.items():
+        if value is True:  # a switch
+            argv.append(flag)
+            continue
         if isinstance(value, list):
             value = ",".join(map(repr, value))
         argv.append(f"{flag}={value if isinstance(value, str) else repr(value)}")
@@ -773,6 +779,43 @@ def test_bounds_argv_ends_in_a_record_without_nan(op_flags):
         assert out == ""
         return
     json.loads((out or err).strip(), parse_constant=_reject_nan)
+
+
+_NT_X = st.floats(-10.0, 1e4)
+#: every nt operation and a strategy for each of its flags; x, the cutoff
+#: and the grid's x stay at most 10^4, so each sieve stays small
+_NT_FLAGS = {
+    "tsum": {"--x": _NT_X, "--m": _REAL},
+    "tail": {"--x": _NT_X, "--m": _REAL, "--sigma": _REAL,
+             "--cutoff": st.floats(-10.0, 1e4), "--c3": _REAL, "--c5": _REAL},
+    "mertens": {"--x": _NT_X, "--exact": st.just(True)},
+    "chebyshev": {"--x": _NT_X, "--m": _REAL, "--c2": _REAL},
+    "zeta": {"--s": _REAL},
+    "primezeta": {"--s": _REAL},
+    "fit-lemma31": {"--x-grid": st.lists(_NT_X, min_size=1, max_size=3),
+                    "--m-grid": st.lists(_REAL, min_size=1, max_size=3)},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_NT_FLAGS)).flatmap(
+        lambda op: st.tuples(
+            st.just(op), st.fixed_dictionaries({}, optional=_NT_FLAGS[op])
+        )
+    )
+)
+# (log 2)^(c5 m) underflowed to 0, and the needed c3 divided by it
+@example(("fit-lemma31", {"--x-grid": [2.0], "--m-grid": [3000.0]}))
+# (log x)^(c5 m) overflowed
+@example(("fit-lemma31", {"--x-grid": [2.0, 100.0], "--m-grid": [2000.0]}))
+@example(("fit-lemma31", {"--x-grid": [100.0], "--m-grid": [1e20]}))
+# T(100, 1e308) is an integer past float64
+@example(("fit-lemma31", {"--x-grid": [100.0], "--m-grid": [1e308]}))
+# (m - 1) theta(x) and c2 (m - 1) x both overflowed: a NaN ratio
+@example(("chebyshev", {"--x": 10000.0, "--m": 1e308}))
+def test_nt_argv_ends_in_a_record_without_nan(op_flags):
+    _assert_ends_in_a_record_without_nan("nt", *op_flags)
 
 
 @pytest.mark.parametrize(
@@ -818,6 +861,34 @@ def test_float_extremes_end_in_a_record_without_nan(argv, code):
     rec = json.loads((out or err).strip(), parse_constant=_reject_nan)
     if code == 3:
         assert rec["values"]["error"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv, error, reason",
+    [
+        # (log 2)^(c5 m) underflowed to 0: a ZeroDivisionError
+        (("nt", "fit-lemma31", "--x-grid", "2", "--m-grid", "3000"),
+         "FitError", "for x < e"),
+        # math.log(x) ** (c5 m) raised OverflowError
+        (("nt", "fit-lemma31", "--x-grid", "2,100", "--m-grid", "2000"),
+         "FitError", "for x < e"),
+        (("nt", "fit-lemma31", "--x-grid", "100", "--m-grid", "1e20"),
+         "FitError", "a c3 of 0 underflowed"),
+        # float(T(100, 1e308)) raised OverflowError
+        (("nt", "fit-lemma31", "--x-grid", "100", "--m-grid", "1e308"),
+         "DomainError", "too large for float64"),
+        # exited 0 with lhs = rhs = Infinity and a NaN ratio
+        (("nt", "chebyshev", "--x", "10000", "--m", "1e308"),
+         "DomainError", "too large for float64"),
+    ],
+)
+def test_nt_float_extremes_end_in_a_true_refusal(argv, error, reason):
+    code, out, err = run_cli(*argv, "--seed", "1")
+    assert (code, out) == (3, ""), err
+    values = json.loads(err.strip(), parse_constant=_reject_nan)["values"]
+    assert values["error"] == error
+    assert reason in values["message"]
+    assert "implementation bug" not in values["message"]
 
 
 def test_exact_bh_sum_past_its_bit_budget_is_refused_at_once():

@@ -138,6 +138,14 @@ def test_lemma31_margin_domain():
         lemma31_margin(1.5, 3, 1.0, 1.0)
 
 
+def test_lemma31_margin_past_float64():
+    # the envelope overflows to inf and holds; T(100, 1e308) has no float
+    margin = lemma31_margin(100, 3, 1.0, 1e300)
+    assert (margin.lhs, margin.rhs, margin.ratio) == (211.0, math.inf, 0.0)
+    with pytest.raises(DomainError, match="too large for float64"):
+        lemma31_margin(100, 1e308, 1.0, 1.0)
+
+
 def test_fit_single_point_grid():
     c5_grid = [0.2, 0.5, 1.0]
     c3, c5 = fit_lemma31_constants([10], [3], c5_grid=c5_grid)

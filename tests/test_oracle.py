@@ -341,7 +341,8 @@ def test_mc_prime_tail_decisions_sound_against_mpmath(seed, sigma):
     # 50 digits: hits may only undercount, and hits + INDETERMINATE only
     # overcount, the trials with V_t >= lambda
     trials, primes = 3000, primes_up_to(1000).primes.tolist()
-    bits = batch_neg_bits(seed, np.arange(trials), len(primes)).tolist()
+    packed = batch_neg_bits(seed, np.arange(trials), len(primes))
+    bits = np.unpackbits(packed, axis=1, count=len(primes), bitorder="little").tolist()
     with mp.workdps(50):
         w = [mp.power(p, -sigma) for p in primes]
         exact = [mp.fsum(-x if b else x for x, b in zip(w, row)) for row in bits]
@@ -516,7 +517,7 @@ def test_retiring_failed_trials_keeps_every_outcome_of_a_full_scan(mode, sigma, 
 
     def bits(idx, ranks):
         drawn.append(len(idx))
-        return batch_neg_bits(seed, idx, ranks, packed=True)
+        return batch_neg_bits(seed, idx, ranks)
 
     got = _outcomes(bits, n_max, mode, sigma, x, trials)
     lowest = np.full(trials, np.inf)
@@ -526,7 +527,7 @@ def test_retiring_failed_trials_keeps_every_outcome_of_a_full_scan(mode, sigma, 
         if skip < sums.shape[0]:
             lowest[rows] = np.minimum(lowest[rows], sums[skip:].min(axis=0))
 
-    full = partial(batch_neg_bits, seed, packed=True)
+    full = partial(batch_neg_bits, seed)
     band = walk_blocks(full, n_max, mode, sigma, scanner(trials, scan_min), trials)
     assert got.tolist() == band_outcomes(lowest, band).tolist()
     assert min(drawn) < trials  # some trials were retired

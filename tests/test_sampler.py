@@ -49,7 +49,8 @@ def test_scalar_and_vector_mix_agree():
 
 def test_empirical_mean_of_single_prime_sign():
     # fair +-1 over 10^5 trials: |mean| < 6 sigma = 6 / sqrt(10^5) ~ 0.019
-    bits = batch_neg_bits(2024, np.arange(100_000), 4)
+    packed = batch_neg_bits(2024, np.arange(100_000), 4)
+    bits = np.unpackbits(packed, axis=1, count=4, bitorder="little")
     for rank in range(4):
         mean = float((1 - 2 * bits[:, rank].astype(np.float64)).mean())
         assert abs(mean) <= 0.02
@@ -59,7 +60,8 @@ def test_batch_bits_match_per_trial_bits():
     # the documented chain: bit r mod 64 of mix64(mix64(mix64(s) ^ t) ^ (r >> 6));
     # 130 ranks cross two word boundaries
     for n_ranks in (25, 130):
-        batch = batch_neg_bits(77, np.arange(50, 70), n_ranks)
+        packed = batch_neg_bits(77, np.arange(50, 70), n_ranks)
+        batch = np.unpackbits(packed, axis=1, count=n_ranks, bitorder="little")
         for i, trial in enumerate(range(50, 70)):
             key = mix64(mix64(77) ^ trial)
             bits = [mix64(key ^ (r >> 6)) >> (r % 64) & 1 for r in range(n_ranks)]
@@ -71,10 +73,24 @@ def test_last_trial_index_matches_the_scalar_chain():
     key = mix64(mix64(7) ^ trial)
     a = sample_signs(7, trial, 1000)
     bits = [mix64(key ^ (r >> 6)) >> (r % 64) & 1 for r in range(len(a.primes))]
-    assert a.neg_bits.tolist() == bits
+    count = len(a.primes)
+    assert np.unpackbits(a.neg_bits, count=count, bitorder="little").tolist() == bits
     for bad in (-1, 2**64):
         with pytest.raises(DomainError, match="trial_index"):
             sample_signs(7, bad, 1000)
+
+
+@pytest.mark.parametrize("trial", [0, 2, 2**64 - 1])
+def test_an_assignment_keeps_its_row_of_the_packed_draw(trial):
+    # pi(1013) = 170 ranks: 21 full bytes and two bits of a 22nd
+    a = sample_signs(9, trial, 1013)
+    assert len(a.primes) == 170
+    assert a.neg_bits.shape == (22,)
+    assert np.array_equal(a.neg_bits, batch_neg_bits(9, [trial], 170)[0])
+    signs = a.signs()
+    assert signs.dtype == np.int8 and signs.shape == (170,)
+    for p in a.primes.primes.tolist():
+        assert a.sign_of(p) == signs[a.primes.rank_of(p)]
 
 
 def test_f_value_examples():
@@ -121,7 +137,7 @@ def test_stream_f_across_sieve_blocks_matches_one_whole_range_table(mode):
     a = sample_signs(5, 2, 600_000, mode)
     lo, hi = 12345, 12345 + 2**19 + 7
     tables = sieve_block_tables(lo, hi, a.primes)
-    packed = batch_neg_bits(5, [2], len(a.primes), packed=True)
+    packed = batch_neg_bits(5, [2], len(a.primes))
     table, ranks = sign_table(packed, len(a.primes)), cofactor_ranks(tables, a.primes)
     expected = table_f(table, tables, ranks, a.primes, mode, 1)[:, 0]
     assert np.array_equal(stream_f(a, lo, hi), expected)
@@ -143,13 +159,13 @@ def test_stream_f_completely_mult_matches_f_value():
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_batch_f_rows_match_f_value_on_inner_block(mode):
+def test_table_f_rows_match_f_value_on_inner_block(mode):
     # a block away from 1: strided offsets, prime powers and large cofactors
     lo, hi, limit, seed = 4000, 6000, 6100, 77
     base = primes_up_to(limit)
     trials = np.arange(10, 15)
     tables = sieve_block_tables(lo, hi, base)
-    table = sign_table(batch_neg_bits(seed, trials, len(base), packed=True), len(base))
+    table = sign_table(batch_neg_bits(seed, trials, len(base)), len(base))
     f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials.size)
     assert f.T.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
     for row, trial in zip(f.T, trials.tolist()):
@@ -167,13 +183,13 @@ def test_batch_f_rows_match_f_value_on_inner_block(mode):
     extra=st.integers(0, 300),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_batch_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
+def test_table_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
     # blocks away from 1 reach p^2..2^12 and cofactor primes; extra puts
     # ranks above hi into the table, which the kernel must ignore
     hi = lo + width - 1
     base = primes_up_to(hi + extra)
     tables = sieve_block_tables(lo, hi, base)
-    packed = batch_neg_bits(seed, np.arange(trials), len(base), packed=True)
+    packed = batch_neg_bits(seed, np.arange(trials), len(base))
     table = sign_table(packed, len(base))
     f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials)
     assert f.shape == (width, trials) and f.dtype == np.int8
@@ -193,7 +209,7 @@ def test_f_on_rows_of_a_wider_block_matches_f_value(mode, lo, hi):
     block = sieve_block_tables(1, block_hi, base)
     rows = block.rows(lo, hi)
     assert rows.bound == block_hi
-    packed = batch_neg_bits(seed, range(3), len(base), packed=True)
+    packed = batch_neg_bits(seed, range(3), len(base))
     table = sign_table(packed, len(base))
     for ranks in (cofactor_ranks(rows, base), cofactor_ranks(block, base)[lo - 1 : hi]):
         f = table_f(table, rows, ranks, base, mode, 3)
@@ -235,8 +251,8 @@ def test_sign_table_is_the_rank_major_pack_of_the_bits(trials, n_ranks):
     # the table walk_blocks builds from one packed draw: rank r's row holds
     # bit i of byte j for trial 8 j + i, zero past the last trial, and a zero
     # row for rank -1; ranks past used, and their bytes, are left out
-    packed = batch_neg_bits(5, np.arange(trials), n_ranks, packed=True)
-    bits = batch_neg_bits(5, np.arange(trials), n_ranks)
+    packed = batch_neg_bits(5, np.arange(trials), n_ranks)
+    bits = np.unpackbits(packed, axis=1, count=n_ranks, bitorder="little")
     for used in sorted({1, (n_ranks + 1) // 2, n_ranks}):
         cells = np.zeros((used + 1, -(-trials // 8) * 8), np.uint8)
         cells[:-1, :trials] = bits[:, :used].T

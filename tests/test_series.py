@@ -130,7 +130,7 @@ def test_trajectory_is_one_row_of_the_batch_scan(mode):
     n, sigma, seed, trial = 70_000, 0.6, 5, 3
     t = partial_sum_trajectory(sample_signs(seed, trial, n, mode), sigma, n)
     base = primes_up_to(n)
-    packed = batch_neg_bits(seed, np.arange(trial + 1), len(base), packed=True)
+    packed = batch_neg_bits(seed, np.arange(trial + 1), len(base))
     tables = sieve_block_tables(1, n, base)
     ranks = cofactor_ranks(tables, base)
     f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trial + 1)
