@@ -2,9 +2,12 @@
 
 Series here run to 10^8 terms of mixed sign near cancellation, and the
 positivity predicate must never be decided by rounding noise.  Every
-prefix sum is formed by running_sums, in one fixed order, and
-series_error_bound turns the per-chunk L1 masses of the terms into a
-rigorous (if conservative) bound on the rounding error of that order.
+prefix sum is formed by running_sums, in one fixed order: in order down
+each CHUNK-row block, plus the last sum before the block.  It forms a
+block in row tiles of at most TILE_CELLS cells, which stay in cache, and
+the tiles do not change that order.  series_error_bound turns the
+per-chunk L1 masses of the terms into a rigorous (if conservative) bound
+on the rounding error of that order.
 signed_sum_error_bound bounds a signed sum of weights formed in any
 order, so the kernel that forms it may change without moving a verdict.
 
@@ -34,8 +37,13 @@ EPS = 2.0**-53
 #: Smallest positive normal binary64; below it relative error bounds fail.
 TINY = 2.0**-1022
 
-#: Number of rows of terms that running_sums sums at a time.
+#: Number of rows of terms that running_sums sums from one carried base.
 CHUNK = 1024
+
+#: Most float64 cells of a running_sums tile (1 MB, an L2 cache's worth):
+#: a CHUNK-row block of 2048 trials is 16 MB, so each of the scan's passes
+#: over a whole block would go to main memory.
+TILE_CELLS = 1 << 17
 
 #: Fewest trials for which running_sums adds row by row rather than cumsum:
 #: np.add on rows of 2048 trials is several times faster than a cumsum down
@@ -91,29 +99,51 @@ def exact_sum(x) -> float:
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
-def running_sums(f, weights, base=0.0, out=None):
-    """Yield (c, S) for each CHUNK-row block c of f * weights[:, None].
+def tile_rows(width: int) -> int:
+    """Rows of a running_sums tile of width trials: the tallest power of two
+    up to CHUNK, and down to 16, of at most TILE_CELLS cells.  A whole block
+    up to 128 trials, 128 rows at 1000 and 64 at 2048."""
+    rows = CHUNK
+    while rows > 16 and rows * width > TILE_CELLS:
+        rows //= 2
+    return rows
+
+
+def running_sums(f, weights, base=0.0):
+    """Yield (r, S) for each tile of rows r, r + 1, ... of f * weights[:, None].
 
     f is (n, trials), one row per term.  S holds the running sums
-    sum_{i<=j} f[i] weights[i] for the rows j of the block: the block's
-    terms summed in order down axis 0, s_j = s_{j-1} + t_j, plus the last
-    running sums before the block (base for the first block).  Callers may
-    overwrite S; the carry is copied before it is yielded.  With out, a
-    (CHUNK, trials) float64 array, every block is formed in it, so S is
-    valid only until the next block is asked for, and no block allocates.
+    sum_{i<=j} f[i] weights[i] for the rows j of the tile: the terms of
+    each CHUNK-row block summed in order down axis 0, s_j = s_{j-1} + t_j
+    from the block's first row, plus the last running sums before the
+    block (base for the first block).  The tiles cut each block into
+    tile_rows(trials) rows without moving a bit: the last unbased row of a
+    tile starts the next one's sum, and the base is added last.  base is
+    copied on entry, so the caller may rewrite it.  Every tile is formed
+    in one buffer of at most TILE_CELLS cells, so S is valid only until the
+    next tile is asked for, and callers may overwrite it.
     """
+    base = np.array(base, dtype=np.float64)
+    height = min(tile_rows(f.shape[1]), f.shape[0])
+    buffer = np.empty((height, f.shape[1]))  # fresh tiles would grow the heap
     for c in range(0, f.shape[0], CHUNK):
-        terms = f[c : c + CHUNK]
-        s = None if out is None else out[: terms.shape[0]]
-        s = np.multiply(terms, weights[c : c + CHUNK, None], out=s)
-        if s.shape[1] >= WIDE:
-            for prev, row in zip(s, s[1:]):
-                np.add(prev, row, out=row)
-        else:
-            np.cumsum(s, axis=0, out=s)
-        s += base
-        base = s[-1:].copy()
-        yield c, s
+        stop = min(c + CHUNK, f.shape[0])
+        for r in range(c, stop, height):
+            s = buffer[: min(height, stop - r)]
+            np.copyto(s, f[r : r + s.shape[0]], casting="unsafe")
+            s *= weights[r : r + s.shape[0], None]
+            if r > c:  # carry the block's sum so far into the tile
+                np.add(last, s[0], out=s[0])
+            if s.shape[1] >= WIDE:
+                for prev, row in zip(s, s[1:]):
+                    np.add(prev, row, out=row)
+            else:
+                np.cumsum(s, axis=0, out=s)
+            last = s[-1].copy()
+            s += base
+            if r + height >= stop:
+                base = s[-1:].copy()
+            yield r, s
 
 
 def chunk_masses(abs_terms) -> list[float]:

@@ -354,7 +354,7 @@ def mertens_sum_exact(x: float) -> Fraction:
 def chebyshev_sum(
     x: float, m: float, c2: float = DEFAULT_CHEBYSHEV_C2
 ) -> BoundMargin:
-    """(m-1) sum_{p<=x} log p against c2 (m-1) x."""
+    """(m-1) sum_{p<=x} log p against c2 (m-1) x; either past float64 is refused."""
     if not (math.isfinite(x) and x >= 2):
         raise DomainError(f"x must be finite and >= 2, got {x}")
     if not (m > 1 and math.isfinite(m) and math.isfinite(c2)):
@@ -362,7 +362,9 @@ def chebyshev_sum(
     theta = exact_sum(np.log(primes_up_to(int(x)).primes.astype(np.float64)))
     if not math.isfinite(lhs := (m - 1.0) * theta):
         raise DomainError(f"(m - 1) theta(x) is too large for float64 at m={m}")
-    return BoundMargin(lhs, c2 * (m - 1.0) * x)
+    if not math.isfinite(rhs := c2 * (m - 1.0) * x):
+        raise DomainError(f"c2 (m - 1) x is too large for float64 at c2={c2}, m={m}")
+    return BoundMargin(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

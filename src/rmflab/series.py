@@ -136,11 +136,14 @@ def walk_blocks(
     Each sieve_walk piece [lo, hi], in ascending order, gets its
     cofactor_ranks in base = primes_up_to(n_max) once, and is weighted once
     by w = n^-sigma, or if sigma is None by w = weigh(lo, hi) (None if weigh
-    is None too).  A trial_batches batch holds, per trial, CHUNK running
-    sums, the f of a CHUNK-row sub-piece at least and the packed sign bits
-    of pi(n_max) ranks.  On each piece a batch draws the bits(trial_indices,
-    pi(hi)) of the ranks the piece reads once, in batch_neg_bits' packed
-    rows, turns them into a sampler.sign_table and builds its f from that
+    is None too).  A trial_batches batch is sized by the cells of CHUNK
+    running sums, the f of a CHUNK-row sub-piece at least and the packed
+    sign bits of pi(n_max) ranks per trial.  A scanner holds only one
+    running_sums tile, at most accum.TILE_CELLS cells a batch, but the
+    count stays, so that the batches, and with them mc_moment's sums, do
+    not move.  On each piece a batch draws the bits(trial_indices, pi(hi))
+    of the ranks the piece reads once, in batch_neg_bits' packed rows,
+    turns them into a sampler.sign_table and builds its f from that
     table on sub-pieces of sub_piece_rows(width) rows, multiples of CHUNK,
     so a whole piece for batches of up to 128 trials.  visit(rows, lo, f, w)
     folds each (n, trials) f, one row per integer, into per-trial state,
@@ -196,17 +199,15 @@ def walk_blocks(
 
 
 def scanner(trials: int, reduce):
-    """A walk_blocks visitor passing every chunk of running sums to reduce.
+    """A walk_blocks visitor passing every tile of running sums to reduce.
 
     reduce(rows, y, sums) gets S_sigma(y + j) of the trials in rows as
-    sums[j], carried across blocks, and may overwrite it.
+    sums[j], carried across tiles and sub-pieces, and may overwrite it.
     """
     carry = np.zeros((1, trials))
 
     def visit(rows, lo, f, w):
-        # one block buffer per visit: fresh CHUNK-row blocks grow the heap
-        out = np.empty((min(CHUNK, f.shape[0]), f.shape[1]))
-        for c, sums in running_sums(f, w, carry[:, rows], out):
+        for c, sums in running_sums(f, w, carry[:, rows]):
             carry[:, rows] = sums[-1:]
             reduce(rows, lo + c, sums)
 

@@ -814,6 +814,8 @@ _NT_FLAGS = {
 @example(("fit-lemma31", {"--x-grid": [100.0], "--m-grid": [1e308]}))
 # (m - 1) theta(x) and c2 (m - 1) x both overflowed: a NaN ratio
 @example(("chebyshev", {"--x": 10000.0, "--m": 1e308}))
+# only c2 (m - 1) x overflowed: an Infinity rhs and a ratio of 0
+@example(("chebyshev", {"--x": 100.0, "--m": 3.0, "--c2": 1e308}))
 def test_nt_argv_ends_in_a_record_without_nan(op_flags):
     _assert_ends_in_a_record_without_nan("nt", *op_flags)
 
@@ -880,6 +882,9 @@ def test_float_extremes_end_in_a_record_without_nan(argv, code):
         # exited 0 with lhs = rhs = Infinity and a NaN ratio
         (("nt", "chebyshev", "--x", "10000", "--m", "1e308"),
          "DomainError", "too large for float64"),
+        # exited 0 with an Infinity rhs and a ratio of 0
+        (("nt", "chebyshev", "--x", "100", "--m", "3", "--c2", "1e308"),
+         "DomainError", "c2 (m - 1) x is too large for float64"),
     ],
 )
 def test_nt_float_extremes_end_in_a_true_refusal(argv, error, reason):

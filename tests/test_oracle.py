@@ -548,6 +548,27 @@ def test_mc_positivity_memory_bounded_with_wide_batches(run_fresh):
     assert int(run_fresh(code)) < 80 * 1024  # kB
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "mc_positivity(0.75, 1, 1000, 50000, 1, threads=2)",
+        "mc_positivity(0.75, 1, 1000, 50000, 1)",
+        "mc_sign_changes(0.8, 1000, 20000, 1)",
+    ],
+)
+def test_scan_memory_per_thread_is_one_tile(run_fresh, call):
+    # each thread's scan holds one TILE_CELLS tile of running sums, not a
+    # 16 MB (CHUNK, 2048) block: the whole call stays within 16 MB
+    code = (
+        "import resource\n"
+        "from rmflab.oracle import mc_positivity, mc_sign_changes\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{call}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < 16 * 1024  # kB
+
+
 def test_mc_sign_changes_memory_bounded_at_many_threads():
     # batch x sieve block cells per worker, and no more workers than batches
     # or cpus; a whole-horizon (B, n_max) batch per thread peaked near 260 MB

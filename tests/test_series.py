@@ -1,18 +1,22 @@
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from rmflab import oracle
 from rmflab.accum import (
     CHUNK,
     EPS,
+    TILE_CELLS,
     WIDE,
     power_weights,
     running_sums,
     series_error_ceiling,
+    tile_rows,
     weight_allowance,
 )
 from rmflab.errors import DomainError
@@ -33,6 +37,7 @@ from rmflab.series import (
     partial_sum_trajectory,
     positivity_check,
     prime_sum,
+    scanner,
     sub_piece_rows,
     walk_blocks,
 )
@@ -135,7 +140,7 @@ def test_trajectory_is_one_row_of_the_batch_scan(mode):
     ranks = cofactor_ranks(tables, base)
     f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trial + 1)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
-    row = np.concatenate([s.T[trial] for _, s in running_sums(f, weights)])
+    row = np.concatenate([s[:, trial].copy() for _, s in running_sums(f, weights)])
     assert t.values.tobytes() == row.tobytes()
 
 
@@ -149,16 +154,10 @@ def test_running_sums_carry_survives_overwritten_blocks():
     assert len(kept) == 5
 
 
-@pytest.mark.parametrize("trials", [WIDE - 1, WIDE])
-def test_running_sums_add_each_trial_in_order(trials):
-    # WIDE - 1 trials take the cumsum, WIDE the row loop: both must be
-    # s_j = s_{j-1} + t_j within each CHUNK, plus the carried base
-    rng = np.random.default_rng(trials)
-    n = 3 * CHUNK + 17
-    f = rng.integers(-1, 2, (n, trials)).astype(np.int8)
-    weights = power_weights(np.arange(1, n + 1, dtype=np.float64), 0.6)
-    base = rng.standard_normal((1, trials))
-    got = np.concatenate([s for _, s in running_sums(f, weights, base)])
+def in_order(f, weights, base):
+    """Each trial's running sums one Python float at a time: s_j = s_{j-1} +
+    t_j from the first row of each CHUNK, plus the carried base."""
+    n, trials = f.shape
     expected = np.empty((n, trials))
     for t in range(trials):
         carry = float(base[0, t])
@@ -166,7 +165,82 @@ def test_running_sums_add_each_trial_in_order(trials):
             terms = (float(v) * w for v, w in zip(f[c : c + CHUNK, t], weights[c:]))
             expected[c : c + CHUNK, t] = [s + carry for s in accumulate(terms)]
             carry = float(expected[min(c + CHUNK, n) - 1, t])
-    assert got.tobytes() == expected.tobytes()
+    return expected
+
+
+@pytest.mark.parametrize("trials", [WIDE - 1, WIDE, 2048])
+def test_running_sums_add_each_trial_in_order(trials):
+    # WIDE - 1 trials take the cumsum, WIDE and 2048 the row loop; the first
+    # two cut each CHUNK into 2 tiles, 2048 into 16: all sum in order
+    rng = np.random.default_rng(trials)
+    n = 3 * CHUNK + 17
+    f = rng.integers(-1, 2, (n, trials)).astype(np.int8)
+    weights = power_weights(np.arange(1, n + 1, dtype=np.float64), 0.6)
+    base = rng.standard_normal((1, trials))
+    got = np.concatenate([s.copy() for _, s in running_sums(f, weights, base)])
+    assert got.tobytes() == in_order(f, weights, base).tobytes()
+
+
+def test_tiles_stay_within_their_cells():
+    assert [tile_rows(w) for w in (1, 128, 250, 1000, 2048)] == [
+        CHUNK, CHUNK, 512, 128, 64
+    ]
+    assert tile_rows(1 << 30) == 16
+    for w in range(1, 8193):
+        rows = tile_rows(w)
+        assert CHUNK % rows == 0 and (rows * w <= TILE_CELLS or rows == 16)
+
+
+@pytest.mark.parametrize("trials", [WIDE - 1, WIDE, 2048])
+def test_scanner_carries_across_tiles_and_sub_pieces(trials):
+    # several tiles per CHUNK at every width; scanner rewrites its carry,
+    # the base it hands running_sums, after each tile, so a kernel that
+    # read that base late would add a later tile's sums
+    rng = np.random.default_rng(trials + 1)
+    n = 3 * CHUNK + 17
+    f = rng.integers(-1, 2, (n, trials)).astype(np.int8)
+    weights = power_weights(np.arange(1, n + 1, dtype=np.float64), 0.6)
+    seen = []
+
+    def record(rows, y, sums):
+        seen.append((y, sums.copy()))
+        sums[:] = np.nan  # a reduce may overwrite its sums
+
+    visit = scanner(trials, record)
+    rows = slice(0, trials)
+    for a, b in ((0, 2 * CHUNK), (2 * CHUNK, 3 * CHUNK), (3 * CHUNK, n)):
+        visit(rows, a + 1, f[a:b], weights[a:b])  # sub-pieces start a CHUNK
+    # a last zero term reads the final carry back unchanged
+    visit(rows, n + 1, np.zeros((1, trials), np.int8), weights[:1])
+    ys = [y for y, _ in seen]
+    assert ys == sorted(set(ys)) and ys[0] == 1
+    assert all(y + s.shape[0] == z for (y, s), z in zip(seen, ys[1:] + [n + 2]))
+    expected = in_order(f, weights, np.zeros((1, trials)))
+    got = np.concatenate([s for _, s in seen])
+    assert got[:n].tobytes() == expected.tobytes()
+    assert got[n:].tobytes() == expected[-1:].tobytes()
+
+
+def test_outcomes_minimum_starts_past_x_on_a_tile_seam(monkeypatch):
+    # 2048 trials scan in 64-row tiles: each x is on, or next to, a seam
+    n, sigma, seed, trials, mode = 3 * CHUNK + 17, 0.6, 3, 2048, Mode.SQUAREFREE_MULT
+    minima = []
+
+    def outcomes(lowest, band):
+        minima.append(lowest.copy())
+        return band_outcomes(lowest, band)
+
+    monkeypatch.setattr(oracle, "band_outcomes", outcomes)
+    base = primes_up_to(n)
+    packed = batch_neg_bits(seed, np.arange(trials), len(base))
+    tables = sieve_block_tables(1, n, base)
+    ranks = cofactor_ranks(tables, base)
+    f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trials)
+    weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
+    sums = in_order(f, weights, np.zeros((1, trials)))
+    for x in (63, 64, 65, CHUNK - 1, CHUNK, 2 * CHUNK + 64):
+        oracle._outcomes(partial(batch_neg_bits, seed), n, mode, sigma, x, trials)
+        assert minima.pop().tobytes() == sums[x:].min(axis=0).tobytes(), x
 
 
 @pytest.mark.parametrize("mode", list(Mode))
