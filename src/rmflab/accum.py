@@ -202,6 +202,10 @@ def series_error_bound(masses, sigma: float, n_max: int) -> float:
     by at most (allowance + CHUNK + len(masses)) EPS relative, to first
     order, and its error is at most that times the total mass.  8 more
     EPS units cover the second-order terms and the rounding of the masses.
+    For sigma > 0 an allowance too large for float64 arises only when
+    sigma log 2 is far past 745: every weight past n = 1 is then exactly
+    0, every sum exact but for those terms, and each of their true values
+    is below 2^-1075, so n_max TINY bounds the error.
     """
     return _mass_error(math.fsum(masses), len(masses), sigma, n_max)
 
@@ -237,4 +241,6 @@ def series_error_ceiling(sigma: float, n_max: int) -> float:
 
 def _mass_error(fsum: float, chunks: int, sigma: float, n_max: int) -> float:
     weight = weight_allowance(sigma, n_max)
+    if sigma > 0.0 and math.isinf(weight):  # every weight past n = 1 is 0
+        return n_max * TINY
     return EPS * (weight + 8.0 + CHUNK + chunks) * fsum

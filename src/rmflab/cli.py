@@ -21,7 +21,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from io import StringIO
 from itertools import repeat
 
 import numpy as np
@@ -45,11 +44,6 @@ class ResultRecord:
     values: dict
     ci: list | None = None
     wall_time_ms: int = 0
-
-    def to_json_line(self) -> str:
-        parts: list[str] = []
-        _json_parts(vars(self), parts)
-        return "".join(parts)
 
     @classmethod
     def from_json_line(cls, line: str) -> "ResultRecord":
@@ -84,23 +78,22 @@ class Table:
                 for name, c in columns
             }
 
-    def json_parts(self, parts: list) -> None:
-        """Append the JSON text of the rows to parts, one string per block."""
-        parts.append("[")
-        start = len(parts)
-        for rows, block in self._blocks():
+    def write_json(self, write) -> None:
+        """Write the JSON text of the rows through write, one string per block."""
+        write("[")
+        for i, (rows, block) in enumerate(self._blocks()):
             names = sorted(block)
             width = 2 * len(names) + 1
-            pieces = [""] * (width * rows)  # row-major: each key, its cell, "}, "
+            pieces = [""] * (width * rows)  # row-major: each key, its cell, "}"
             for j, name in enumerate(names):
-                key = ("{" if j == 0 else ", ") + json.dumps(name) + ": "
+                key = (", {" if j == 0 else ", ") + json.dumps(name) + ": "
                 pieces[2 * j :: width] = [key] * rows
                 pieces[2 * j + 1 :: width] = _json_cells(block[name], rows)
-            pieces[width - 1 :: width] = ["}, "] * rows
-            parts.append("".join(pieces))
-        if len(parts) > start:
-            parts[-1] = parts[-1][:-2]  # the last row ends in "}" alone
-        parts.append("]")
+            pieces[width - 1 :: width] = ["}"] * rows
+            if i == 0:
+                pieces[0] = pieces[0][2:]  # no separator before the first row
+            write("".join(pieces))
+        write("]")
 
     def write_csv(self, writer) -> None:
         writer.writerow(list(self.columns))
@@ -126,22 +119,22 @@ def _table(columns: dict) -> dict:
     return {"rows": Table(columns), "csv_columns": list(columns)}
 
 
-def _json_parts(value, parts: list) -> None:
-    """Append json.dumps(value, sort_keys=True, allow_nan=True) to parts.
+def _write_json(value, write) -> None:
+    """Write json.dumps(value, sort_keys=True, allow_nan=True) through write.
 
     Dicts, keyed by str in every record, are written here so that a Table
     in them writes its own rows.
     """
     if isinstance(value, Table):
-        value.json_parts(parts)
+        value.write_json(write)
     elif isinstance(value, dict):
-        parts.append("{")
+        write("{")
         for i, (k, v) in enumerate(sorted(value.items())):
-            parts.append(f"{', ' if i else ''}{json.dumps(k)}: ")
-            _json_parts(v, parts)
-        parts.append("}")
+            write(f"{', ' if i else ''}{json.dumps(k)}: ")
+            _write_json(v, write)
+        write("}")
     else:
-        parts.append(json.dumps(value, sort_keys=True, allow_nan=True))
+        write(json.dumps(value, sort_keys=True, allow_nan=True))
 
 
 def _bool(text: str) -> bool:
@@ -665,14 +658,15 @@ def _inject_config(argv: list[str], config: dict) -> list[str]:
     return head + argv[:split] + tail + argv[split:]
 
 
-def emit(record: ResultRecord, output_format: str) -> str:
-    """Serialize a record: one JSON line, or CSV with header."""
+def emit(record: ResultRecord, output_format: str, out) -> None:
+    """Write a record to the text stream out: one JSON line, or CSV with header."""
     if output_format == "jsonl":
-        return record.to_json_line() + "\n"
+        _write_json(vars(record), out.write)
+        out.write("\n")
+        return
     if output_format != "csv":
         raise RmfLabError(f"unknown output format {output_format!r}")
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     rows = record.values.get("rows")
     if isinstance(rows, Table):
         rows.write_csv(writer)
@@ -686,7 +680,6 @@ def emit(record: ResultRecord, output_format: str) -> str:
                 flat.update((f"{k}_{k2}", v2) for k2, v2 in sorted(v.items()))
         writer.writerow(list(flat))
         writer.writerow([_csv_cell(v) for v in flat.values()])
-    return buf.getvalue()
 
 
 def _csv_cell(value):
@@ -739,17 +732,15 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         ci = None
         if "ci_low" in values and "ci_high" in values:
             ci = [values["ci_low"], values["ci_high"]]
-        text = emit(record(values, ci, wall_ms), args.format)
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            stdout.write(text)
+        # opened only once the op has succeeded, so a failed one leaves it alone
+        out = open(args.output, "w", newline="") if args.output else nullcontext(stdout)
+        with out as stream:
+            emit(record(values, ci, wall_ms), args.format, stream)
     except (RmfLabError, OSError) as exc:
         # an unwritable --output, --cache or --dump-trials path is the
         # caller's input, so it ends like a domain error
         error = {"error": type(exc).__name__, "message": str(exc)}
-        stderr.write(emit(record(error), "jsonl"))
+        emit(record(error), "jsonl", stderr)
         return 3
     return 0
 

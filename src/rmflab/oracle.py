@@ -623,6 +623,8 @@ def mc_sign_changes(
     """Mean number of sign changes of S_sigma over [1, n_max] per trial."""
     _check_run(trials, level)
     check_sigma(sigma)
+    if n_max < 1:
+        raise DomainError(f"horizon must be >= 1, got {n_max}")
     last = np.zeros((1, trials), dtype=np.int8)
     flips = np.zeros(trials)
 

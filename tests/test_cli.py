@@ -76,7 +76,9 @@ def test_record_round_trips_through_parser():
         "nt", "zeta", "--s", "2", "--seed", "7"
     )
     rec = record_of(out)
-    again = ResultRecord.from_json_line(rec.to_json_line())
+    line = io.StringIO()
+    emit(rec, "jsonl", line)
+    again = ResultRecord.from_json_line(line.getvalue())
     assert again == rec
 
 
@@ -305,6 +307,56 @@ def test_csv_trajectory_columns(tmp_path):
     assert lines[0] == "y,value,err_bound"
     assert len(lines) == 11
     assert float(lines[1].split(",")[1]) == 1.0
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_records_are_written_in_bounded_memory(fmt, to_file, tmp_path, run_fresh):
+    # a 10^6-row trajectory is written 4096 rows at a time: assembled whole
+    # in memory, its record took 123 to 188 MB above the RSS after import
+    path = tmp_path / "traj.out"
+    argv = ["series", "trajectory", "--sigma", "0.6", "--nmax", "1000000",
+            "--seed", "1", "--format", fmt, *(["--output", str(path)] * to_file)]
+    code = (
+        "import os, resource\n"
+        "from rmflab.cli import dispatch\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        f"    assert dispatch({argv!r}, sink, sink) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < 64 * 1024  # kB
+    assert path.exists() == to_file
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (("series", "trajectory", "--nmax", "10"),
+         {"err_bound": 10 * 2.0**-1022, "final_value": 1.0}),
+        (("mc", "positivity", "--x", "1", "--nmax", "10", "--trials", "3"),
+         {"estimate": 1.0, "n_indeterminate": 0}),
+        (("oracle", "positivity", "--nmax", "10", "--x", "1"),
+         {"numerator": 1, "denominator": 1}),
+    ],
+)
+def test_weights_underflowed_past_one_decide_every_sum(argv, values):
+    # the weight allowance overflows at sigma = 1e308, where every weight past
+    # n = 1 is 0: the band n_max TINY decides every sum S(y) = 1
+    code, out, err = run_cli(*argv, "--sigma", "1e308", "--seed", "1")
+    assert (code, err) == (0, "")
+    rec = json.loads(out, parse_constant=_reject_constant)
+    assert values.items() <= rec["values"].items()
+
+
+@pytest.mark.parametrize("nmax", ["0", "-5"])
+def test_mc_sign_changes_horizon_below_one_exit_3(nmax):
+    code, out, err = run_cli("mc", "sign-changes", "--sigma", "0.6", "--nmax", nmax,
+                             "--trials", "3", "--seed", "1")
+    assert (code, out) == (3, "")
+    assert record_of(err).values == {
+        "error": "DomainError", "message": f"horizon must be >= 1, got {nmax}"
+    }
 
 
 def test_usage_error_exit_2():
@@ -916,7 +968,8 @@ def test_exact_bh_sum_past_its_bit_budget_is_refused_at_once():
         ("oracle", "moment", "--nmax", "10", "--m", "1e6"),
         # the integer weights n^1000000 were formed with no budget
         ("oracle", "positivity", "--nmax", "40", "--sigma=-1000000", "--x", "1"),
-        ("oracle", "positivity", "--nmax", "40", "--sigma=1e308", "--x", "1"),
+        # at 1e300 the float band leaves every sum undecided (1e308 decides them)
+        ("oracle", "positivity", "--nmax", "40", "--sigma=1e300", "--x", "1"),
     ],
 )
 def test_exact_power_past_its_bit_budget_exit_3_at_once(argv):

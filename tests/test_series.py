@@ -257,6 +257,27 @@ def test_trajectory_within_err_bound_of_exact_prefix_sums(sigma, mode):
         assert abs(value - math.fsum(terms[:y])) <= t.summation_error_bound, y
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("sigma", [1e308, 1.7976931348623157e308])
+def test_band_of_weights_underflowed_past_one_holds_exact_sums(sigma, mode):
+    # the weight allowance overflows, so the band is n_max TINY: every sum
+    # is f(1) = 1 in float64, and its error the true terms past n = 1
+    with mp.workprec(120):
+        for n_max in (3, 10, 100):
+            assert math.isinf(weight_allowance(sigma, n_max))
+            for seed in range(3):
+                a = sample_signs(seed, 0, n_max, mode)
+                t = partial_sum_trajectory(a, sigma, n_max)
+                f = stream_f(a, 1, n_max).tolist()
+                assert math.isfinite(t.summation_error_bound)
+                past_one = mp.mpf(0)
+                for y, value in t.checkpoints:
+                    if y > 1:
+                        past_one += f[y - 1] * mp.power(y, -mp.mpf(sigma))
+                    error = (mp.mpf(value) - f[0]) - past_one
+                    assert abs(error) <= t.summation_error_bound, (n_max, y)
+
+
 @pytest.mark.parametrize("sigma", [0.5001, 0.51, 0.6, 0.75, 1.0, 3.0, -1.0, -3.0])
 def test_power_weights_within_allowance_against_mpmath(sigma):
     # all n < 2000, a geometric grid to 10^8 and 1000 random n <= 10^8
@@ -370,12 +391,14 @@ PIECE_GRID = [
 
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize(
-    "sigma", [-300.0, -1.0, 0.0, 1e-9, 0.25, 0.5, 0.6, 1 - 1e-12, 1.0, 1.5, 3.0, 1e300]
+    "sigma",
+    [-300.0, -1.0, 0.0, 1e-9, 0.25, 0.5, 0.6, 1 - 1e-12, 1.0, 1.5, 3.0, 1e300, 1e308],
 )
 def test_error_ceiling_bounds_the_band_of_every_walk(mode, sigma):
     # _outcomes retires a trial below -series_error_ceiling before the walk
     # has formed any mass: the ceiling must hold the final band, from the
-    # exact oracle's sigma = -300 re-check path to weights underflowing to 0
+    # exact oracle's sigma = -300 re-check path to weights underflowing to 0,
+    # and past them to an overflowed weight allowance
     def ignore(rows, lo, f, w):
         pass
 
