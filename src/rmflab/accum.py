@@ -37,6 +37,10 @@ EPS = 2.0**-53
 #: Smallest positive normal binary64; below it relative error bounds fail.
 TINY = 2.0**-1022
 
+#: Past this sigma every true weight n^-sigma with n >= 2 is below 2^-1075,
+#: half the least subnormal, and rounds to 0.
+UNDERFLOW_SIGMA = 1075.0
+
 #: Number of rows of terms that running_sums sums from one carried base.
 CHUNK = 1024
 
@@ -50,9 +54,11 @@ TILE_CELLS = 1 << 17
 #: axis 0, but on rows of 128 or fewer the per-call overhead makes it slower.
 WIDE = 256
 
-#: Most terms exact_sum bins at a time: each bin then sums at most 2^26
-#: integers below 2^27 in magnitude, so every partial sum is exact.
-EXACT_SLICE = 1 << 26
+#: Most terms exact_sum bins at a time.  Each bin then sums at most 2^16
+#: integers below 2^27 in magnitude, so every partial sum is exact, and a
+#: slice's frexp and split hold under 2 MB whatever the array's length.
+#: The result does not depend on the slicing.
+EXACT_SLICE = 1 << 16
 
 #: Adding and subtracting it rounds a float below 2^51 in magnitude to an
 #: integer: the sum lies in [2^52, 2^53), where the spacing is 1.
@@ -202,10 +208,10 @@ def series_error_bound(masses, sigma: float, n_max: int) -> float:
     by at most (allowance + CHUNK + len(masses)) EPS relative, to first
     order, and its error is at most that times the total mass.  8 more
     EPS units cover the second-order terms and the rounding of the masses.
-    For sigma > 0 an allowance too large for float64 arises only when
-    sigma log 2 is far past 745: every weight past n = 1 is then exactly
-    0, every sum exact but for those terms, and each of their true values
-    is below 2^-1075, so n_max TINY bounds the error.
+    For sigma > UNDERFLOW_SIGMA every weight past n = 1 is below 2^-1075,
+    true or computed within a few units of the least subnormal, so each
+    such term is off by less than TINY, every sum is exact but for them,
+    and n_max TINY bounds the error.
     """
     return _mass_error(math.fsum(masses), len(masses), sigma, n_max)
 
@@ -240,7 +246,6 @@ def series_error_ceiling(sigma: float, n_max: int) -> float:
 
 
 def _mass_error(fsum: float, chunks: int, sigma: float, n_max: int) -> float:
-    weight = weight_allowance(sigma, n_max)
-    if sigma > 0.0 and math.isinf(weight):  # every weight past n = 1 is 0
+    if sigma > UNDERFLOW_SIGMA:  # every weight past n = 1 is below 2^-1075
         return n_max * TINY
-    return EPS * (weight + 8.0 + CHUNK + chunks) * fsum
+    return EPS * (weight_allowance(sigma, n_max) + 8.0 + CHUNK + chunks) * fsum

@@ -278,13 +278,17 @@ def tail_series(
 
     Terms with x < n <= cutoff are summed exactly; the n > cutoff rest is
     bracketed by [0, R] where R integrates the (c3, c5) envelope.  The
-    interval is reported, never hidden.  m = 1 is exactly zero: every term
+    interval is reported, never hidden.  The envelope integral starts at
+    int(cutoff), and is finite for every c5 m only from 2 on, where log t >
+    0, so a cutoff below 2 is refused.  m = 1 is exactly zero: every term
     past n = 1 carries the factor 0^omega(n) = 0.
     """
     if not (math.isfinite(sigma) and sigma > 0.5):
         raise DomainError(f"tail needs finite sigma > 1/2, got {sigma}")
     if not (math.isfinite(x) and math.isfinite(cutoff) and cutoff > x):
         raise DomainError(f"cutoff {cutoff} must be finite and exceed finite x {x}")
+    if cutoff < 2:
+        raise DomainError(f"the envelope needs a cutoff >= 2, got {cutoff}")
     if not (math.isfinite(m) and m >= 1):
         raise DomainError(f"m must be finite and >= 1, got {m}")
     if not (all(map(math.isfinite, envelope)) and envelope[0] >= 0):

@@ -42,6 +42,7 @@ from .accum import (
     power_weights,
     series_error_ceiling,
     signed_sum_error_bound,
+    tile_rows,
 )
 from .bounds import EXACT_BITS_LIMIT, check_bits, exact_ints, index_span
 from .errors import CertificationError, DomainError, EnumerationLimitError
@@ -357,10 +358,11 @@ def _mean(
     heavy = False
     if trials > 1:
         centered = values - mean
-        var = exact_sum(centered**2) / (trials - 1)
+        powers = np.square(centered)  # the ufuncs of ** 2 and ** 4, one buffer
+        var = exact_sum(powers) / (trials - 1)
         half = _z(level) * math.sqrt(var / trials)
         if flag_kurtosis and var > 0:
-            m4 = exact_sum(centered**4) / trials
+            m4 = exact_sum(np.power(centered, 4, out=powers)) / trials
             kurtosis_excess = m4 / (var * var) - 3.0
             heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
     if not math.isfinite(mean + half):
@@ -471,10 +473,13 @@ def mc_moment(
 
     High moments of heavy-tailed powers make the normal CI optimistic; an
     extreme sample kurtosis (> 50) is flagged on the estimate.  Each sum
-    adds up the dot products a(lo..hi) . f(lo..hi) of walk_blocks' pieces in
-    ascending order, so above n_max = sieve.TERM_ROWS it can differ within
-    rounding from a single dot product over [1, n_max].  walk_blocks reads
-    the a(lo..hi) of a piece once, as its weights, for all its batches.
+    adds up, in ascending order, the dot products a . f over row tiles of
+    walk_blocks' sub-pieces: accum.tile_rows(width) rows of at most
+    accum.TILE_CELLS cells, each copied into one reused float64 buffer.  So
+    a sum differs within rounding from a single dot product over [1, n_max]
+    and follows the batch width, which sets the tiles and the BLAS column
+    kernels, but not OpenBLAS's thread count.  walk_blocks reads the
+    a(lo..hi) of a piece once, as its weights, for all its batches.
     """
     _check_run(trials, level, least=2)
     if not (math.isfinite(m) and m >= 2):
@@ -492,13 +497,19 @@ def mc_moment(
         return a
 
     def add(rows, lo, f, a):
-        # a @ (n, B) C-order keeps the BLAS summation order of each trial
-        sums[rows] += a @ f.astype(np.float64)
+        height = min(tile_rows(f.shape[1]), f.shape[0])
+        tile = np.empty((height, f.shape[1]))
+        for r in range(0, f.shape[0], height):
+            t = tile[: min(height, f.shape[0] - r)]
+            np.copyto(t, f[r : r + t.shape[0]], casting="unsafe")
+            sums[rows] += a[r : r + t.shape[0]] @ t
 
     bits = partial(batch_neg_bits, master_seed)
     walk_blocks(bits, n_max, mode, None, add, trials, threads, coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # _mean reports overflow
-        return _mean(np.abs(sums) ** m, master_seed, level, flag_kurtosis=True)
+        np.abs(sums, out=sums)
+        sums **= m  # the ufunc that ** picks, so bitwise |S| ** m
+        return _mean(sums, master_seed, level, flag_kurtosis=True)
 
 
 def _byte_sums(w: np.ndarray) -> np.ndarray:

@@ -105,3 +105,14 @@ def test_exact_sum_raises_as_fsum():
             exact_sum(np.array(values))
     # fsum's partial sums overflow here, but the sum itself is finite
     assert exact_sum(np.array([big, big, -big])) == big
+
+
+@pytest.mark.parametrize("n_max", [2, 10**5])
+def test_band_past_the_underflow_sigma_is_n_max_tiny(n_max):
+    # from just past sigma = 1075 every weight past n = 1 is 0, yet the
+    # allowance is finite: the mass band was EPS (2 sigma log n_max + ...)
+    sigma = math.nextafter(accum.UNDERFLOW_SIGMA, math.inf)
+    assert not accum.power_weights(np.arange(2, n_max + 1), sigma).any()
+    band = n_max * accum.TINY
+    assert accum.series_error_bound([1.0], sigma, n_max) == band
+    assert accum.series_error_ceiling(sigma, n_max) == band

@@ -204,13 +204,13 @@ def test_trajectory_stride_past_int64_keeps_the_rows_of_stride_nmax(mode):
          "a5f133433e053aa6023c2f32cb9c4a6161ef89513eb35e36bb8cbd21697cf4d3"),
         # the benchmark's mc moment op at both reference seeds
         (("mc", "moment", "--nmax", "1000", "--m", "4", "--trials", "200000"), 1,
-         "1e280b35e570e7323ed55a6e03fd4f2d1717a3eb1c6cb2d0e237df6438f05acb"),
+         "34ee451b72410c8a44b22c94f34e6a25cd4ebd38d22499eb63e78845ebf067c9"),
         (("mc", "moment", "--nmax", "1000", "--m", "4", "--trials", "200000"), 2,
-         "2586bab54361c434d9268a704201707f55eb8ddd3ab3709ca4df0f63e0b2fc91"),
+         "9f668e7197364572f9b8412bb578c73f8c967f256e5d85a5d724a8f19eebb739"),
         # past a 2^16 piece boundary
         (("mc", "moment", "--nmax", "70000", "--m", "4.5", "--exponent", "0.75",
           "--trials", "100", "--mode", "completely"), 1,
-         "49534f2f621b0c190d4768e34fe8d8fcbf66a974d3189f4d232702a90090ce20"),
+         "cfc001d00ce0cd1d77231ad77421f9a7853dbe6349bcb6f6076d1528c56a14de"),
         (("bounds", "bh-rhs", "--nmax", "2000", "--m", "4"), 1,
          "bbc1c7edc86cf640498c8f26ca23f06e7e16e97a90af878e709867af8a4f8a79"),
         (("bounds", "bh-rhs", "--nmax", "100000", "--m", "4", "--exponent", "0.75"), 1,
@@ -344,6 +344,27 @@ def test_weights_underflowed_past_one_decide_every_sum(argv, values):
     # the weight allowance overflows at sigma = 1e308, where every weight past
     # n = 1 is 0: the band n_max TINY decides every sum S(y) = 1
     code, out, err = run_cli(*argv, "--sigma", "1e308", "--seed", "1")
+    assert (code, err) == (0, "")
+    rec = json.loads(out, parse_constant=_reject_constant)
+    assert values.items() <= rec["values"].items()
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (("mc", "positivity", "--sigma", "1e300", "--x", "1", "--nmax", "10",
+          "--trials", "3"), {"estimate": 1.0, "n_indeterminate": 0}),
+        (("oracle", "positivity", "--nmax", "40", "--sigma", "1e300", "--x", "1"),
+         {"numerator": 1, "denominator": 1}),
+        (("series", "trajectory", "--sigma", "1075.5", "--nmax", "10"),
+         {"err_bound": 10 * 2.0**-1022, "final_value": 1.0}),
+    ],
+)
+def test_weights_below_half_the_least_subnormal_decide_every_sum(argv, values):
+    # past sigma = 1075 every weight past n = 1 is 0 though the allowance is
+    # finite: its band of about 10^285 left all 3 trials INDETERMINATE, and
+    # the integer re-check of the exact oracle refused 40^1e300
+    code, out, err = run_cli(*argv, "--seed", "1")
     assert (code, err) == (0, "")
     rec = json.loads(out, parse_constant=_reject_constant)
     assert values.items() <= rec["values"].items()
@@ -868,8 +889,35 @@ _NT_FLAGS = {
 @example(("chebyshev", {"--x": 10000.0, "--m": 1e308}))
 # only c2 (m - 1) x overflowed: an Infinity rhs and a ratio of 0
 @example(("chebyshev", {"--x": 100.0, "--m": 3.0, "--c2": 1e308}))
+# the envelope from int(cutoff) = 0 took math.log(0.0), and from 1, where
+# c5 m + 1 = -2, met a pole of the gamma function; both are now refused
+@example(("tail", {"--x": 0.0, "--m": 2.0, "--sigma": 1.0, "--cutoff": 0.5}))
+@example(("tail", {"--x": 0.0, "--m": 3.0, "--sigma": 0.75, "--cutoff": 1.5,
+                   "--c5": -1.0}))
+@example(("tail", {"--x": 0.0, "--m": 3.0, "--sigma": 0.75, "--cutoff": 1.5,
+                   "--c5": -0.5}))
 def test_nt_argv_ends_in_a_record_without_nan(op_flags):
     _assert_ends_in_a_record_without_nan("nt", *op_flags)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"--x": st.floats(-10.0, 1e3), "--m": st.floats(1.0, 20.0),
+         "--sigma": st.floats(0.5, 4.0), "--cutoff": st.floats(-10.0, 1e4)},
+        optional={"--c3": st.floats(0.0, 100.0), "--c5": st.floats(-5.0, 5.0)},
+    )
+)
+# from int(cutoff) = 1 the envelope continued Gamma(c5 m + 1) to c5 m = -1.5,
+# and the record said upper = -111.8 for a sum of nonnegative terms
+@example({"--x": 0.0, "--m": 3.0, "--sigma": 0.75, "--cutoff": 1.5, "--c5": -0.5})
+def test_nt_tail_records_bracket_a_nonnegative_sum(flags):
+    argv = ["nt", "tail", "--seed", "7", *(f"{k}={v!r}" for k, v in flags.items())]
+    code, out, err = run_cli(*argv)
+    assert code in (0, 3), err
+    if code == 0:
+        values = record_of(out).values
+        assert values["upper"] >= values["head"] >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -968,8 +1016,6 @@ def test_exact_bh_sum_past_its_bit_budget_is_refused_at_once():
         ("oracle", "moment", "--nmax", "10", "--m", "1e6"),
         # the integer weights n^1000000 were formed with no budget
         ("oracle", "positivity", "--nmax", "40", "--sigma=-1000000", "--x", "1"),
-        # at 1e300 the float band leaves every sum undecided (1e308 decides them)
-        ("oracle", "positivity", "--nmax", "40", "--sigma=1e300", "--x", "1"),
     ],
 )
 def test_exact_power_past_its_bit_budget_exit_3_at_once(argv):

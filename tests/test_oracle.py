@@ -569,6 +569,45 @@ def test_scan_memory_per_thread_is_one_tile(run_fresh, call):
     assert int(run_fresh(code)) < 16 * 1024  # kB
 
 
+def test_mc_moment_sums_do_not_follow_openblas_threads(run_fresh):
+    # one a @ f over a whole (1000, 874) sub-piece summed each trial in an
+    # order that OpenBLAS's thread count set: sha256 prefixes 6078ee5e... at
+    # one thread and b28bf26c... at two
+    code = (
+        "import hashlib\n"
+        "from rmflab import oracle\n"
+        "mean = oracle._mean\n"
+        "def spy(values, *args, **kwargs):\n"
+        "    print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        "    return mean(values, *args, **kwargs)\n"
+        "oracle._mean = spy\n"
+        "oracle.mc_moment(oracle.power_coeffs(1000), 4, 874, 1)\n"
+    )
+    digests = {
+        # OpenBLAS reads its thread count as numpy loads
+        run_fresh(f"import os\nos.environ['OPENBLAS_NUM_THREADS'] = {t!r}\n{code}")
+        for t in ("1", "2")
+    }
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("threads, bound_mb", [(1, 12), (2, 24)])
+def test_mc_moment_memory_is_one_tile_per_thread(run_fresh, threads, bound_mb):
+    # a float64 copy of each batch's (1000, 2048) f, 16 MB a thread, and
+    # _mean's trial-long temporaries took the benchmark's mc moment op 21 MB
+    # above the RSS after import at one thread and 49 MB at two
+    argv = ["mc", "moment", "--nmax", "1000", "--m", "4", "--trials", "200000",
+            "--seed", "1", "--threads", str(threads)]
+    code = (
+        "import io, resource\n"
+        "from rmflab.cli import dispatch\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"assert dispatch({argv!r}, io.StringIO(), io.StringIO()) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < bound_mb * 1024  # kB
+
+
 def test_mc_sign_changes_memory_bounded_at_many_threads():
     # batch x sieve block cells per worker, and no more workers than batches
     # or cpus; a whole-horizon (B, n_max) batch per thread peaked near 260 MB
@@ -713,11 +752,11 @@ SPARSE_COEFFS = {2: 0.5, 6: 1.25, 30: -0.75, 97: 2.0}
 GOLDEN_MOMENT = [
     # (coeffs, m, trials, seed, mode), (estimate, ci_low, ci_high, heavy_tail)
     ((power_coeffs(300, 0.75), 4, 5000, 5, SF),
-     (25.742310706541417, 21.579574572400638, 29.905046840682196, True)),
+     (25.74231070654142, 21.57957457240064, 29.9050468406822, True)),
     ((SPARSE_COEFFS, 3, 3000, 9, SF),
      (21.633583333333334, 20.25734629067072, 23.009820375995947, False)),
     ((power_coeffs(300, 0.75), 4, 5000, 5, CM),
-     (300.35003076191447, 262.5975477804797, 338.1025137433492, True)),
+     (300.3500307619144, 262.59754778047966, 338.10251374334916, True)),
     ((SPARSE_COEFFS, 3, 3000, 9, CM),
      (21.633583333333334, 20.25734629067072, 23.009820375995947, False)),
 ]
