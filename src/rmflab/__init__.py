@@ -50,7 +50,7 @@ from .oracle import (
     sign_changes,
     wilson_interval,
 )
-from .sampler import Mode, SignAssignment, f_value, sample_signs, stream_f
+from .sampler import Mode, SignAssignment, f_value, sample_signs
 from .series import (
     LogDecomposition,
     Positivity,
@@ -60,6 +60,7 @@ from .series import (
     partial_sum_trajectory,
     positivity_check,
     prime_sum,
+    stream_f,
 )
 from .sieve import ArithSignature, PrimeList, arith_signature, primes_up_to
 

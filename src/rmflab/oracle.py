@@ -12,15 +12,15 @@ Ground truths like 7/8 come out as actual fractions.
 Monte Carlo estimators share the sign construction of the sampler module,
 and one walk, series.walk_blocks, feeds every scan over n: it hands each
 trial batch its f on every sub-piece of the sieve.TERM_ROWS-row pieces of
-the sieve walk of [1, n_max], one row per integer and one column per
-trial, so memory is bounded by a cell budget whatever n_max is.
-Estimators reduce down those rows and carry per-trial state (running sum,
-minimum, last sign and flip count, linear sum) between sub-pieces, and
-batches and sub-pieces depend on that budget alone, so the estimate for a
-given (seed, trials) is identical for any thread count.  Two reducers
-build every interval: _proportion gives Wilson score intervals, which
-behave at estimates near 0 and 1 where the interesting events live, and
-_mean a normal interval clamped at 0.
+sieve.ranked_walk, which ranks their cofactor primes from its own sieve,
+one row per integer and one column per trial, in a cell budget and 3 n_max
+/ 16 bytes of prime marks.  Estimators reduce down those rows and carry
+per-trial state (running sum, minimum, last sign and flip count, linear
+sum) between sub-pieces; batches and sub-pieces depend on that budget and
+n_max alone, so the estimate for a given (seed, trials) is identical for
+any thread count.  Two reducers build every interval: _proportion gives
+Wilson score intervals, which behave at estimates near 0 and 1 where the
+interesting events live, and _mean a normal interval clamped at 0.
 """
 
 from __future__ import annotations

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SignRangeError
-from .sieve import (
-    ArithSignature,
-    BlockTables,
-    PrimeList,
-    _check_base,
-    primes_up_to,
-    sieve_walk,
-)
+from .sieve import ArithSignature, BlockTables, PrimeList, _check_base, primes_up_to
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -138,15 +131,10 @@ def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
         raise SignRangeError(
             f"prime {sig.distinct_primes[-1]} of n={n} exceeds limit {a.limit}"
         )
-    if a.mode is Mode.SQUAREFREE_MULT:
-        if not sig.is_squarefree:
-            return 0
-        value = 1
-        for p in sig.distinct_primes:
-            value *= a.sign_of(p)
-        return value
+    if a.mode is Mode.SQUAREFREE_MULT and not sig.is_squarefree:
+        return 0
     value = 1
-    for p in sig.distinct_primes:
+    for p in sig.distinct_primes:  # squarefree n: each exponent is 1
         m, v = n, 0
         while m % p == 0:
             m //= p
@@ -154,18 +142,6 @@ def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
         if v & 1:
             value *= a.sign_of(p)
     return value
-
-
-def cofactor_ranks(tables: BlockTables, base: PrimeList) -> np.ndarray:
-    """Rank in base of each row's cofactor prime, -1 where the cofactor is 1.
-
-    base must hold every prime <= tables.hi.  One searchsorted per sieve_walk
-    piece: walk_blocks hands the ranks of a piece's rows to every batch.
-    """
-    ranks = np.full(tables.cofactor.size, -1)
-    big = tables.cofactor > 1
-    ranks[big] = np.searchsorted(base.primes, tables.cofactor[big])
-    return ranks
 
 
 #: Masks of the three delta swaps that transpose the 8 x 8 bit matrix held
@@ -216,16 +192,15 @@ def sign_table(packed: np.ndarray, used: int) -> np.ndarray:
 def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, trials):
     """f of the first trials columns of a sign_table on the rows of tables.
 
-    The one kernel that builds f: series.walk_blocks calls it per trial
-    batch, and stream_f for its one trial.  ranks are the cofactor_ranks of
-    the rows, and table must hold the ranks of the primes <= tables.hi; rows
-    of larger ranks are never read.  The parity of the negative primes
-    dividing n follows the sieve: one gather of table rows picks up the
-    single cofactor prime, then each base prime p <= sqrt(tables.bound)
-    XORs its row into the rows of its multiples, at every power level p,
-    p^2, ... in completely multiplicative mode (which leaves v_p(n) mod 2).
-    One unpack turns the parities into signs, and non-squarefree n are
-    zeroed in squarefree mode.
+    The one kernel that builds f, called by series.walk_blocks per trial
+    batch.  ranks are the rows' sieve.ranked_walk ranks, and table must hold
+    the ranks of the primes <= tables.hi; rows of larger ranks are never
+    read.  The parity of the negative primes dividing n follows the sieve:
+    one gather of table rows picks up the single cofactor prime, then each
+    base prime p <= sqrt(tables.bound) XORs its row into the rows of its
+    multiples, at every power level p, p^2, ... in completely multiplicative
+    mode (which leaves v_p(n) mod 2).  One unpack turns the parities into
+    signs, and non-squarefree n are zeroed in squarefree mode.
     """
     parity = table[ranks]
     # primes up to sqrt(bound) were divided out of the cofactors; those past
@@ -246,26 +221,3 @@ def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, tria
     if mode is Mode.SQUAREFREE_MULT:
         f &= -tables.squarefree.view(np.int8)[:, None]  # 0 or all ones
     return f[:, :trials]
-
-
-def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
-    """f(n) for every n in [lo, hi] as an int8 vector, from sieve_walk's pieces.
-
-    Every prime factor occurring in the block must be <= a.limit; the
-    whole-range use case is lo=1, hi=a.limit.  One sign_table of the
-    assignment's packed row serves table_f on every piece.
-    """
-    if not 1 <= lo <= hi:
-        raise DomainError(f"invalid range [{lo}, {hi}]")
-    if hi > a.limit:
-        raise SignRangeError(
-            f"range up to {hi} needs prime signs beyond limit {a.limit}"
-        )
-    table, base = sign_table(a.neg_bits[None, :], len(a.primes)), a.primes
-    # a contiguous copy of each piece: one byte per n, not a row of eight
-    return np.concatenate(
-        [
-            table_f(table, t, cofactor_ranks(t, base), base, a.mode, 1)[:, 0].copy()
-            for t in sieve_walk(lo, hi)
-        ]
-    )

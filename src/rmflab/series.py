@@ -1,10 +1,11 @@
 """Weighted partial sums S_sigma(y) = sum_{n<=y} f(n) n^-sigma and friends.
 
 walk_blocks is the one ascending walk over y: it takes the pieces of
-sieve.TERM_ROWS rows of [1, n_max] from sieve.sieve_walk, weighs each once,
-and every trial batch draws its sign bits for a piece once and gets its f
-on the piece's sub-pieces in turn, trial-minor: one row per integer, one
-column per trial.  Trajectories and every Monte Carlo scan reduce the
+sieve.TERM_ROWS rows of [1, n_max], with their cofactor ranks, from
+sieve.ranked_walk, weighs each once, and every trial batch draws its sign
+bits for a piece once and gets its f on the piece's sub-pieces in turn,
+trial-minor: one row per integer, one column per trial.  stream_f keeps
+one trial's f; trajectories and every Monte Carlo scan reduce the
 running sums of accum.running_sums down those rows, carried from
 sub-piece to sub-piece by scanner, so they are bitwise reproducible and
 carry a certified bound on the accumulated rounding error.  The
@@ -39,8 +40,8 @@ from .accum import (
     series_error_bound,
 )
 from .errors import DomainError, PoleError, SignRangeError
-from .sampler import Mode, SignAssignment, cofactor_ranks, sign_table, table_f
-from .sieve import TERM_ROWS, primes_up_to, sieve_walk
+from .sampler import Mode, SignAssignment, sign_table, table_f
+from .sieve import TERM_ROWS, ranked_walk, walk_base
 
 #: Most trials in a batch, and its budget of float64 working cells (~64 MB).
 _DEFAULT_BATCH, _BATCH_CELL_BUDGET = 2048, 1 << 23
@@ -133,21 +134,20 @@ def walk_blocks(
 ):
     """Hand f of every trial on each sub-piece of [1, n_max] to visit.
 
-    Each sieve_walk piece [lo, hi], in ascending order, gets its
-    cofactor_ranks in base = primes_up_to(n_max) once, and is weighted once
-    by w = n^-sigma, or if sigma is None by w = weigh(lo, hi) (None if weigh
+    Each sieve.ranked_walk piece [lo, hi], in ascending order, comes with
+    the ranks of its cofactor primes and pi(hi), and is weighted once by
+    w = n^-sigma, or if sigma is None by w = weigh(lo, hi) (None if weigh
     is None too).  A trial_batches batch is sized by the cells of CHUNK
     running sums, the f of a CHUNK-row sub-piece at least and the packed
-    sign bits of pi(n_max) ranks per trial.  A scanner holds only one
-    running_sums tile, at most accum.TILE_CELLS cells a batch, but the
-    count stays, so that the batches, and with them mc_moment's sums, do
-    not move.  On each piece a batch draws the bits(trial_indices, pi(hi))
-    of the ranks the piece reads once, in batch_neg_bits' packed rows,
-    turns them into a sampler.sign_table and builds its f from that
-    table on sub-pieces of sub_piece_rows(width) rows, multiples of CHUNK,
-    so a whole piece for batches of up to 128 trials.  visit(rows, lo, f, w)
-    folds each (n, trials) f, one row per integer, into per-trial state,
-    rows being slice(start, stop).
+    sign bits of a bound on pi(n_max) ranks per trial: a function of n_max
+    alone, which sets mc_moment's sums, though a scanner holds only one
+    accum.TILE_CELLS tile a batch.  On each piece a batch draws the
+    bits(trial_indices, pi(hi)) of the ranks the piece reads once, in
+    batch_neg_bits' packed rows, turns them into a sampler.sign_table and
+    builds its f on sub-pieces of sub_piece_rows(width) rows, multiples of
+    CHUNK, so a whole piece for batches of up to 128 trials.  visit(rows,
+    lo, f, w) folds each (n, trials) f, one row per integer, into
+    per-trial state, rows being slice(start, stop).
 
     retired(rows), if given, is asked after each sub-piece that has a
     successor which of the trials in rows are decided; those are walked no
@@ -156,16 +156,15 @@ def walk_blocks(
     Returns the band of the running sums of f * w from the masses of w on
     f's support, or None.
     """
-    base = primes_up_to(n_max)
+    base = walk_base(1, n_max)  # the term budget, before any walk memory
     masses: list[float] = []
     w = None
     walked = {}  # batch -> its rows still walked, once a trial has retired
-    cells = 2 * CHUNK + (len(base) + 7) // 8
+    # pi(n) < 1.25506 n / log n for n > 1 (Rosser and Schoenfeld, 1962)
+    cells = 2 * CHUNK + math.ceil(1.25506 * n_max / math.log(max(n_max, 2)) / 8)
     with trial_batches(trials, cells, threads) as each_batch:
-        for tables in sieve_walk(1, n_max):
+        for tables, ranks, used in ranked_walk(n_max):
             lo, hi = tables.lo, tables.hi
-            ranks = cofactor_ranks(tables, base)
-            used = int(np.searchsorted(base.primes, hi, side="right"))
             if sigma is not None:
                 w = power_weights(np.arange(lo, hi + 1, dtype=np.float64), sigma)
                 support = tables.squarefree | (mode is Mode.COMPLETELY_MULT)
@@ -254,6 +253,21 @@ def partial_sum_trajectory(
         stride=checkpoint_stride,
         horizon=n_max,
     )
+
+
+def stream_f(a: SignAssignment, lo: int, hi: int) -> np.ndarray:
+    """f(n), n in [lo, hi] <= a.limit, as int8: the one-trial walk of [1, hi]."""
+    if not 1 <= lo <= hi:
+        raise DomainError(f"invalid range [{lo}, {hi}]")
+    if hi > a.limit:
+        raise SignRangeError(f"range up to {hi} needs signs past limit {a.limit}")
+    out = np.empty(hi - lo + 1, dtype=np.int8)
+
+    def keep(rows, y, f, w):
+        out[max(0, y - lo) : max(0, y + f.shape[0] - lo)] = f[max(0, lo - y) :, 0]
+
+    walk_blocks(lambda *_: a.neg_bits[None, :], hi, a.mode, None, keep)
+    return out
 
 
 def positivity_check(t: Trajectory, x: int) -> Positivity:

@@ -7,7 +7,8 @@ divisors, and the cofactor left after the small primes.  Blocks are pure
 functions of (lo, hi, base): they can be sieved in any order, cached, and
 merged freely, and BlockTables.rows cuts a block into the pieces, which
 keep the block's bound.  Single integers are factored by trial division,
-within the same term budget.
+within the same term budget.  ranked_walk ranks each cofactor prime of
+[1, N] from the walk's own marks, with no list of the primes up to N.
 
 The block strategy: mark multiples of every base prime p <= sqrt(hi),
 dividing p out of a running cofactor (one division per power level
@@ -90,7 +91,7 @@ def primes_up_to(n: int) -> PrimeList:
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeList(n, np.flatnonzero(flags).astype(np.int64))
+    return PrimeList(n, np.flatnonzero(flags).astype(np.int64, copy=False))
 
 
 def arith_signature(n: int) -> ArithSignature:
@@ -225,6 +226,38 @@ def sieve_walk(lo_n: int, hi_n: int):
     base = walk_base(lo_n, hi_n)
     blocks = (sieve_block_tables(lo, hi, base) for lo, hi in iter_blocks(lo_n, hi_n))
     return (t.rows(a, b) for t in blocks for a, b in iter_blocks(t.lo, t.hi, TERM_ROWS))
+
+
+def ranked_walk(n_max: int):
+    """Yield each sieve_walk(1, n_max) piece as (tables, ranks, pi(tables.hi)).
+
+    ranks[i] is the 0-based rank among the primes of row i's cofactor prime,
+    -1 where the cofactor is 1, as int32.  Bit n - 1 of one bitmap is set
+    where n is prime (omega(n) = 1, squarefree), and the set bits below each
+    64-bit word are counted: 3 n_max / 16 bytes, formed after sieve_walk's
+    term budget check.  A cofactor prime is at most its row's hi, so it is
+    marked before it is ranked.
+    """
+    pieces = sieve_walk(1, n_max)
+    words = np.zeros((n_max + 63) // 64, dtype="<u8")
+    below = np.zeros(words.size + 1, dtype=np.int32)  # set bits below each word
+    for t in pieces:
+        # t.lo - 1 is a multiple of TERM_ROWS, so the piece starts a word
+        start, stop = (t.lo - 1) // 64, (t.hi + 63) // 64
+        marks = np.packbits(t.squarefree & (t.omega == 1), bitorder="little")
+        words.view(np.uint8)[8 * start : 8 * start + marks.size] = marks
+        counts = below[start + 1 : stop + 1]
+        np.cumsum(np.bitwise_count(words[start:stop]), dtype=np.int32, out=counts)
+        counts += below[start]
+        big = np.flatnonzero(t.cofactor > 1)
+        at = t.cofactor[big] - 1  # the prime's bit
+        low = np.uint64(1) << (at & 63).astype(np.uint64)
+        low -= np.uint64(1)
+        at >>= 6
+        low &= words[at]  # the marks below the prime in its word
+        ranks = np.full(t.cofactor.size, -1, dtype=np.int32)
+        ranks[big] = np.bitwise_count(low) + below[at]
+        yield t, ranks, int(below[stop])
 
 
 def save_prime_cache(path, plist: PrimeList) -> None:

@@ -10,6 +10,18 @@ from rmflab.sampler import Mode, SignAssignment
 from rmflab.sieve import primes_up_to
 
 
+def searched_ranks(tables, base):
+    """Rank in base of each row's cofactor prime, -1 where the cofactor is 1.
+
+    One searchsorted over every prime of base: the reference for the ranks
+    that sieve.ranked_walk counts from its bitmap.
+    """
+    ranks = np.full(tables.cofactor.size, -1)
+    big = tables.cofactor > 1
+    ranks[big] = np.searchsorted(base.primes, tables.cofactor[big])
+    return ranks
+
+
 @pytest.fixture
 def assignment_factory():
     """Build a SignAssignment with hand-picked prime signs (default +1)."""

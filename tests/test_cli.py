@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from rmflab.cli import ResultRecord, dispatch, emit
@@ -327,6 +327,22 @@ def test_records_are_written_in_bounded_memory(fmt, to_file, tmp_path, run_fresh
     )
     assert int(run_fresh(code)) < 64 * 1024  # kB
     assert path.exists() == to_file
+
+
+def test_long_trajectory_walks_without_a_prime_list(run_fresh):
+    # the walk ranked its cofactor primes in primes_up_to(n_max), a second
+    # list beside the assignment's: 80.5 to 82 MB above the RSS after import
+    argv = ["series", "trajectory", "--sigma", "0.6", "--nmax", "30000000",
+            "--stride", "1000000", "--seed", "1"]
+    code = (
+        "import os, resource\n"
+        "from rmflab.cli import dispatch\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        f"    assert dispatch({argv!r}, sink, sink) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < 68 * 1024  # kB
 
 
 @pytest.mark.parametrize(
@@ -703,6 +719,9 @@ def test_coefficient_ops_memory_bounded(argv):
          "EnumerationLimitError"),
         (("mc", "prime-tail", "--sigma", "0.6", "--lambda", "1", "--pmax",
           "100000001", "--trials", "10"), "DomainError"),
+        # the walk's prime bitmap is n_max / 8 bytes: the sieve budget first
+        (("mc", "positivity", "--sigma", "0.6", "--nmax", "1000000000000000000",
+          "--trials", "10"), "DomainError"),
     ],
 )
 def test_budget_refusals_come_before_the_work(argv, error, run_fresh):
@@ -898,6 +917,37 @@ _NT_FLAGS = {
                    "--c5": -0.5}))
 def test_nt_argv_ends_in_a_record_without_nan(op_flags):
     _assert_ends_in_a_record_without_nan("nt", *op_flags)
+
+
+_N = st.integers(-3, 10**5)
+_TRIAL_INDEX = st.one_of(st.integers(-2, 5), st.sampled_from([2**64 - 1, 2**64]))
+_MODES = st.sampled_from(["squarefree", "completely"])
+#: the walk operations and a strategy for each of their flags, required then
+#: optional; n stays at most 10^5, so each walk takes a fraction of a second
+_WALK_FLAGS = {
+    ("series", "trajectory"): (
+        {"--sigma": _REAL, "--nmax": _N},
+        {"--trial": _TRIAL_INDEX, "--mode": _MODES,
+         "--stride": st.one_of(st.integers(-2, 10**5), st.just(2**63))},
+    ),
+    ("sample", "signs"): ({"--nmax": _N}, {"--trial": _TRIAL_INDEX, "--mode": _MODES}),
+    ("sieve", "primes"): ({"--nmax": _N}, {}),
+}
+
+
+@seed(27)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(_WALK_FLAGS)).flatmap(
+        lambda op: st.tuples(
+            st.just(op),
+            st.fixed_dictionaries(_WALK_FLAGS[op][0], optional=_WALK_FLAGS[op][1]),
+        )
+    )
+)
+def test_walk_argv_ends_in_a_record_without_nan(op_flags):
+    (group, op), flags = op_flags
+    _assert_ends_in_a_record_without_nan(group, op, flags)
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import searched_ranks
 from rmflab.bounds import bh_rhs, index_span
 from rmflab.errors import DomainError, EnumerationLimitError
 from rmflab.oracle import (
@@ -46,10 +47,8 @@ from rmflab.oracle import (
 from rmflab.sampler import (
     Mode,
     batch_neg_bits,
-    cofactor_ranks,
     sample_signs,
     sign_table,
-    stream_f,
     table_f,
 )
 from rmflab.series import (
@@ -58,6 +57,7 @@ from rmflab.series import (
     partial_sum_trajectory,
     positivity_check,
     scanner,
+    stream_f,
     walk_blocks,
 )
 from rmflab.sieve import primes_up_to, sieve_block_tables
@@ -137,7 +137,7 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
     tables = sieve_block_tables(1, n_max, base)
     packed = _index_bits(np.arange(trials), len(base))
     table = sign_table(packed, len(base))
-    f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials)
+    f = table_f(table, tables, searched_ranks(tables, base), base, mode, trials)
     brackets = _scaled_weights(n_max, sigma)
     exact = np.array(
         [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.T.tolist())]
@@ -839,6 +839,31 @@ def test_golden_stream_f(mode):
     a = sample_signs(2024, 3, 200_000, mode)
     digest = hashlib.sha256(stream_f(a, 1, 200_000).tobytes()).hexdigest()
     assert digest == GOLDEN_STREAM_F[mode]
+
+
+# f past the first 2^18 sieve block, whose cofactor primes the walk ranks
+# from marks made in earlier blocks
+GOLDEN_STREAM_F_600K = {
+    SF: "20dcaf41213296a420a086e8d371b09f90b69e55b485306f7e4ce20141109c17",
+    CM: "ccffd485a73ef9ea5942adac6b61f99b45fcee0e68e5817568abb5356e675056",
+}
+
+
+@pytest.mark.parametrize("mode", [SF, CM])
+def test_golden_stream_f_past_one_sieve_block(mode):
+    a = sample_signs(2024, 3, 600_000, mode)
+    digest = hashlib.sha256(stream_f(a, 1, 600_000).tobytes()).hexdigest()
+    assert digest == GOLDEN_STREAM_F_600K[mode]
+
+
+def test_golden_trajectory_past_one_sieve_block():
+    t = partial_sum_trajectory(sample_signs(1, 0, 10**6), 0.6, 10**6, 1000)
+    assert (t.values[-1], t.summation_error_bound) == (
+        0.2079832319409576, 8.590048348425682e-11
+    )
+    assert hashlib.sha256(t.ys.tobytes() + t.values.tobytes()).hexdigest() == (
+        "c0a40b5953cca33e2f09c0ed0b2a20307d5a13503170055fd51724a5069b24b2"
+    )
 
 
 # Exact oracle golden records: every exact result is pinned by its str(), so

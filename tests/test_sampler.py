@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import searched_ranks
 from rmflab.errors import DomainError, SignRangeError
 from rmflab.sampler import (
     Mode,
     batch_neg_bits,
-    cofactor_ranks,
     f_value,
     mix64,
     mix64_array,
     sample_signs,
     sign_table,
-    stream_f,
     table_f,
 )
+from rmflab.series import stream_f
 from rmflab.sieve import arith_signature, primes_up_to, sieve_block_tables
 
 
@@ -122,7 +122,7 @@ def test_stream_f_memory_bounded(run_fresh):
     # added 111 MB to the peak after sample_signs, and 10^7 added 278 MB
     code = (
         "import resource\n"
-        "from rmflab.sampler import sample_signs, stream_f\n"
+        "from rmflab import sample_signs, stream_f\n"
         "a = sample_signs(1, 0, 4_000_000)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "assert stream_f(a, 1, 4_000_000).size == 4_000_000\n"
@@ -138,9 +138,17 @@ def test_stream_f_across_sieve_blocks_matches_one_whole_range_table(mode):
     lo, hi = 12345, 12345 + 2**19 + 7
     tables = sieve_block_tables(lo, hi, a.primes)
     packed = batch_neg_bits(5, [2], len(a.primes))
-    table, ranks = sign_table(packed, len(a.primes)), cofactor_ranks(tables, a.primes)
+    table, ranks = sign_table(packed, len(a.primes)), searched_ranks(tables, a.primes)
     expected = table_f(table, tables, ranks, a.primes, mode, 1)[:, 0]
     assert np.array_equal(stream_f(a, lo, hi), expected)
+
+
+@pytest.mark.parametrize("lo", [2, 65_535, 65_536, 65_537, 262_145, 300_000])
+def test_stream_f_from_lo_is_the_tail_of_the_walk_from_one(lo):
+    # the walk starts at 1 whatever lo is: pieces wholly or partly below lo
+    # are dropped or cut
+    a = sample_signs(9, 1, 300_000)
+    assert np.array_equal(stream_f(a, lo, 300_000), stream_f(a, 1, 300_000)[lo - 1 :])
 
 
 def test_stream_f_matches_f_value_pointwise():
@@ -166,7 +174,7 @@ def test_table_f_rows_match_f_value_on_inner_block(mode):
     trials = np.arange(10, 15)
     tables = sieve_block_tables(lo, hi, base)
     table = sign_table(batch_neg_bits(seed, trials, len(base)), len(base))
-    f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials.size)
+    f = table_f(table, tables, searched_ranks(tables, base), base, mode, trials.size)
     assert f.T.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
     for row, trial in zip(f.T, trials.tolist()):
         a = sample_signs(seed, trial, limit, mode)
@@ -191,7 +199,7 @@ def test_table_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
     tables = sieve_block_tables(lo, hi, base)
     packed = batch_neg_bits(seed, np.arange(trials), len(base))
     table = sign_table(packed, len(base))
-    f = table_f(table, tables, cofactor_ranks(tables, base), base, mode, trials)
+    f = table_f(table, tables, searched_ranks(tables, base), base, mode, trials)
     assert f.shape == (width, trials) and f.dtype == np.int8
     signatures = [arith_signature(n) for n in range(lo, hi + 1)]
     for t in range(trials):
@@ -211,7 +219,7 @@ def test_f_on_rows_of_a_wider_block_matches_f_value(mode, lo, hi):
     assert rows.bound == block_hi
     packed = batch_neg_bits(seed, range(3), len(base))
     table = sign_table(packed, len(base))
-    for ranks in (cofactor_ranks(rows, base), cofactor_ranks(block, base)[lo - 1 : hi]):
+    for ranks in (searched_ranks(rows, base), searched_ranks(block, base)[lo - 1 : hi]):
         f = table_f(table, rows, ranks, base, mode, 3)
         for t in range(3):
             a = sample_signs(seed, t, limit, mode)

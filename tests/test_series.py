@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import searched_ranks
 from rmflab import oracle
 from rmflab.accum import (
     CHUNK,
@@ -23,10 +24,8 @@ from rmflab.errors import DomainError
 from rmflab.sampler import (
     Mode,
     batch_neg_bits,
-    cofactor_ranks,
     sample_signs,
     sign_table,
-    stream_f,
     table_f,
 )
 from rmflab.series import (
@@ -39,6 +38,7 @@ from rmflab.series import (
     prime_sum,
     scanner,
     sub_piece_rows,
+    stream_f,
     walk_blocks,
 )
 from rmflab.sieve import DEFAULT_BLOCK, TERM_ROWS, primes_up_to, sieve_block_tables
@@ -137,7 +137,7 @@ def test_trajectory_is_one_row_of_the_batch_scan(mode):
     base = primes_up_to(n)
     packed = batch_neg_bits(seed, np.arange(trial + 1), len(base))
     tables = sieve_block_tables(1, n, base)
-    ranks = cofactor_ranks(tables, base)
+    ranks = searched_ranks(tables, base)
     f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trial + 1)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
     row = np.concatenate([s[:, trial].copy() for _, s in running_sums(f, weights)])
@@ -234,7 +234,7 @@ def test_outcomes_minimum_starts_past_x_on_a_tile_seam(monkeypatch):
     base = primes_up_to(n)
     packed = batch_neg_bits(seed, np.arange(trials), len(base))
     tables = sieve_block_tables(1, n, base)
-    ranks = cofactor_ranks(tables, base)
+    ranks = searched_ranks(tables, base)
     f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trials)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
     sums = in_order(f, weights, np.zeros((1, trials)))

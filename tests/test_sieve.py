@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import searched_ranks
 from rmflab.errors import DomainError, SieveBaseError
 from rmflab.sieve import (
     DEFAULT_BLOCK,
@@ -13,6 +14,7 @@ from rmflab.sieve import (
     iter_blocks,
     load_prime_cache,
     primes_up_to,
+    ranked_walk,
     save_prime_cache,
     sieve_block_tables,
     sieve_walk,
@@ -167,6 +169,32 @@ def test_sieve_walk_hands_out_term_rows_pieces(lo, hi):
     for name in ("omega", "squarefree"):
         joined = np.concatenate([getattr(t, name) for t in pieces])
         assert np.array_equal(joined, getattr(whole, name))
+
+
+def assert_ranks_match_searchsorted(n_max):
+    plist = primes_up_to(n_max)
+    pieces = 0
+    for t, ranks, used in ranked_walk(n_max):
+        assert ranks.dtype == np.int32, t.lo
+        assert np.array_equal(ranks, searched_ranks(t, plist)), t.lo
+        assert used == np.searchsorted(plist.primes, t.hi, side="right"), t.hi
+        pieces += 1
+    assert pieces == -(-n_max // TERM_ROWS)
+
+
+@pytest.mark.parametrize(
+    "n_max", [1, 2, 63, 64, 65, 2**16, 2**16 + 1, 2**18 + 1]
+)
+def test_ranked_walk_at_word_piece_and_block_edges(n_max):
+    assert_ranks_match_searchsorted(n_max)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(DEFAULT_BLOCK + 1, 3 * 10**6))
+def test_ranked_walk_ranks_match_searchsorted(n_max):
+    # past the first 2^18 block, pieces rank cofactor primes that earlier
+    # blocks marked
+    assert_ranks_match_searchsorted(n_max)
 
 
 def test_prime_cache_round_trip(tmp_path):
