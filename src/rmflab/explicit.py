@@ -89,14 +89,14 @@ def _omega_histograms(xs) -> list[tuple[int, ...]]:
     """Counts of squarefree n <= x by omega(n) for each x of xs.
 
     histogram[k] = #{n <= x: omega(n) = k}.  The x not cached yet share one
-    sieve_walk to the largest of them, whose pieces are cut at each, and
-    fill the cache, which is emptied first where it would pass
-    HISTOGRAM_CACHE entries.
+    sieve_walk to the largest of them, whose pieces are cut at each.  The
+    call's histograms are returned from its own dict; the cache, emptied
+    first where the new x would pass HISTOGRAM_CACHE entries, keeps only
+    as many of them as fit.
     """
     xs = [int(x) for x in xs]
-    if len(_histograms.keys() | xs) > HISTOGRAM_CACHE:
-        _histograms.clear()
-    todo = sorted(set(xs).difference(_histograms))
+    found = {x: _histograms[x] for x in xs if x in _histograms}
+    todo = sorted(set(xs).difference(found))
     hist = np.zeros(20, dtype=np.int64)
     stops = iter(todo)
     stop = next(stops, None)
@@ -104,13 +104,18 @@ def _omega_histograms(xs) -> list[tuple[int, ...]]:
         lo = t.lo
         while lo <= t.hi:
             cut = t.rows(lo, min(stop, t.hi))
-            counts = np.bincount(cut.omega[cut.squarefree], minlength=20)
+            omega = np.take(cut.omega, np.flatnonzero(cut.squarefree))
+            counts = np.bincount(omega, minlength=20)
             hist[: counts.size] += counts
             if cut.hi == stop:
-                _histograms[stop] = tuple(int(c) for c in hist)
+                found[stop] = tuple(int(c) for c in hist)
                 stop = next(stops, None)
             lo = cut.hi + 1
-    return [_histograms[x] for x in xs]
+    if len(_histograms) + len(todo) > HISTOGRAM_CACHE:
+        _histograms.clear()
+    for x in todo[:HISTOGRAM_CACHE]:
+        _histograms[x] = found[x]
+    return [found[x] for x in xs]
 
 
 def _omega_histogram(x: int) -> tuple[int, ...]:
@@ -227,8 +232,9 @@ def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> fl
             for t in sieve_walk(lo_n, hi_n):
                 if powers.size <= (top := int(t.omega.max())):
                     powers = (m - 1.0) ** np.arange(top + 1, dtype=t.omega.dtype)
-                n = np.flatnonzero(t.squarefree) + float(t.lo)
-                terms = powers[t.omega[t.squarefree]] * power_weights(n, 2.0 * sigma)
+                rows = np.flatnonzero(t.squarefree)
+                n = rows + float(t.lo)
+                terms = powers[np.take(t.omega, rows)] * power_weights(n, 2.0 * sigma)
                 parts.append(exact_sum(terms))
         total = math.fsum(parts)
     except OverflowError:  # a piece's sum or the fsum of them passed float64

@@ -3,21 +3,27 @@
 sieve_walk sieves a range of integers in blocks of DEFAULT_BLOCK and hands
 them out in pieces of TERM_ROWS rows; each gives, for every n in it, the
 squarefree indicator mu^2(n), the count omega(n) of distinct prime
-divisors, and the cofactor left after the small primes.  Blocks are pure
-functions of (lo, hi, base): they can be sieved in any order, cached, and
-merged freely, and BlockTables.rows cuts a block into the pieces, which
-keep the block's bound.  Single integers are factored by trial division,
-within the same term budget.  ranked_walk ranks each cofactor prime of
-[1, N] from the walk's own marks, with no list of the primes up to N.
+divisors, and the smooth part of n over the small primes, whose cofactor
+n // smooth is 1 or one prime.  Blocks are pure functions of (lo, hi,
+base): they can be sieved in any order, cached, and merged freely, and
+BlockTables.rows cuts a block into the pieces, which keep the block's
+bound.  Single integers are factored by trial division, within the same
+term budget.  ranked_walk ranks each cofactor prime of [1, N] from the
+walk's own marks, with no list of the primes up to N.
 
-The block strategy: mark multiples of every base prime p <= sqrt(hi),
-dividing p out of a running cofactor (one division per power level
-p, p^2, p^3, ...), so a cofactor left > 1 is a single prime above
-sqrt(hi).  A square divisor is detected by the p^2 marking level.
+The block strategy: omega and the smooth part start from one 30030-periodic
+pattern of the primes <= 13; every other base prime p <= sqrt(hi) adds 1
+to omega at its multiples, and every base prime power p^k <= hi, k >= 2,
+clears squarefree at its multiples; each multiplies p into the smooth part
+there.  The smooth part is then n less any single prime above sqrt(hi),
+which omega counts where smooth < n.  A p or p^k at least as wide as the
+block has at most one multiple in it, and all of those are struck in one
+vectorized step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +33,10 @@ from .errors import DomainError, SieveBaseError
 
 PRIME_CACHE_MAGIC = b"RMFPRIM1"
 
-#: Segment width of sieve_walk; working memory is O(sqrt(N) + block).  A
-#: block's cost is nearly all per-prime numpy calls, so wider blocks walk
-#: faster: [1, 10^7] took 0.47 s at 2^16 and 0.28 s at 2^18.
+#: Segment width of sieve_walk and of primes_up_to's flags; working memory
+#: is O(sqrt(N) + block).  A block's cost is mostly per-prime numpy calls,
+#: so wider blocks walk faster: the blocks of [1, 10^7] took 0.17 s at 2^16
+#: and 0.09 s at 2^18 (2-core Xeon, numpy 2.4).
 DEFAULT_BLOCK = 1 << 18
 
 #: Rows of each piece of sieve_walk, and so most rows of terms formed at a
@@ -38,10 +45,18 @@ DEFAULT_BLOCK = 1 << 18
 #: accum.CHUNK boundaries and sums do not depend on the sieve's width.
 TERM_ROWS = 1 << 16
 
-#: Most integers one sieve may cover (a few minutes at about 2 s per 10^7
-#: for a block walk, 1 GB of flags for primes_up_to); like the oracle's
-#: 2^24 assignment budget, larger inputs are refused.
+#: Most integers one sieve may cover (a few minutes for a block walk, 400 MB
+#: of int64 primes for primes_up_to); like the oracle's 2^24 assignment
+#: budget, larger inputs are refused.
 SIEVE_TERM_LIMIT = 10**9
+
+#: The wheel's primes: a block with hi >= 13^2 starts its omega and smooth
+#: part from one pattern of period 2 3 5 7 11 13 = 30030, built on first use.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+#: base primes whose powers one sieve_block_tables step handles (512 KB of
+#: int64 per array), so a far window's base of 10^8 is walked in slices
+_PRIME_CHUNK = 1 << 16
 
 #: odd trial divisors arith_signature tests in one numpy step (4 MB of int64)
 _TRIAL_CHUNK = 1 << 19
@@ -79,19 +94,40 @@ class ArithSignature:
 
 
 def primes_up_to(n: int) -> PrimeList:
-    """All primes <= n via a sieve of Eratosthenes over every integer <= n."""
+    """All primes <= n, ascending, by a segmented sieve of the odd integers.
+
+    Each segment flags DEFAULT_BLOCK odd integers against the odd primes
+    <= sqrt(n), so the flags stay one block.  The list is written into one
+    int64 array sized from pi(n) < 1.25506 n / log n (Rosser and
+    Schoenfeld, 1962) and returned as a view of its head, not copied.
+    """
     if n < 0:
         raise DomainError(f"negative sieve limit {n}")
     if n > SIEVE_TERM_LIMIT:
         raise DomainError(f"{n} exceeds the sieve term budget of {SIEVE_TERM_LIMIT}")
     if n < 2:
         return PrimeList(n, np.empty(0, dtype=np.int64))
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return PrimeList(n, np.flatnonzero(flags).astype(np.int64, copy=False))
+    out = np.empty(math.ceil(1.25506 * n / math.log(n)), dtype=np.int64)
+    out[0], count = 2, 1
+    odd = primes_up_to(math.isqrt(n)).primes[1:]
+    flags = np.empty(DEFAULT_BLOCK, dtype=bool)
+    stop = (n + 1) // 2  # flag i stands for the odd integer 2 i + 1 <= n
+    for a in range(0, stop, DEFAULT_BLOCK):
+        b = min(a + DEFAULT_BLOCK, stop)
+        seg = flags[: b - a]
+        seg[:] = True
+        if a == 0:
+            seg[0] = False  # 1
+        top = int(np.searchsorted(odd, math.isqrt(2 * b - 1), side="right"))
+        ps = odd[:top]
+        # the first odd multiple of p past both p^2 and 2 a + 1
+        starts = np.maximum((ps * ps) // 2, a + ((ps - 1) // 2 - a) % ps) - a
+        for p, start in zip(ps.tolist(), starts.tolist()):
+            seg[start::p] = False
+        found = np.flatnonzero(seg)
+        out[count : count + found.size] = 2 * (found + a) + 1
+        count += found.size
+    return PrimeList(n, out[:count])
 
 
 def arith_signature(n: int) -> ArithSignature:
@@ -136,18 +172,24 @@ def arith_signature(n: int) -> ArithSignature:
 class BlockTables:
     """Vectorized arithmetic data for every n = lo + i in [lo, hi].
 
-    squarefree[i] is mu^2(n) == 1 and omega[i] is omega(n).  cofactor[i] is
-    the part of n left after dividing out all base primes <= sqrt(bound),
-    bound being the hi of the sieved block the rows belong to; it is
-    either 1 or a single prime.
+    squarefree[i] is mu^2(n) == 1 and omega[i] is omega(n).  smooth[i] is
+    the part of n made of the base primes <= sqrt(bound), bound being the
+    hi of the sieved block the rows belong to, so the cofactor n // smooth
+    is either 1 or a single prime, and smooth[i] < n exactly where the
+    cofactor is a prime.  The cofactor is derived, not stored.
     """
 
     lo: int
     hi: int
     omega: np.ndarray  # int8: n < 10^18 has at most 15 distinct primes
     squarefree: np.ndarray  # bool
-    cofactor: np.ndarray  # int32 where bound < 2^31, int64 above
+    smooth: np.ndarray  # int32 where bound < 2^31, int64 above
     bound: int
+
+    @property
+    def cofactor(self) -> np.ndarray:
+        """n // smooth for every row, formed anew, in smooth's dtype."""
+        return np.arange(self.lo, self.hi + 1, dtype=self.smooth.dtype) // self.smooth
 
     def rows(self, lo: int, hi: int) -> "BlockTables":
         """The tables of [lo, hi] within [self.lo, self.hi], as views, same bound."""
@@ -155,7 +197,7 @@ class BlockTables:
             raise DomainError(f"[{lo}, {hi}] is not within [{self.lo}, {self.hi}]")
         s = slice(lo - self.lo, hi - self.lo + 1)
         return BlockTables(
-            lo, hi, self.omega[s], self.squarefree[s], self.cofactor[s], self.bound
+            lo, hi, self.omega[s], self.squarefree[s], self.smooth[s], self.bound
         )
 
 
@@ -169,6 +211,46 @@ def _check_base(hi: int, base: PrimeList) -> np.ndarray:
     return base.primes[:cut]
 
 
+@functools.cache
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """omega and the smooth part of r over _WHEEL_PRIMES, for r mod their product."""
+    period = math.prod(_WHEEL_PRIMES)
+    omega = np.zeros(period, dtype=np.int8)
+    smooth = np.ones(period, dtype=np.int32)
+    for p in _WHEEL_PRIMES:
+        omega[::p] += 1
+        smooth[::p] *= p
+    omega.flags.writeable = smooth.flags.writeable = False  # shared by every block
+    return omega, smooth
+
+
+def _strike(lo: int, ps, qs, smooth, omega=None, squarefree=None) -> None:
+    """Multiply ps[i] into smooth at every multiple of qs[i] in the block.
+
+    There, omega gains 1 if given, else squarefree is cleared.  A q below
+    the block's width is struck by one strided slice each; a wider q has
+    at most one multiple in the block, and all of those are struck at once.
+    """
+    size = smooth.size
+    near = qs < size
+    for p, q in zip(ps[near].tolist(), qs[near].tolist()):
+        sl = slice(-lo % q, size, q)
+        if omega is None:
+            squarefree[sl] = False
+        else:
+            omega[sl] += 1
+        smooth[sl] *= p
+    far = np.flatnonzero(~near)
+    at = -lo % qs[far]
+    hit = at < size
+    at = at[hit]
+    if omega is None:
+        squarefree[at] = False
+    else:
+        np.add.at(omega, at, 1)
+    np.multiply.at(smooth, at, ps[far[hit]].astype(smooth.dtype))
+
+
 def sieve_block_tables(lo: int, hi: int, base: PrimeList) -> BlockTables:
     """Sieve [lo, hi] against the base primes; pure in (lo, hi, base)."""
     if not 1 <= lo <= hi:
@@ -176,23 +258,39 @@ def sieve_block_tables(lo: int, hi: int, base: PrimeList) -> BlockTables:
     size = hi - lo + 1
     omega = np.zeros(size, dtype=np.int8)
     squarefree = np.ones(size, dtype=bool)
-    cofactor = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
+    smooth = np.ones(size, dtype=np.int32 if hi < 2**31 else np.int64)
     primes = _check_base(hi, base)
-    first = -lo % primes  # offset of each prime's first multiple in the block
-    within = first < size  # a narrow block misses most primes, and their powers
-    for p, start in zip(primes[within].tolist(), first[within].tolist()):
-        sl = slice(start, size, p)
-        omega[sl] += 1
-        cofactor[sl] //= p
-        q = p * p
-        while q <= hi:
-            start = ((lo + q - 1) // q) * q
-            sl = slice(start - lo, size, q)
-            squarefree[sl] = False
-            cofactor[sl] //= p
-            q *= p
-    omega += cofactor > 1
-    return BlockTables(lo, hi, omega, squarefree, cofactor, hi)
+    wheel = 0
+    if primes.size >= len(_WHEEL_PRIMES):  # hi >= 169: every wheel prime is a base prime
+        wheel = len(_WHEEL_PRIMES)
+        wheel_omega, wheel_smooth = _wheel()
+        at, r = 0, lo % wheel_omega.size
+        while at < size:  # one period, from residue r, at a time
+            stop = min(at + wheel_omega.size - r, size)
+            omega[at:stop] = wheel_omega[r : r + stop - at]
+            smooth[at:stop] = wheel_smooth[r : r + stop - at]
+            at, r = stop, 0
+    for a in range(0, primes.size, _PRIME_CHUNK):
+        ps = primes[a : a + _PRIME_CHUNK]
+        first = ps[wheel if a == 0 else 0 :]
+        _strike(lo, first, first, smooth, omega=omega)
+        levels_p, levels_q = [], []
+        qs = ps * ps  # <= hi, as p <= sqrt(hi)
+        while ps.size:
+            levels_p.append(ps)
+            levels_q.append(qs)
+            keep = qs <= hi // ps
+            ps = ps[keep]
+            qs = qs[keep] * ps
+        _strike(
+            lo, np.concatenate(levels_p), np.concatenate(levels_q), smooth,
+            squarefree=squarefree,
+        )
+    # the cofactor prime's bit, compared a TERM_ROWS piece at a time
+    for a in range(0, size, TERM_ROWS):
+        b = min(a + TERM_ROWS, size)
+        omega[a:b] += smooth[a:b] < np.arange(lo + a, lo + b, dtype=smooth.dtype)
+    return BlockTables(lo, hi, omega, squarefree, smooth, hi)
 
 
 def iter_blocks(lo: int, hi: int, block: int = DEFAULT_BLOCK):
@@ -236,7 +334,8 @@ def ranked_walk(n_max: int):
     where n is prime (omega(n) = 1, squarefree), and the set bits below each
     64-bit word are counted: 3 n_max / 16 bytes, formed after sieve_walk's
     term budget check.  A cofactor prime is at most its row's hi, so it is
-    marked before it is ranked.
+    marked before it is ranked; it is formed, as n // smooth, only on the
+    rows where smooth < n.
     """
     pieces = sieve_walk(1, n_max)
     words = np.zeros((n_max + 63) // 64, dtype="<u8")
@@ -249,13 +348,14 @@ def ranked_walk(n_max: int):
         counts = below[start + 1 : stop + 1]
         np.cumsum(np.bitwise_count(words[start:stop]), dtype=np.int32, out=counts)
         counts += below[start]
-        big = np.flatnonzero(t.cofactor > 1)
-        at = t.cofactor[big] - 1  # the prime's bit
+        n = np.arange(t.lo, t.hi + 1, dtype=t.smooth.dtype)
+        big = np.flatnonzero(t.smooth < n)
+        at = n[big] // t.smooth[big] - 1  # the cofactor prime's bit
         low = np.uint64(1) << (at & 63).astype(np.uint64)
         low -= np.uint64(1)
         at >>= 6
         low &= words[at]  # the marks below the prime in its word
-        ranks = np.full(t.cofactor.size, -1, dtype=np.int32)
+        ranks = np.full(t.smooth.size, -1, dtype=np.int32)
         ranks[big] = np.bitwise_count(low) + below[at]
         yield t, ranks, int(below[stop])
 

@@ -7,7 +7,38 @@ import numpy as np
 import pytest
 
 from rmflab.sampler import Mode, SignAssignment
-from rmflab.sieve import primes_up_to
+from rmflab.sieve import _check_base, primes_up_to
+
+
+def divided_block_tables(lo, hi, base):
+    """(omega, squarefree, cofactor) of [lo, hi] by the per-prime division sieve.
+
+    Each base prime p <= sqrt(hi) with a multiple in the block adds 1 to
+    omega there and is divided out of a running cofactor, int32 below
+    2^31, once per power level p, p^2, ... <= hi, the levels from p^2 on
+    clearing squarefree; omega then counts a cofactor left above 1.  The
+    reference for sieve.sieve_block_tables, which multiplies a smooth part.
+    """
+    size = hi - lo + 1
+    omega = np.zeros(size, dtype=np.int8)
+    squarefree = np.ones(size, dtype=bool)
+    cofactor = np.arange(lo, hi + 1, dtype=np.int32 if hi < 2**31 else np.int64)
+    primes = _check_base(hi, base)
+    first = -lo % primes
+    within = first < size
+    for p, start in zip(primes[within].tolist(), first[within].tolist()):
+        sl = slice(start, size, p)
+        omega[sl] += 1
+        cofactor[sl] //= p
+        q = p * p
+        while q <= hi:
+            start = ((lo + q - 1) // q) * q
+            sl = slice(start - lo, size, q)
+            squarefree[sl] = False
+            cofactor[sl] //= p
+            q *= p
+    omega += cofactor > 1
+    return omega, squarefree, cofactor
 
 
 def searched_ranks(tables, base):

@@ -345,6 +345,22 @@ def test_long_trajectory_walks_without_a_prime_list(run_fresh):
     assert int(run_fresh(code)) < 68 * 1024  # kB
 
 
+def test_far_narrow_tail_sieves_its_base_in_segments(run_fresh):
+    # a head of 10 integers near 10^16 needs the primes <= 10^8: sieved on one
+    # 10^8-byte flag array, they took 140 MB above the RSS after import
+    argv = ["nt", "tail", "--x", "1e16", "--m", "3", "--sigma", "0.75",
+            "--cutoff", "10000000000000010", "--seed", "1"]
+    code = (
+        "import os, resource\n"
+        "from rmflab.cli import dispatch\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        f"    assert dispatch({argv!r}, sink, sink) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < 80 * 1024  # kB
+
+
 @pytest.mark.parametrize(
     "argv, values",
     [

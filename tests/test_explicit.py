@@ -111,6 +111,23 @@ def test_omega_histogram_cache_is_emptied_past_its_size(walks, monkeypatch):
     assert first[0] == first[3] == tuple(hist)
 
 
+def test_omega_histogram_cache_keeps_at_most_its_size(walks):
+    # one call with 40 new x used to leave 40 entries behind
+    xs = list(range(2_500, 102_500, 2_500))
+    got = _omega_histograms(xs)
+    assert walks == [(1, xs[-1])]
+    assert len(explicit._histograms) <= explicit.HISTOGRAM_CACHE
+    t = sieve_block_tables(1, xs[-1], primes_up_to(math.isqrt(xs[-1])))
+    uncached = {
+        x: tuple(np.bincount(t.omega[: x][t.squarefree[: x]], minlength=20).tolist())
+        for x in xs
+    }
+    assert got == [uncached[x] for x in xs]
+    assert all(uncached[x] == hist for x, hist in explicit._histograms.items())
+    assert _omega_histograms(xs[::-1]) == got[::-1]
+    assert len(explicit._histograms) <= explicit.HISTOGRAM_CACHE
+
+
 def test_fit_walks_once_for_its_whole_grid(walks):
     fit = fit_lemma31_constants([100, 1000, 10_000, 100_000], [3, 5])
     assert walks == [(1, 100_000)]

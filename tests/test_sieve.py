@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import searched_ranks
+from conftest import divided_block_tables, searched_ranks
 from rmflab.errors import DomainError, SieveBaseError
 from rmflab.sieve import (
     DEFAULT_BLOCK,
@@ -39,6 +39,28 @@ def test_primes_up_to_30_against_trial_division():
     plist = primes_up_to(30)
     assert len(plist) == 10
     assert plist.primes.tolist() == brute_primes(30)
+
+
+def eratosthenes(n):
+    """Primes <= n from one flag per integer: the reference for the segments."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2, 3, 4, 2 * DEFAULT_BLOCK - 1, 2 * DEFAULT_BLOCK, 2 * DEFAULT_BLOCK + 1,
+     2 * DEFAULT_BLOCK + 3, 4 * DEFAULT_BLOCK + 7, 1_234_567],
+)
+def test_primes_up_to_across_odd_segments(n):
+    # each segment flags DEFAULT_BLOCK odd integers, 2 DEFAULT_BLOCK integers
+    plist = primes_up_to(n)
+    assert plist.primes.dtype == np.int64 and plist.limit == n
+    assert np.array_equal(plist.primes, eratosthenes(n))
 
 
 def test_primes_negative_limit_rejected():
@@ -155,6 +177,54 @@ def test_blocks_are_pure_and_order_free():
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.squarefree, b.squarefree)
     assert np.array_equal(a.cofactor, b.cofactor)
+
+
+@st.composite
+def sieve_blocks(draw):
+    """(lo, hi) of a block of 1 to DEFAULT_BLOCK integers.
+
+    Anywhere up to 10^9 (so the wheel's fill wraps zero or more periods of
+    30030), across 2^31 where the int64 smooth part starts, below 169 where
+    the base lacks a wheel prime, or around a multiple of p^2 or p^3 with
+    one or two multiples in the block.
+    """
+    kind = draw(st.sampled_from(["anywhere", "across 2^31", "below 169", "power"]))
+    if kind == "below 169":
+        hi = draw(st.integers(1, 168))
+        return draw(st.integers(1, hi)), hi
+    if kind == "across 2^31":
+        width = draw(st.integers(2, DEFAULT_BLOCK))
+        lo = draw(st.integers(2**31 - width + 1, 2**31 - 1))
+        return lo, lo + width - 1
+    if kind == "power":
+        p = draw(st.sampled_from(primes_up_to(1000).primes.tolist()))
+        q = p ** draw(st.integers(2, 3))
+        width = draw(st.integers(1, min(q + 1, DEFAULT_BLOCK)))
+        n = q * draw(st.integers(1, 10**9 // q))
+        lo = n - draw(st.integers(0, min(width, n) - 1))
+        return lo, lo + width - 1
+    lo = draw(st.integers(1, 10**9))
+    return lo, lo + draw(st.integers(1, DEFAULT_BLOCK)) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(sieve_blocks())
+@example((1, 168))  # five base primes: no wheel
+@example((1, 169))  # the first block with the wheel
+@example((30029, 60060))  # the fill wraps twice
+@example((1, DEFAULT_BLOCK))
+@example((10**9 - DEFAULT_BLOCK + 1, 10**9))
+@example((2**31 - 1, 2**31))
+@example((1_000_003**2 - 1, 1_000_003**2 + 1))  # a base prime's square
+@example((3 * 509**2, 4 * 509**2))  # two multiples of a square one narrower
+def test_block_tables_match_the_dividing_sieve(block):
+    lo, hi = block
+    base = primes_up_to(math.isqrt(hi))
+    t = sieve_block_tables(lo, hi, base)
+    omega, squarefree, cofactor = divided_block_tables(lo, hi, base)
+    assert (t.omega.dtype, t.omega.tobytes()) == (omega.dtype, omega.tobytes())
+    assert t.squarefree.tobytes() == squarefree.tobytes()
+    assert (t.cofactor.dtype, t.cofactor.tobytes()) == (cofactor.dtype, cofactor.tobytes())
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 3 * 2**18 + 5), (12345, 12345 + 2**19)])
