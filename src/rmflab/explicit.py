@@ -233,8 +233,9 @@ def _squarefree_weighted_sum(lo_n: int, hi_n: int, m: float, sigma: float) -> fl
                 if powers.size <= (top := int(t.omega.max())):
                     powers = (m - 1.0) ** np.arange(top + 1, dtype=t.omega.dtype)
                 rows = np.flatnonzero(t.squarefree)
-                n = rows + float(t.lo)
-                terms = powers[np.take(t.omega, rows)] * power_weights(n, 2.0 * sigma)
+                terms = powers[np.take(t.omega, rows)]
+                rows = rows + float(t.lo)  # n as float64, and the int64 rows go
+                terms *= power_weights(rows, 2.0 * sigma)
                 parts.append(exact_sum(terms))
         total = math.fsum(parts)
     except OverflowError:  # a piece's sum or the fsum of them passed float64
