@@ -11,8 +11,9 @@ bound.  Single integers are factored by trial division, within the same
 term budget.  ranked_walk ranks each cofactor prime of [1, N] from the
 walk's own marks, with no list of the primes up to N.
 
-The block strategy: omega and the smooth part start from one 30030-periodic
-pattern of the primes <= 13; every other base prime p <= sqrt(hi) adds 1
+The block strategy: omega and the smooth part start from the 30030-periodic
+pattern of the primes <= 13, struck on the block's first period and copied
+over the rest; every other base prime p <= sqrt(hi) adds 1
 to omega at its multiples, and every base prime power p^k <= hi, k >= 2,
 clears squarefree at its multiples; each multiplies p into the smooth part
 there.  The smooth part is then n less any single prime above sqrt(hi),
@@ -50,9 +51,8 @@ TERM_ROWS = 1 << 16
 SIEVE_TERM_LIMIT = 10**9
 
 #: The wheel's primes: a block with hi >= 13^2 strikes them on its first
-#: _WHEEL_PERIOD rows and copies that pattern over the rest.  It is built
-#: per block, not cached: a kept pattern raised the peak RSS of a 10^6
-#: tail sieve by 0.5 MB, as it pinned the heap above the block's arrays.
+#: _WHEEL_PERIOD rows and copies that pattern over the rest, so the pattern
+#: is built where it is used and no array outlives the block.
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
 
