@@ -71,6 +71,10 @@ COEFFICIENT_LIMIT = 10**7
 #: 256 float64 per 8 primes, and `--trials 256` peaked at 2.3 GB at 10^8.
 PRIME_TAIL_LIMIT = 10**8
 
+#: Most trials of a Monte Carlo run, a memory budget: mc_moment's sums and
+#: _mean's two buffers hold 24 bytes a trial, 2.4 GB at 10^8.
+TRIAL_LIMIT = 10**8
+
 _INTERVAL_SHIFT = 128
 
 
@@ -363,7 +367,7 @@ def _mean(
         half = _z(level) * math.sqrt(var / trials)
         if flag_kurtosis and var > 0:
             m4 = exact_sum(np.power(centered, 4, out=powers)) / trials
-            kurtosis_excess = m4 / (var * var) - 3.0
+            kurtosis_excess = m4 / var / var - 3.0  # var * var may underflow to 0
             heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
     if not math.isfinite(mean + half):
         raise DomainError("the sample mean or its interval overflows float64")
@@ -374,9 +378,11 @@ def _mean(
 
 
 def _check_run(trials: int, level: float, least: int = 1) -> None:
-    """Reject a run too short or a confidence level outside (0, 1) up front."""
-    if trials < least:
-        raise DomainError(f"trials must be >= {least}, got {trials}")
+    """Reject a run too short or too long, or a level outside (0, 1), up front."""
+    if not least <= trials <= TRIAL_LIMIT:
+        raise DomainError(
+            f"trials must lie in [{least}, {TRIAL_LIMIT}], the trial budget: {trials}"
+        )
     _z(level)
 
 

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, SignRangeError
-from .sieve import ArithSignature, BlockTables, PrimeList, _check_base, primes_up_to
+from .sieve import ArithSignature, BlockTables, PrimeList, prime_count_bound, primes_up_to
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,17 +81,20 @@ class Mode(enum.Enum):
 class SignAssignment:
     """Signs of all primes <= limit for one (master_seed, trial_index).
 
-    neg_bits is the trial's row of batch_neg_bits: ceil(pi(limit) / 8)
-    bytes, bit r mod 8 of byte r >> 3 set where the prime of rank r gets
-    sign -1.  Immutable and safe to share across threads.
+    neg_bits is the trial's row of batch_neg_bits for at least pi(limit)
+    ranks, bit r mod 8 of byte r >> 3 set where the prime of rank r gets
+    sign -1.  primes is sieved when first read.  Safe to share across threads.
     """
 
     master_seed: int
     trial_index: int
     limit: int
     mode: Mode
-    primes: PrimeList
     neg_bits: np.ndarray
+
+    @cached_property
+    def primes(self) -> PrimeList:
+        return primes_up_to(self.limit)
 
     @property
     def key(self) -> tuple[int, int, int, str]:
@@ -113,14 +117,13 @@ def sample_signs(
     n: int,
     mode: Mode = Mode.SQUAREFREE_MULT,
 ) -> SignAssignment:
-    """Deterministic sign assignment for all primes <= n."""
+    """Deterministic signs for all primes <= n: a row of prime_count_bound(n) ranks."""
     if trial_index < 0:
         raise DomainError(f"trial_index must be >= 0, got {trial_index}")
     if trial_index > _MASK64:
         raise DomainError(f"trial_index must be < 2^64, got {trial_index}")
-    primes = primes_up_to(n)
-    bits = batch_neg_bits(master_seed, [trial_index], len(primes))[0]
-    return SignAssignment(master_seed & _MASK64, trial_index, n, mode, primes, bits)
+    bits = batch_neg_bits(master_seed, [trial_index], prime_count_bound(n))[0]
+    return SignAssignment(master_seed & _MASK64, trial_index, n, mode, bits)
 
 
 def f_value(a: SignAssignment, n: int, sig: ArithSignature) -> int:
@@ -189,7 +192,7 @@ def sign_table(packed: np.ndarray, used: int) -> np.ndarray:
     return table
 
 
-def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, trials):
+def table_f(table, tables: BlockTables, ranks, mode: Mode, trials):
     """f of the first trials columns of a sign_table on the rows of tables.
 
     The one kernel that builds f, called by series.walk_blocks per trial
@@ -197,16 +200,15 @@ def table_f(table, tables: BlockTables, ranks, base: PrimeList, mode: Mode, tria
     the ranks of the primes <= tables.hi; rows of larger ranks are never
     read.  The parity of the negative primes dividing n follows the sieve:
     one gather of table rows picks up the single cofactor prime, then each
-    base prime p <= sqrt(tables.bound) XORs its row into the rows of its
-    multiples, at every power level p, p^2, ... in completely multiplicative
-    mode (which leaves v_p(n) mod 2).  One unpack turns the parities into
-    signs, and non-squarefree n are zeroed in squarefree mode.
+    prime p of tables.base, its block's base, XORs its row into the rows of
+    its multiples, at every power level p, p^2, ... in completely
+    multiplicative mode (which leaves v_p(n) mod 2).  One unpack turns the
+    parities into signs, and non-squarefree n are zeroed in squarefree mode.
     """
     parity = table[ranks]
-    # primes up to sqrt(bound) were divided out of the cofactors; those past
-    # hi have no multiple in the rows, and no row in the table
-    small = _check_base(tables.bound, base).tolist()
-    for r, p in enumerate(small):
+    # the base primes are not in the cofactors; those past hi have no
+    # multiple in the rows, and no row in the table
+    for r, p in enumerate(tables.base.tolist()):
         q = p
         while q <= tables.hi:
             # (-lo) % q is the offset of the rows' first multiple of q

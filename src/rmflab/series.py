@@ -41,7 +41,7 @@ from .accum import (
 )
 from .errors import DomainError, PoleError, SignRangeError
 from .sampler import Mode, SignAssignment, sign_table, table_f
-from .sieve import TERM_ROWS, ranked_walk, walk_base
+from .sieve import TERM_ROWS, prime_count_bound, ranked_walk
 
 #: Most trials in a batch, and its budget of float64 working cells (~64 MB).
 _DEFAULT_BATCH, _BATCH_CELL_BUDGET = 2048, 1 << 23
@@ -139,9 +139,10 @@ def walk_blocks(
     w = n^-sigma, or if sigma is None by w = weigh(lo, hi) (None if weigh
     is None too).  A trial_batches batch is sized by the cells of CHUNK
     running sums, the f of a CHUNK-row sub-piece at least and the packed
-    sign bits of a bound on pi(n_max) ranks per trial: a function of n_max
-    alone, which sets mc_moment's sums, though a scanner holds only one
-    accum.TILE_CELLS tile a batch.  On each piece a batch draws the
+    sign bits of sieve.prime_count_bound(n_max) ranks per trial, which
+    checks the term budget: a function of n_max alone, which sets
+    mc_moment's sums, though a scanner holds only one accum.TILE_CELLS tile
+    a batch.  On each piece a batch draws the
     bits(trial_indices, pi(hi)) of the ranks the piece reads once, in
     batch_neg_bits' packed rows, turns them into a sampler.sign_table and
     builds its f on sub-pieces of sub_piece_rows(width) rows, multiples of
@@ -156,12 +157,10 @@ def walk_blocks(
     Returns the band of the running sums of f * w from the masses of w on
     f's support, or None.
     """
-    base = walk_base(1, n_max)  # the term budget, before any walk memory
+    cells = 2 * CHUNK + (prime_count_bound(n_max) + 7) // 8
     masses: list[float] = []
     w = None
     walked = {}  # batch -> its rows still walked, once a trial has retired
-    # pi(n) < 1.25506 n / log n for n > 1 (Rosser and Schoenfeld, 1962)
-    cells = 2 * CHUNK + math.ceil(1.25506 * n_max / math.log(max(n_max, 2)) / 8)
     with trial_batches(trials, cells, threads) as each_batch:
         for tables, ranks, used in ranked_walk(n_max):
             lo, hi = tables.lo, tables.hi
@@ -185,7 +184,7 @@ def walk_blocks(
                     b = min(a + step - 1, hi)
                     cut = slice(a - lo, b - lo + 1)
                     sub = tables.rows(a, b)
-                    f = table_f(table, sub, ranks[cut], base, mode, chosen.size)
+                    f = table_f(table, sub, ranks[cut], mode, chosen.size)
                     visit(rows, a, f, None if w is None else w[cut])
                     if retired is not None and b < n_max:
                         done = retired(rows)

@@ -7,7 +7,7 @@ divisors, and the smooth part of n over the small primes, whose cofactor
 n // smooth is 1 or one prime.  Blocks are pure functions of (lo, hi,
 base): they can be sieved in any order, cached, and merged freely, and
 BlockTables.rows cuts a block into the pieces, which keep the block's
-bound.  Single integers are factored by trial division, within the same
+base primes.  Single integers are factored by trial division, within the same
 term budget.  ranked_walk ranks each cofactor prime of [1, N] from the
 walk's own marks, with no list of the primes up to N.
 
@@ -95,21 +95,23 @@ class ArithSignature:
     distinct_primes: tuple[int, ...]
 
 
+def prime_count_bound(n: int) -> int:
+    """ceil(1.25506 n / log n) > pi(n) for n > 1 (Rosser, Schoenfeld 1962); 0 below."""
+    if not 0 <= n <= SIEVE_TERM_LIMIT:
+        raise DomainError(f"{n} is outside the sieve term budget [0, {SIEVE_TERM_LIMIT}]")
+    return math.ceil(1.25506 * n / math.log(n)) if n > 1 else 0
+
+
 def primes_up_to(n: int) -> PrimeList:
     """All primes <= n, ascending, by a segmented sieve of the odd integers.
 
     Each segment flags DEFAULT_BLOCK odd integers against the odd primes
     <= sqrt(n), so the flags stay one block.  The list is written into one
-    int64 array sized from pi(n) < 1.25506 n / log n (Rosser and
-    Schoenfeld, 1962) and returned as a view of its head, not copied.
+    int64 array of prime_count_bound(n) and returned as a view of its head.
     """
-    if n < 0:
-        raise DomainError(f"negative sieve limit {n}")
-    if n > SIEVE_TERM_LIMIT:
-        raise DomainError(f"{n} exceeds the sieve term budget of {SIEVE_TERM_LIMIT}")
+    out = np.empty(prime_count_bound(n), dtype=np.int64)
     if n < 2:
-        return PrimeList(n, np.empty(0, dtype=np.int64))
-    out = np.empty(math.ceil(1.25506 * n / math.log(n)), dtype=np.int64)
+        return PrimeList(n, out)
     out[0], count = 2, 1
     odd = primes_up_to(math.isqrt(n)).primes[1:]
     stop = (n + 1) // 2  # flag i stands for the odd integer 2 i + 1 <= n
@@ -174,19 +176,19 @@ def arith_signature(n: int) -> ArithSignature:
 class BlockTables:
     """Vectorized arithmetic data for every n = lo + i in [lo, hi].
 
-    squarefree[i] is mu^2(n) == 1 and omega[i] is omega(n).  smooth[i] is
-    the part of n made of the base primes <= sqrt(bound), bound being the
-    hi of the sieved block the rows belong to, so the cofactor n // smooth
-    is either 1 or a single prime, and smooth[i] < n exactly where the
-    cofactor is a prime.  The cofactor is derived, not stored.
+    squarefree[i] is mu^2(n) == 1 and omega[i] is omega(n).  base is the
+    primes <= sqrt(hi) that the rows' block was sieved with, and smooth[i]
+    the part of n made of them, so the cofactor n // smooth is either 1 or
+    a single prime, and smooth[i] < n exactly where the cofactor is a
+    prime.  The cofactor is derived, not stored.
     """
 
     lo: int
     hi: int
     omega: np.ndarray  # int8: n < 10^18 has at most 15 distinct primes
     squarefree: np.ndarray  # bool
-    smooth: np.ndarray  # int32 where bound < 2^31, int64 above
-    bound: int
+    smooth: np.ndarray  # int32 where the block's hi < 2^31, int64 above
+    base: np.ndarray  # int64, ascending
 
     @property
     def cofactor(self) -> np.ndarray:
@@ -194,12 +196,12 @@ class BlockTables:
         return np.arange(self.lo, self.hi + 1, dtype=self.smooth.dtype) // self.smooth
 
     def rows(self, lo: int, hi: int) -> "BlockTables":
-        """The tables of [lo, hi] within [self.lo, self.hi], as views, same bound."""
+        """The tables of [lo, hi] within [self.lo, self.hi], as views, same base."""
         if not self.lo <= lo <= hi <= self.hi:
             raise DomainError(f"[{lo}, {hi}] is not within [{self.lo}, {self.hi}]")
         s = slice(lo - self.lo, hi - self.lo + 1)
         return BlockTables(
-            lo, hi, self.omega[s], self.squarefree[s], self.smooth[s], self.bound
+            lo, hi, self.omega[s], self.squarefree[s], self.smooth[s], self.base
         )
 
 
@@ -282,7 +284,7 @@ def sieve_block_tables(lo: int, hi: int, base: PrimeList) -> BlockTables:
     for a in range(0, size, TERM_ROWS):
         b = min(a + TERM_ROWS, size)
         omega[a:b] += smooth[a:b] < np.arange(lo + a, lo + b, dtype=smooth.dtype)
-    return BlockTables(lo, hi, omega, squarefree, smooth, hi)
+    return BlockTables(lo, hi, omega, squarefree, smooth, primes)
 
 
 def iter_blocks(lo: int, hi: int, block: int = DEFAULT_BLOCK):
@@ -310,7 +312,7 @@ def sieve_walk(lo_n: int, hi_n: int):
     """BlockTables of [lo_n, hi_n] in pieces of TERM_ROWS rows, ascending.
 
     Each iter_blocks block is sieved once and cut by BlockTables.rows, so
-    piece k starts at lo_n + k TERM_ROWS and keeps its block's bound.  The
+    piece k starts at lo_n + k TERM_ROWS and keeps its block's base.  The
     term budget is checked at the call, before any block is sieved.
     """
     base = walk_base(lo_n, hi_n)

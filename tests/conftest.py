@@ -65,7 +65,7 @@ def assignment_factory():
             dtype=np.uint8,
         )
         bits = np.packbits(bits, bitorder="little")
-        return SignAssignment(seed, trial, limit, mode, plist, bits)
+        return SignAssignment(seed, trial, limit, mode, bits)
 
     return make
 

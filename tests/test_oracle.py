@@ -137,7 +137,7 @@ def test_band_decisions_match_exact_on_every_assignment(mode, sigma, x):
     tables = sieve_block_tables(1, n_max, base)
     packed = _index_bits(np.arange(trials), len(base))
     table = sign_table(packed, len(base))
-    f = table_f(table, tables, searched_ranks(tables, base), base, mode, trials)
+    f = table_f(table, tables, searched_ranks(tables, base), mode, trials)
     brackets = _scaled_weights(n_max, sigma)
     exact = np.array(
         [_certified_positive(row, brackets, x, i) for i, row in enumerate(f.T.tolist())]
@@ -655,6 +655,14 @@ def test_mean_pinned():
     assert (repr(e.estimate), repr(e.ci_low), repr(e.ci_high), e.heavy_tail) == (
         "2.5044172000000002", "2.464214112822264", "2.5446202871777364", False
     )
+
+
+def test_kurtosis_of_a_sample_whose_variance_squared_underflows():
+    # var = 2e-200 > 0, but var * var underflowed to 0 and the kurtosis ratio
+    # raised ZeroDivisionError; m4 = 1e-400 underflows as well
+    e = _mean(np.array([1e-100, 3e-100]), 1, 0.99, flag_kurtosis=True)
+    assert (e.estimate, e.trials, e.heavy_tail) == (2e-100, 2, False)
+    assert 0.0 == e.ci_low < e.ci_high
 
 
 def test_mc_moment_rejects_overflow_and_empty_coefficients():

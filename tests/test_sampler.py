@@ -82,11 +82,11 @@ def test_last_trial_index_matches_the_scalar_chain():
 
 @pytest.mark.parametrize("trial", [0, 2, 2**64 - 1])
 def test_an_assignment_keeps_its_row_of_the_packed_draw(trial):
-    # pi(1013) = 170 ranks: 21 full bytes and two bits of a 22nd
+    # pi(1013) = 170 ranks, drawn for prime_count_bound(1013) = 184: 23 bytes
     a = sample_signs(9, trial, 1013)
     assert len(a.primes) == 170
-    assert a.neg_bits.shape == (22,)
-    assert np.array_equal(a.neg_bits, batch_neg_bits(9, [trial], 170)[0])
+    assert a.neg_bits.shape == (23,)
+    assert np.array_equal(a.neg_bits, batch_neg_bits(9, [trial], 184)[0])
     signs = a.signs()
     assert signs.dtype == np.int8 and signs.shape == (170,)
     for p in a.primes.primes.tolist():
@@ -131,6 +131,20 @@ def test_stream_f_memory_bounded(run_fresh):
     assert int(run_fresh(code)) < 32 * 1024  # kB
 
 
+def test_sample_signs_draws_its_row_without_sieving(run_fresh):
+    # sample_signs sieved its PrimeList of the primes <= 10^9: 4.8 s and 409 MB
+    # above the RSS after import; the row of a bound on pi(10^9) is 7.6 MB
+    code = (
+        "import resource\n"
+        "from rmflab import sample_signs\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "a = sample_signs(1, 0, 10**9)\n"
+        "assert a.neg_bits.size * 8 >= 50_847_534  # pi(10^9)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(run_fresh(code)) < 40 * 1024  # kB
+
+
 @pytest.mark.parametrize("mode", [Mode.SQUAREFREE_MULT, Mode.COMPLETELY_MULT])
 def test_stream_f_across_sieve_blocks_matches_one_whole_range_table(mode):
     # lo > 1 and two 2^18 block boundaries: the pieces keep their blocks' bounds
@@ -139,7 +153,7 @@ def test_stream_f_across_sieve_blocks_matches_one_whole_range_table(mode):
     tables = sieve_block_tables(lo, hi, a.primes)
     packed = batch_neg_bits(5, [2], len(a.primes))
     table, ranks = sign_table(packed, len(a.primes)), searched_ranks(tables, a.primes)
-    expected = table_f(table, tables, ranks, a.primes, mode, 1)[:, 0]
+    expected = table_f(table, tables, ranks, mode, 1)[:, 0]
     assert np.array_equal(stream_f(a, lo, hi), expected)
 
 
@@ -174,7 +188,7 @@ def test_table_f_rows_match_f_value_on_inner_block(mode):
     trials = np.arange(10, 15)
     tables = sieve_block_tables(lo, hi, base)
     table = sign_table(batch_neg_bits(seed, trials, len(base)), len(base))
-    f = table_f(table, tables, searched_ranks(tables, base), base, mode, trials.size)
+    f = table_f(table, tables, searched_ranks(tables, base), mode, trials.size)
     assert f.T.shape == (trials.size, hi - lo + 1) and f.dtype == np.int8
     for row, trial in zip(f.T, trials.tolist()):
         a = sample_signs(seed, trial, limit, mode)
@@ -199,7 +213,7 @@ def test_table_f_cells_match_f_value(trials, mode, lo, width, extra, seed):
     tables = sieve_block_tables(lo, hi, base)
     packed = batch_neg_bits(seed, np.arange(trials), len(base))
     table = sign_table(packed, len(base))
-    f = table_f(table, tables, searched_ranks(tables, base), base, mode, trials)
+    f = table_f(table, tables, searched_ranks(tables, base), mode, trials)
     assert f.shape == (width, trials) and f.dtype == np.int8
     signatures = [arith_signature(n) for n in range(lo, hi + 1)]
     for t in range(trials):
@@ -216,11 +230,11 @@ def test_f_on_rows_of_a_wider_block_matches_f_value(mode, lo, hi):
     base = primes_up_to(limit)
     block = sieve_block_tables(1, block_hi, base)
     rows = block.rows(lo, hi)
-    assert rows.bound == block_hi
+    assert np.array_equal(rows.base, primes_up_to(math.isqrt(block_hi)).primes)
     packed = batch_neg_bits(seed, range(3), len(base))
     table = sign_table(packed, len(base))
     for ranks in (searched_ranks(rows, base), searched_ranks(block, base)[lo - 1 : hi]):
-        f = table_f(table, rows, ranks, base, mode, 3)
+        f = table_f(table, rows, ranks, mode, 3)
         for t in range(3):
             a = sample_signs(seed, t, limit, mode)
             expected = [f_value(a, n, arith_signature(n)) for n in range(lo, hi + 1)]

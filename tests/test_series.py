@@ -138,7 +138,7 @@ def test_trajectory_is_one_row_of_the_batch_scan(mode):
     packed = batch_neg_bits(seed, np.arange(trial + 1), len(base))
     tables = sieve_block_tables(1, n, base)
     ranks = searched_ranks(tables, base)
-    f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trial + 1)
+    f = table_f(sign_table(packed, len(base)), tables, ranks, mode, trial + 1)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
     row = np.concatenate([s[:, trial].copy() for _, s in running_sums(f, weights)])
     assert t.values.tobytes() == row.tobytes()
@@ -235,7 +235,7 @@ def test_outcomes_minimum_starts_past_x_on_a_tile_seam(monkeypatch):
     packed = batch_neg_bits(seed, np.arange(trials), len(base))
     tables = sieve_block_tables(1, n, base)
     ranks = searched_ranks(tables, base)
-    f = table_f(sign_table(packed, len(base)), tables, ranks, base, mode, trials)
+    f = table_f(sign_table(packed, len(base)), tables, ranks, mode, trials)
     weights = power_weights(np.arange(1, n + 1, dtype=np.float64), sigma)
     sums = in_order(f, weights, np.zeros((1, trials)))
     for x in (63, 64, 65, CHUNK - 1, CHUNK, 2 * CHUNK + 64):

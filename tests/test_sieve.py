@@ -234,7 +234,8 @@ def test_sieve_walk_hands_out_term_rows_pieces(lo, hi):
     assert [t.hi + 1 for t in pieces] == [t.lo for t in pieces[1:]] + [hi + 1]
     assert all(t.hi - t.lo < TERM_ROWS for t in pieces)
     for t in pieces:  # the hi of the DEFAULT_BLOCK block the piece was cut from
-        assert t.bound == min(hi, t.lo + DEFAULT_BLOCK - 1 - (t.lo - lo) % DEFAULT_BLOCK)
+        block_hi = min(hi, t.lo + DEFAULT_BLOCK - 1 - (t.lo - lo) % DEFAULT_BLOCK)
+        assert np.array_equal(t.base, primes_up_to(math.isqrt(block_hi)).primes)
     whole = sieve_block_tables(lo, hi, primes_up_to(math.isqrt(hi)))
     for name in ("omega", "squarefree"):
         joined = np.concatenate([getattr(t, name) for t in pieces])
