@@ -974,40 +974,36 @@ def test_walk_argv_ends_in_a_record_without_nan(op_flags):
 
 _TRIALS = st.one_of(st.integers(1, 300), st.integers(-2, 0))
 _LEVEL = st.one_of(st.floats(0.01, 0.999), _REAL)
-_EXPONENT_OF = {"--sigma": st.one_of(st.floats(0.5, 1.0), _REAL),
-                "--m": st.one_of(st.floats(2.0, 8.0), _REAL)}
+_SIGMA = st.one_of(st.floats(0.5, 1.0), _REAL)
+_ORDER = st.one_of(st.floats(2.0, 8.0), _REAL)
 #: the other series, sieve, oracle and mc operations and a strategy for each
 #: of their flags, required then optional: nmax at most 10^4 (60 for oracle
 #: positivity and 30 for oracle moment, which enumerate every assignment),
 #: P at most 10^5 and at most 300 trials
 _GROUP_FLAGS = {
     **{("series", op): (
-        {"--sigma": _EXPONENT_OF["--sigma"], "--pmax": st.integers(-3, 10**5)},
+        {"--sigma": _SIGMA, "--pmax": st.integers(-3, 10**5)},
         {"--trial": _TRIAL_INDEX, "--mode": _MODES},
     ) for op in ("euler", "logdecomp")},
     ("sieve", "signature"): ({"--n": st.integers(-3, 10**12)}, {}),
     ("oracle", "positivity"): (
-        {"--nmax": st.one_of(st.integers(-3, 60), st.just(10**4)),
-         "--sigma": _EXPONENT_OF["--sigma"]},
+        {"--nmax": st.one_of(st.integers(-3, 60), st.just(10**4)), "--sigma": _SIGMA},
         {"--x": st.integers(-3, 70), "--mode": _MODES},
     ),
     ("oracle", "moment"): (
-        {"--nmax": st.integers(-3, 30), "--m": _EXPONENT_OF["--m"]},
+        {"--nmax": st.integers(-3, 30), "--m": _ORDER},
         {"--exponent": _REAL, "--absolute": st.just(True), "--mode": _MODES},
     ),
     ("mc", "positivity"): (
-        {"--sigma": _EXPONENT_OF["--sigma"], "--nmax": st.integers(-3, 10**4),
-         "--trials": _TRIALS},
+        {"--sigma": _SIGMA, "--nmax": st.integers(-3, 10**4), "--trials": _TRIALS},
         {"--x": st.integers(-3, 10**4), "--level": _LEVEL, "--mode": _MODES},
     ),
     ("mc", "moment"): (
-        {"--nmax": st.integers(-3, 10**4), "--m": _EXPONENT_OF["--m"],
-         "--trials": _TRIALS},
+        {"--nmax": st.integers(-3, 10**4), "--m": _ORDER, "--trials": _TRIALS},
         {"--exponent": _REAL, "--level": _LEVEL, "--mode": _MODES},
     ),
     ("mc", "sign-changes"): (
-        {"--sigma": _EXPONENT_OF["--sigma"], "--nmax": st.integers(-3, 10**4),
-         "--trials": _TRIALS},
+        {"--sigma": _SIGMA, "--nmax": st.integers(-3, 10**4), "--trials": _TRIALS},
         {"--level": _LEVEL, "--mode": _MODES},
     ),
 }
