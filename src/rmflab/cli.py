@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import os
@@ -21,7 +23,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -95,13 +96,19 @@ class Table:
             write("".join(pieces))
         write("]")
 
-    def write_csv(self, writer) -> None:
-        writer.writerow(list(self.columns))
+    def write_csv(self, write) -> None:
+        """Write the CSV text of the header and rows through write, per block.
+
+        Each column of a block is formatted on its own, a shared cell once,
+        and the lines are joined from the columns: the bytes csv.writer
+        writes for the rows, without its per-cell work.
+        """
+        write(_csv_lines([_csv_field(name) for name in self.columns], 1))
         for rows, block in self._blocks():
-            columns = block.values()
-            writer.writerows(
-                zip(*(c if isinstance(c, list) else repeat(c, rows) for c in columns))
-            )
+            write(_csv_lines([
+                _csv_fields(c) if isinstance(c, list) else _csv_field(c)
+                for c in block.values()
+            ], rows))
 
 
 def _json_cells(cells, rows: int) -> list[str]:
@@ -112,6 +119,40 @@ def _json_cells(cells, rows: int) -> list[str]:
     # split at NUL separators gives each cell's own
     text = json.dumps(cells, separators=("\0", ": "), allow_nan=True)
     return text[1:-1].split("\0")
+
+
+def _csv_field(cell) -> str:
+    """A cell's text in a CSV row of several fields, as csv.writer writes it."""
+    if isinstance(cell, str):
+        if not cell:
+            return cell
+        quoted = io.StringIO()
+        csv.writer(quoted, lineterminator="\n").writerow([cell])
+        return quoted.getvalue()[:-1]
+    if cell is None:
+        return ""
+    return repr(cell) if isinstance(cell, float) else str(cell)
+
+
+def _csv_fields(cells: list) -> list[str]:
+    """_csv_field of each of a list of cells; plain numbers by their repr."""
+    if set(map(type, cells)) <= {int, float, bool}:
+        return list(map(repr, cells))
+    return list(map(_csv_field, cells))
+
+
+def _csv_lines(columns: list, rows: int) -> str:
+    """The CSV lines of rows rows from each column's fields, or a shared field."""
+    width = 2 * len(columns)
+    pieces = [","] * (width * rows)  # row-major: each field, then "," or "\n"
+    pieces[width - 1 :: width] = ["\n"] * rows
+    for j, fields in enumerate(columns):
+        if not isinstance(fields, list):
+            fields = [fields] * rows
+        if len(columns) == 1:  # csv.writer quotes a row that would be empty
+            fields = [f or '""' for f in fields]
+        pieces[2 * j :: width] = fields
+    return "".join(pieces)
 
 
 def _table(columns: dict) -> dict:
@@ -584,7 +625,15 @@ _CONFIG_KEYS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rmf-lab parser, built on the first call and shared by every later one.
+
+    dispatch parses with this same object, so a caller that builds it up
+    front pays for it once per process.  No default depends on the
+    environment, and nothing changes the parser once it is built:
+    `--threads` defaults to None, which dispatch resolves on each call.
+    """
     parser = argparse.ArgumentParser(
         prog="rmf-lab",
         description="Numerical laboratory for weighted partial sums of "
@@ -596,9 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, spec in _GLOBALS:
         parser.add_argument(flag, **spec)
         leaf_common.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
-    # argparse converts a string default with type=int, so a value that is
-    # no integer ends as a usage error
-    parser.set_defaults(threads=os.environ.get("RMF_LAB_THREADS", "1"))
     groups = parser.add_subparsers(dest="group", required=True)
     ops: dict = {}
     for group, op, handler, flags in _OPERATIONS:
@@ -611,6 +657,19 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, spec in flags:
             p.add_argument(flag, **spec)
     return parser
+
+
+def _env_threads(parser: argparse.ArgumentParser) -> int:
+    """The thread count of a run without --threads: $RMF_LAB_THREADS, else 1.
+
+    A value that is no integer is a usage error, worded as argparse words
+    one in --threads.
+    """
+    text = os.environ.get("RMF_LAB_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"argument --threads: invalid int value: {text!r}")
 
 
 def _read_config(path: str) -> dict:
@@ -666,11 +725,11 @@ def emit(record: ResultRecord, output_format: str, out) -> None:
         return
     if output_format != "csv":
         raise RmfLabError(f"unknown output format {output_format!r}")
-    writer = csv.writer(out, lineterminator="\n")
     rows = record.values.get("rows")
     if isinstance(rows, Table):
-        rows.write_csv(writer)
+        rows.write_csv(out.write)
     else:
+        writer = csv.writer(out, lineterminator="\n")
         flat = {"command": record.command, "seed": record.seed}
         flat.update(
             (k, v) for k, v in sorted(record.values.items()) if not isinstance(v, dict)
@@ -691,7 +750,12 @@ def _csv_cell(value):
 
 
 def dispatch(argv, stdout=None, stderr=None) -> int:
-    """Parse argv, run the op, stream ResultRecords; returns the exit code."""
+    """Parse argv, run the op, stream ResultRecords; returns the exit code.
+
+    Every call parses with the one parser of build_parser() and reads
+    $RMF_LAB_THREADS afresh when argv has no --threads, so calls in one
+    process are independent of each other.
+    """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     parser = build_parser()
@@ -709,6 +773,8 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             return 2
     try:
         args = parser.parse_args(argv)
+        if args.threads is None:
+            args.threads = _env_threads(parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if args.seed is None:

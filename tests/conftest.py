@@ -5,9 +5,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import seed
 
 from rmflab.sampler import Mode, SignAssignment
 from rmflab.sieve import _check_base, primes_up_to
+
+
+#: the run's --hypothesis-seed, None when the run gives none
+_RUN_SEED = None
+
+
+def pytest_configure(config):
+    global _RUN_SEED
+    _RUN_SEED = config.getoption("--hypothesis-seed", None)
+
+
+def run_seed(default):
+    """@seed(default), or @seed of the run's --hypothesis-seed if it gives one.
+
+    A test under @seed alone draws the same examples whatever the run's
+    seed, since @seed overrides --hypothesis-seed; under run_seed a run
+    without the option stays deterministic and one with it draws anew.
+    """
+    return seed(default if _RUN_SEED is None else _RUN_SEED)
 
 
 def divided_block_tables(lo, hi, base):

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import hashlib
 import io
 import json
@@ -11,11 +13,13 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmflab.cli import ResultRecord, dispatch, emit
+from conftest import run_seed
+from rmflab.cli import ResultRecord, Table, build_parser, dispatch, emit
 from rmflab.oracle import exact_moment
 from rmflab.sampler import Mode
 
@@ -307,6 +311,49 @@ def test_csv_trajectory_columns(tmp_path):
     assert lines[0] == "y,value,err_bound"
     assert len(lines) == 11
     assert float(lines[1].split(",")[1]) == 1.0
+
+
+_CSV_TEXT = st.text(st.sampled_from('a ,";\r\n'), max_size=3)
+_CSV_CELL = st.one_of(
+    st.floats(), st.integers(-(2**70), 2**70), st.booleans(), st.none(), _CSV_TEXT
+)
+#: a column: one shared cell, or a list or float array to repeat down the rows
+_CSV_COLUMN = st.one_of(
+    _CSV_CELL,
+    st.lists(_CSV_CELL, min_size=1, max_size=5),
+    st.lists(st.floats(), min_size=1, max_size=5).map(np.array),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 9000),
+    st.lists(st.tuples(_CSV_TEXT, _CSV_COLUMN), min_size=1, max_size=4,
+             unique_by=lambda c: c[0]),
+)
+def test_table_csv_is_the_csv_writer_text(rows, named):
+    # rows up to 9000 cross the 4096-row blocks; the first column is made
+    # a list if need be, since a table has rows only through one
+    columns = {}
+    for i, (name, cells) in enumerate(named):
+        if i == 0 and not isinstance(cells, (list, np.ndarray)):
+            cells = [cells]
+        if isinstance(cells, np.ndarray):
+            cells = np.resize(cells, rows)
+        elif isinstance(cells, list):
+            cells = (cells * rows)[:rows]
+        columns[name] = cells
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(list(columns))
+    writer.writerows(zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c if isinstance(c, list)
+        else [c] * rows
+        for c in columns.values()
+    )))
+    text = io.StringIO()
+    Table(columns).write_csv(text.write)
+    assert text.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -957,7 +1004,7 @@ _WALK_FLAGS = {
 }
 
 
-@seed(27)
+@run_seed(27)
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     st.sampled_from(sorted(_WALK_FLAGS)).flatmap(
@@ -1009,7 +1056,7 @@ _GROUP_FLAGS = {
 }
 
 
-@seed(29)
+@run_seed(29)
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     st.sampled_from(sorted(_GROUP_FLAGS)).flatmap(
@@ -1253,6 +1300,45 @@ def test_env_var_thread_default_not_an_integer_exits_2(monkeypatch, capsys, valu
     stderr = err + capsys.readouterr().err
     assert "--threads" in stderr
     assert "Traceback" not in stderr
+
+
+def test_build_parser_builds_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_dispatch_builds_no_parser_after_build_parser(monkeypatch):
+    build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("nt", "zeta", "--s", "2")[0] == 0
+    assert run_cli("nt", "zeta")[0] == 2
+    assert built == []
+    argparse.ArgumentParser(prog="counted")
+    assert built == ["counted"]
+
+
+def test_env_var_thread_default_is_read_on_each_dispatch(monkeypatch, capsys):
+    argv = ("nt", "zeta", "--s", "2")
+    monkeypatch.setenv("RMF_LAB_THREADS", "3")
+    assert record_of(run_cli(*argv)[1]).params["threads"] == 3
+    monkeypatch.delenv("RMF_LAB_THREADS")
+    assert record_of(run_cli(*argv)[1]).params["threads"] == 1
+    monkeypatch.setenv("RMF_LAB_THREADS", "abc")
+    code, out, _ = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert "argument --threads: invalid int value: 'abc'" in capsys.readouterr().err
+    # the flag wins over the variable, which is not read
+    code, out, _ = run_cli(*argv, "--threads", "2")
+    assert (code, record_of(out).params["threads"]) == (0, 2)
+    monkeypatch.delenv("RMF_LAB_THREADS")
+    code, out, _ = run_cli(*argv)
+    assert (code, record_of(out).params["threads"]) == (0, 1)
 
 
 @pytest.mark.parametrize("switch, numerator", [("yes", True), ("off", False)])

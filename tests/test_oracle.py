@@ -665,6 +665,15 @@ def test_kurtosis_of_a_sample_whose_variance_squared_underflows():
     assert 0.0 == e.ci_low < e.ci_high
 
 
+def test_kurtosis_flag_is_scale_free_where_fourth_powers_underflow():
+    # the fourth powers of these centred values underflowed: m4 read 0 and
+    # the excess -3, while the same sample times 1e100 was flagged
+    v = np.full(1000, 1e-100)
+    v[-1] = 1e-98
+    assert _mean(v, 1, 0.99, flag_kurtosis=True).heavy_tail
+    assert _mean(v * 1e100, 1, 0.99, flag_kurtosis=True).heavy_tail
+
+
 def test_mc_moment_rejects_overflow_and_empty_coefficients():
     # |S|^2000 overflows float64: estimate inf and ci_high NaN, exit 0, before
     with pytest.raises(DomainError, match="overflows"):
