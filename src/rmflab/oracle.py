@@ -367,13 +367,13 @@ def _mean(
         half = _z(level) * math.sqrt(var / trials)
         if flag_kurtosis and var > 0:
             # the kurtosis is scale-free: scaled by a power of two to a largest
-            # magnitude in [1/2, 1), the centred values keep their fourth powers
-            # in range, and wherever nothing left it the ratio stays bitwise
+            # magnitude in [1/2, 1), the centred values keep their fourth
+            # powers in range; the scaling is exact, so where no power left
+            # the range unscaled, the ratio is bitwise what it was
             peak = max(centered.max(), -centered.min())
             np.ldexp(centered, -math.frexp(peak)[1], out=centered)
             scaled_var = exact_sum(np.square(centered, out=powers)) / (trials - 1)
             m4 = exact_sum(np.power(centered, 4, out=powers)) / trials
-            # scaled_var * scaled_var may underflow to 0
             kurtosis_excess = m4 / scaled_var / scaled_var - 3.0
             heavy = not math.isfinite(kurtosis_excess) or kurtosis_excess > 50.0
     if not math.isfinite(mean + half):
